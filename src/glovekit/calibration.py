@@ -44,12 +44,15 @@ class ExtremaBuilder:
         self.frames_seen = 0
 
     def observe(self, frame: SensorFrame) -> None:
-        for i, v in enumerate(frame.channels):
-            if v < self.raw_min[i]:
-                self.raw_min[i] = float(v)
-            if v > self.raw_max[i]:
-                self.raw_max[i] = float(v)
-        self.frames_seen += 1
+        self.update([frame.channels])
+
+    def update(self, raw) -> None:
+        """Take in an (n, 5) array of raw frames."""
+        raw = np.asarray(raw, dtype=float).reshape(-1, NUM_CHANNELS)
+        if raw.shape[0]:
+            self.raw_min = [min(a, b) for a, b in zip(self.raw_min, raw.min(axis=0).tolist())]
+            self.raw_max = [max(a, b) for a, b in zip(self.raw_max, raw.max(axis=0).tolist())]
+        self.frames_seen += raw.shape[0]
 
     def finalize(
         self,
@@ -65,12 +68,6 @@ class ExtremaBuilder:
         return CalibrationProfile(
             tuple(self.raw_min), tuple(self.raw_max), tuple(joint_min), tuple(joint_max)
         )
-
-
-# kept for symmetry with the builder-style call sites
-def observe_extrema(builder: ExtremaBuilder, frame: SensorFrame) -> ExtremaBuilder:
-    builder.observe(frame)
-    return builder
 
 
 def raw_to_angle(profile: CalibrationProfile, raw) -> np.ndarray:

@@ -8,7 +8,6 @@ feedback. Exit codes: 0 success, 2 usage error, 3 data/shape error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -26,9 +25,8 @@ from .controlsim import DEFAULT_CONTROL_RATE, Gains, PlantParams
 from .emulator import DEFAULT_RATE, EmulatorConfig, run_emulator
 from .errors import GlovekitError, TransportError
 from .model import BasisConfig, DEFAULT_EPS_REG, train_model
-from .pipeline import evaluate, feedback_loop, record, reproduce, residual_summary
+from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce, residual_summary
 from .transports import open_transport
-from .wire import StreamParser
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,16 +149,10 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    builder = ExtremaBuilder()
-    parser = StreamParser()
-    nominal = math.floor(args.duration * args.stream_rate)
     with open_transport(args.transport, "rb") as reader:
-        while builder.frames_seen < nominal:
-            data = reader.read(4096)
-            if not data:
-                break
-            for frame in parser.feed(data):
-                builder.observe(frame)
+        raw, _ = read_raw_frames(reader, args.duration, args.stream_rate)
+    builder = ExtremaBuilder()
+    builder.update(raw)
     profile = builder.finalize((args.joint_min,) * 5, (args.joint_max,) * 5)
     formats.save_profile(profile, args.output)
     print(f"frames observed: {builder.frames_seen}, profile written: {args.output}")

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GlovekitError, TransportError
-from .wire import ADC_MAX, NUM_CHANNELS, PwmCommand, SensorFrame, encode_frame
+from .wire import ADC_MAX, FRAME_SIZE, NUM_CHANNELS, PwmCommand, SensorFrame, encode_frames
 
 DEFAULT_RATE = 350.0
+# frames generated and encoded at a time, so memory does not grow with duration
+_BLOCK_FRAMES = 4096
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,6 @@ class EmulatorConfig:
             raise GlovekitError("noise_std must be nonnegative")
 
 
-def _round_half_away(x: float) -> int:
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
 class GloveEmulator:
     """Produces the 350 Hz sensor stream and records the last PWM command."""
 
@@ -64,23 +62,31 @@ class GloveEmulator:
         self._rng = np.random.default_rng(config.seed)
         self._step = 0
 
-    def step(self) -> SensorFrame:
-        """Emit the frame for the current clock, then advance by 1/rate."""
+    def block(self, n: int) -> np.ndarray:
+        """Emit the next n frames as an (n, 5) uint16 array; advance the clock by n/rate."""
         cfg = self.config
-        t = self.t
+        chans = cfg.channels
+        frequency = np.array([ch.frequency for ch in chans])
+        phase = np.array([ch.phase for ch in chans])
+        offset = np.array([ch.offset for ch in chans])
+        amplitude = np.array([ch.amplitude for ch in chans])
+        t = np.arange(self._step, self._step + n) / cfg.rate
+        arg = t[:, None] * (2.0 * math.pi * frequency) + phase
+        # math.sin, not np.sin: the two may differ in the last bit, which can
+        # flip a rounding at .5 and change the stream
+        sin = np.fromiter(map(math.sin, arg.ravel().tolist()), float, arg.size)
+        x = offset + amplitude * sin.reshape(n, NUM_CHANNELS)
         if cfg.noise_std > 0:
-            noise = self._rng.normal(0.0, cfg.noise_std, NUM_CHANNELS)
-        else:
-            noise = np.zeros(NUM_CHANNELS)
-        values = []
-        for i, ch in enumerate(cfg.channels):
-            x = ch.offset + ch.amplitude * math.sin(2.0 * math.pi * ch.frequency * t + ch.phase)
-            v = _round_half_away(x + noise[i])
-            values.append(min(max(v, 0), ADC_MAX))
-        self._step += 1
+            x = x + self._rng.normal(0.0, cfg.noise_std, (n, NUM_CHANNELS))
+        rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
+        self._step += n
         # integer step count avoids drift over long runs
         self.t = self._step / cfg.rate
-        return SensorFrame(tuple(values))
+        return np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
+
+    def step(self) -> SensorFrame:
+        """Emit the frame for the current clock, then advance by 1/rate."""
+        return SensorFrame(tuple(self.block(1)[0].tolist()))
 
     def handle_pwm(self, cmd: PwmCommand) -> None:
         self.last_pwm = cmd
@@ -99,16 +105,16 @@ def run_emulator(config: EmulatorConfig, duration: float, transport, fast: bool 
     total = math.floor(duration * config.rate)
     start = time.monotonic()
     written = 0
-    for i in range(total):
-        data = encode_frame(emulator.step())
-        try:
-            transport.write(data)
-        except (OSError, ValueError, TransportError):
-            break
-        written += 1
-        if not fast:
-            target = start + (i + 1) / config.rate
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    while written < total:
+        data = encode_frames(emulator.block(min(_BLOCK_FRAMES, total - written)))
+        for offset in range(0, len(data), FRAME_SIZE):
+            try:
+                transport.write(data[offset : offset + FRAME_SIZE])
+            except (OSError, ValueError, TransportError):
+                return written
+            written += 1
+            if not fast:
+                delay = start + written / config.rate - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
     return written

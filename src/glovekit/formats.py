@@ -36,7 +36,7 @@ def _fmt_row(values) -> str:
 def _read_lines(path) -> list[str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     return [line.rstrip("\n") for line in text.splitlines() if line.strip()]
 
@@ -50,6 +50,13 @@ def _expect_header(lines: list[str], version: str, path) -> list[str]:
 def _floats(tokens, path, what) -> list[float]:
     try:
         return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _number(token: str, path, what, kind=float):
+    try:
+        return kind(token)
     except ValueError as exc:
         raise FormatError(f"{path}: bad {what}: {exc}") from exc
 
@@ -73,7 +80,7 @@ def load_profile(path) -> CalibrationProfile:
         tokens = line.split()
         if len(tokens) != 6 or tokens[0] != "channel":
             raise FormatError(f"{path}: bad profile line {line!r}")
-        idx = int(tokens[1])
+        idx = _number(tokens[1], path, "channel number", int)
         rows[idx] = _floats(tokens[2:], path, "profile values")
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
         raise FormatError(f"{path}: expected channels 1..{NUM_CHANNELS}")
@@ -122,8 +129,11 @@ def load_demo(path) -> tuple[Demonstration, list[str]]:
         raise FormatError(f"{path}: truncated demo header")
     if not lines[0].startswith("D ") or not lines[1].startswith("dt ") or not lines[2].startswith("joints "):
         raise FormatError(f"{path}: demo header must be 'D', 'dt', 'joints' lines")
-    d = int(lines[0].split()[1])
-    dt = float(lines[1].split()[1])
+    d_tokens, dt_tokens = lines[0].split(), lines[1].split()
+    if len(d_tokens) != 2 or len(dt_tokens) != 2:
+        raise FormatError(f"{path}: 'D' and 'dt' lines take one value each")
+    d = _number(d_tokens[1], path, "D", int)
+    dt = _number(dt_tokens[1], path, "dt")
     labels = lines[2].split()[1:]
     if len(labels) != d:
         raise FormatError(f"{path}: joint label count != D")
@@ -187,8 +197,8 @@ def load_model(path) -> TrajectoryModel:
         sigma_y = np.array(_floats(fields["sigma_y"], path, "sigma_y"))
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad model field: {exc}") from exc
-    if len(sigma_w_rows) != k * d:
-        raise FormatError(f"{path}: expected {k * d} sigma_w rows, got {len(sigma_w_rows)}")
+    if len(sigma_w_rows) != k * d or any(len(row) != k * d for row in sigma_w_rows):
+        raise FormatError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
     return TrajectoryModel(basis, mu_w, np.array(sigma_w_rows), sigma_y, d, eps_reg)
 
 

@@ -7,8 +7,6 @@ paths and exit codes.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +28,7 @@ from .controlsim import (
     simulate_tracking,
 )
 from .emulator import DEFAULT_RATE
-from .errors import GlovekitError, TransportError
+from .errors import GlovekitError, ShapeMismatchError, TransportError
 from .model import (
     Demonstration,
     TrajectoryModel,
@@ -40,10 +38,9 @@ from .model import (
     marginal_std,
     mean_trajectory,
 )
-from .wire import PwmCommand, StreamParser, encode_pwm_command
+from .wire import NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 4096
-_QUEUE_DEPTH = 64
 # below this fraction of the nominal frame count the recording is flagged
 # as partial (a corrupted-but-continuous stream loses far less than this)
 _PARTIAL_FRACTION = 0.5
@@ -60,44 +57,29 @@ class RecordStats:
 def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
     """Collect raw frames from a byte transport until the nominal count or EOF.
 
-    A dedicated reader thread feeds a bounded queue; decoding happens on the
-    caller's thread.
+    Reads stop after the chunk that brings the frame count to the nominal
+    count; the frames of that whole chunk are kept. Returns an (n, 5) float
+    array of raw counts and the stream statistics.
     """
     nominal = math.floor(duration * stream_rate)
-    chunks: queue.Queue = queue.Queue(maxsize=_QUEUE_DEPTH)
-
-    def pump():
-        try:
-            while True:
-                data = reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                chunks.put(data)
-        except (OSError, ValueError):
-            pass
-        finally:
-            chunks.put(None)
-
-    thread = threading.Thread(target=pump, daemon=True)
-    thread.start()
-
     parser = StreamParser()
-    frames = []
-    while len(frames) < nominal:
-        data = chunks.get()
-        if data is None:
+    blocks = [np.empty((0, NUM_CHANNELS))]
+    while parser.frames_decoded < nominal:
+        try:
+            data = reader.read(_READ_CHUNK)
+        except (OSError, ValueError):
             break
-        frames.extend(parser.feed(data))
-    thread.join()
-
+        if not data:
+            break
+        blocks.append(parser.decode(data))
+    received = parser.frames_decoded
     stats = RecordStats(
-        frames_received=len(frames),
+        frames_received=received,
         bytes_skipped=parser.bytes_skipped,
         nominal_frames=nominal,
-        partial=len(frames) < _PARTIAL_FRACTION * nominal,
+        partial=received < _PARTIAL_FRACTION * nominal,
     )
-    raw = np.array([f.channels for f in frames], dtype=float) if frames else np.empty((0, 5))
-    return raw, stats
+    return np.concatenate(blocks, dtype=float), stats
 
 
 def frames_to_demo(
@@ -206,26 +188,30 @@ class EvalReport:
     log_likelihoods: list[float]  # one per demo
     per_joint_log_likelihoods: list[np.ndarray]  # one (D,) array per demo
     band_coverage: np.ndarray  # (D,) fraction of all demo samples in +/- 2 std
-    mean: np.ndarray  # (T, D) model mean at the first demo's length
-    std: np.ndarray  # (T, D) marginal std at the first demo's length
+    mean: np.ndarray  # (T, D) model mean at the demos' length
+    std: np.ndarray  # (T, D) marginal std at the demos' length
 
 
 def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
-    """Likelihood and +/-2-sigma band-coverage diagnostics for a demo set."""
+    """Likelihood and +/-2-sigma band-coverage diagnostics for a demo set.
+
+    All demos must match the model's dimension and share one length.
+    """
     if not demos:
         raise GlovekitError("at least one demonstration is required")
     t_ref = demos[0].T
+    for i, demo in enumerate(demos, start=1):
+        if demo.D != model.D:
+            raise ShapeMismatchError(f"demo {i} dimension {demo.D} != model dimension {model.D}")
+        if demo.T != t_ref:
+            raise ShapeMismatchError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
     mean = mean_trajectory(model, t_ref)
     std = marginal_std(model, t_ref)
     inside = np.zeros(model.D)
-    total = 0
     lls = []
     per_joint = []
     for demo in demos:
-        m = mean if demo.T == t_ref else mean_trajectory(model, demo.T)
-        s = std if demo.T == t_ref else marginal_std(model, demo.T)
-        inside += (np.abs(demo.values - m) <= 2.0 * s).sum(axis=0)
-        total += demo.T
+        inside += (np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0)
         lls.append(log_likelihood(model, demo))
         per_joint.append(log_likelihood_per_joint(model, demo))
-    return EvalReport(lls, per_joint, inside / total, mean, std)
+    return EvalReport(lls, per_joint, inside / (t_ref * len(demos)), mean, std)

@@ -10,8 +10,9 @@ Force-feedback commands travel host -> glove as ASCII lines
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ProtocolError
 
@@ -21,8 +22,6 @@ NUM_CHANNELS = 5
 ADC_MAX = 1023
 PWM_MAX = 255
 FRAME_SIZE = 13  # sync + 5 * uint16 + checksum + terminator
-
-_PAYLOAD = struct.Struct("<5H")
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,23 @@ class PwmCommand:
                 raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
 
 
+def encode_frames(values) -> bytes:
+    """Encode an (n, 5) array of channel values as n concatenated wire frames."""
+    payload = np.asarray(values, dtype="<u2").reshape(-1, NUM_CHANNELS).view(np.uint8)
+    frames = np.empty((payload.shape[0], FRAME_SIZE), dtype=np.uint8)
+    frames[:, 0] = SYNC_BYTE
+    frames[:, 1:11] = payload
+    frames[:, 11] = np.bitwise_xor.reduce(payload, axis=1)
+    frames[:, 12] = TERMINATOR
+    return frames.tobytes()
+
+
 def encode_frame(frame: SensorFrame) -> bytes:
     """Encode a sensor frame into its 13-byte wire representation."""
-    payload = _PAYLOAD.pack(*frame.channels)
-    checksum = 0
-    for b in payload:
-        checksum ^= b
-    return bytes([SYNC_BYTE]) + payload + bytes([checksum, TERMINATOR])
+    return encode_frames(frame.channels)
+
+
+_PAYLOAD_OFFSETS = np.arange(1, 11)
 
 
 @dataclass
@@ -67,54 +76,58 @@ class StreamParser:
     """Incremental frame extractor tolerating garbage and split input.
 
     Single-owner mutable state: feed byte chunks in order, complete frames
-    come out in order. Corrupt bytes are skipped (one byte at a time, resync
-    on the next 0xA5) and counted, never fatal.
+    come out in order. A frame is taken at the first valid sync byte at or
+    after the end of the previous frame: every byte before it that is not
+    part of a frame (garbage, or a 0xA5 whose frame fails the terminator,
+    checksum or range check) is skipped and counted, never fatal. An
+    incomplete frame at the end of the input stays in ``buffer`` until more
+    bytes arrive.
     """
 
     buffer: bytearray = field(default_factory=bytearray)
     frames_decoded: int = 0
     bytes_skipped: int = 0
 
+    def decode(self, data: bytes) -> np.ndarray:
+        """Consume a chunk; return the complete frames as an (n, 5) uint16 array."""
+        if self.buffer:
+            data = bytes(self.buffer) + data
+        buf = np.frombuffer(data, dtype=np.uint8)
+        n = buf.size
+        # every sync byte that starts a complete frame, then the checks on all
+        # of them at once
+        starts = np.flatnonzero(buf[: max(n - FRAME_SIZE + 1, 0)] == SYNC_BYTE)
+        starts = starts[buf[starts + FRAME_SIZE - 1] == TERMINATOR]
+        payload = buf[starts[:, None] + _PAYLOAD_OFFSETS]
+        values = payload.view("<u2")
+        ok = (np.bitwise_xor.reduce(payload, axis=1) == buf[starts + 11]) & np.all(
+            values <= ADC_MAX, axis=1
+        )
+        starts, values = starts[ok], values[ok]
+        if np.any(np.diff(starts) < FRAME_SIZE):
+            # a valid frame overlaps an earlier one: keep each that starts at
+            # or after the end of the last one kept, as a byte-by-byte scan does
+            keep = np.zeros(starts.size, dtype=bool)
+            end = 0
+            for i, start in enumerate(starts.tolist()):
+                if start >= end:
+                    keep[i] = True
+                    end = start + FRAME_SIZE
+            starts, values = starts[keep], values[keep]
+        # the bytes after the last frame are all skipped, except an
+        # incomplete frame from the first sync byte too close to the end
+        end = int(starts[-1]) + FRAME_SIZE if starts.size else 0
+        tail_from = max(end, n - FRAME_SIZE + 1)
+        tail = np.flatnonzero(buf[tail_from:] == SYNC_BYTE)
+        consumed = tail_from + int(tail[0]) if tail.size else n
+        self.buffer = bytearray(data[consumed:])
+        self.bytes_skipped += consumed - FRAME_SIZE * starts.size
+        self.frames_decoded += starts.size
+        return values
+
     def feed(self, data: bytes) -> list[SensorFrame]:
-        self.buffer.extend(data)
-        buf = self.buffer
-        n = len(buf)
-        frames: list[SensorFrame] = []
-        pos = 0
-        while True:
-            start = buf.find(SYNC_BYTE, pos)
-            if start < 0:
-                self.bytes_skipped += n - pos
-                pos = n
-                break
-            self.bytes_skipped += start - pos
-            pos = start
-            if n - pos < FRAME_SIZE:
-                break
-            if buf[pos + FRAME_SIZE - 1] == TERMINATOR and self._frame_ok(buf, pos):
-                frames.append(SensorFrame(_PAYLOAD.unpack_from(buf, pos + 1)))
-                pos += FRAME_SIZE
-            else:
-                # bad checksum/terminator/range: drop the sync byte and rescan
-                self.bytes_skipped += 1
-                pos += 1
-        del buf[:pos]
-        self.frames_decoded += len(frames)
-        return frames
-
-    @staticmethod
-    def _frame_ok(buf: bytearray, pos: int) -> bool:
-        checksum = 0
-        for b in buf[pos + 1 : pos + 11]:
-            checksum ^= b
-        if checksum != buf[pos + 11]:
-            return False
-        return all(v <= ADC_MAX for v in _PAYLOAD.unpack_from(buf, pos + 1))
-
-
-def decode_stream(parser: StreamParser, data: bytes) -> list[SensorFrame]:
-    """Functional alias for :meth:`StreamParser.feed`."""
-    return parser.feed(data)
+        """Consume a chunk; return the complete frames as :class:`SensorFrame` objects."""
+        return [SensorFrame(tuple(row)) for row in self.decode(data).tolist()]
 
 
 def encode_pwm_command(cmd: PwmCommand) -> str:

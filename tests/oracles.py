@@ -1,10 +1,18 @@
 """Independent reference implementations used only to cross-check results.
 
 Deliberately naive: hand-rolled elimination and term-by-term summation, no
-shared code with the package's linear-algebra paths.
+shared code with the package's linear-algebra paths; a byte-by-byte stream
+parser and a frame-by-frame emulator, no shared code with the package's
+array paths.
 """
 
+import math
+import struct
+
 import numpy as np
+
+_SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
+_PAYLOAD = struct.Struct("<5H")
 
 
 def solve_elimination(a, b):
@@ -71,3 +79,80 @@ def gaussian_logpdf_sum(values, means, variance):
     for y, mu in zip(values, means):
         total += -0.5 * np.log(2.0 * np.pi * variance) - (y - mu) ** 2 / (2.0 * variance)
     return total
+
+
+class ScalarStreamParser:
+    """Byte-by-byte resyncing frame parser: scan to the next sync byte, take a
+    frame when its terminator, XOR and range check pass, else skip the sync
+    byte and rescan."""
+
+    def __init__(self):
+        self.buffer = bytearray()
+        self.frames_decoded = 0
+        self.bytes_skipped = 0
+
+    def feed(self, data):
+        """Consume a chunk; return the decoded frames as 5-tuples."""
+        self.buffer.extend(data)
+        buf = self.buffer
+        n = len(buf)
+        frames = []
+        pos = 0
+        while True:
+            start = buf.find(_SYNC, pos)
+            if start < 0:
+                self.bytes_skipped += n - pos
+                pos = n
+                break
+            self.bytes_skipped += start - pos
+            pos = start
+            if n - pos < _FRAME_SIZE:
+                break
+            if buf[pos + _FRAME_SIZE - 1] == _TERMINATOR and self._frame_ok(buf, pos):
+                frames.append(_PAYLOAD.unpack_from(buf, pos + 1))
+                pos += _FRAME_SIZE
+            else:
+                self.bytes_skipped += 1
+                pos += 1
+        del buf[:pos]
+        self.frames_decoded += len(frames)
+        return frames
+
+    @staticmethod
+    def _frame_ok(buf, pos):
+        checksum = 0
+        for b in buf[pos + 1 : pos + 11]:
+            checksum ^= b
+        if checksum != buf[pos + 11]:
+            return False
+        return all(v <= _ADC_MAX for v in _PAYLOAD.unpack_from(buf, pos + 1))
+
+
+def scalar_frame_bytes(channels):
+    """One 13-byte wire frame, packed with struct and XOR-ed byte by byte."""
+    payload = _PAYLOAD.pack(*channels)
+    checksum = 0
+    for b in payload:
+        checksum ^= b
+    return bytes([_SYNC]) + payload + bytes([checksum, _TERMINATOR])
+
+
+def scalar_emulator_frames(config, count):
+    """The emulator's first ``count`` frames, one step at a time: a per-step
+    noise draw, math.sin per channel and round half away from zero."""
+    rng = np.random.default_rng(config.seed)
+    frames = []
+    for k in range(count):
+        t = k / config.rate
+        if config.noise_std > 0:
+            noise = rng.normal(0.0, config.noise_std, 5)
+        else:
+            noise = np.zeros(5)
+        values = []
+        for i, ch in enumerate(config.channels):
+            x = ch.offset + ch.amplitude * math.sin(2.0 * math.pi * ch.frequency * t + ch.phase)
+            y = x + noise[i]
+            v = math.floor(y + 0.5) if y >= 0 else math.ceil(y - 0.5)
+            values.append(min(max(v, 0), _ADC_MAX))
+        frames.append(tuple(values))
+    return frames

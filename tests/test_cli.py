@@ -1,3 +1,6 @@
+import io
+import re
+import sys
 import threading
 
 import numpy as np
@@ -190,3 +193,40 @@ def test_train_load_reproduces_mean_byte_identically(workdir):
     loaded = formats.load_model(workdir / "m1.txt")
     formats.save_model(loaded, workdir / "m2.txt")
     assert (workdir / "m1.txt").read_bytes() == (workdir / "m2.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_short_read_of_long_stream_returns(workdir, monkeypatch, capsys, command):
+    """Reading 5 s of a 120 s stream stops at the nominal frame count and
+    leaves the rest of the transport unread."""
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(fx.emulate_stream(11, 120.0)))
+    )
+    argv = [command, "--transport", "pipe", "--duration", "5.0",
+            "--output", str(workdir / "out.txt")]
+    if command == "record":
+        argv += ["--calibration", str(workdir / "calib.txt")]
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(rc=main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive()
+    assert result["rc"] == 0
+    out = capsys.readouterr().out
+    received = int(re.match(r"frames (?:received|observed): (\d+)", out).group(1))
+    assert received >= 5 * fx.STREAM_RATE
+
+
+@pytest.mark.parametrize("rows,joints", [(400, 4), (300, 13)])
+def test_eval_demo_shape_mismatch_is_data_error(workdir, capsys, rows, joints):
+    run_session(workdir, 11, "demo1.txt")
+    assert main(["train", str(workdir / "demo1.txt"), "--output", str(workdir / "model.txt")]) == 0
+    formats.save_demo(Demonstration(np.zeros((rows, joints)), 0.005), workdir / "odd.txt")
+    capsys.readouterr()
+    rc = main([
+        "eval", str(workdir / "demo1.txt"), str(workdir / "odd.txt"),
+        "--model", str(workdir / "model.txt"), "--output", str(workdir / "bands.csv"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: demo 2 ") and err.count("\n") == 1

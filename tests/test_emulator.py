@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import fixture13 as fx
 from glovekit.emulator import ChannelWaveform, EmulatorConfig, GloveEmulator, run_emulator
 from glovekit.errors import GlovekitError
 from glovekit.wire import PwmCommand, StreamParser
+from oracles import scalar_emulator_frames, scalar_frame_bytes
 
 
 def flat_config(**kwargs):
@@ -103,6 +105,33 @@ def test_emitted_stream_decodes_cleanly():
     assert parser.bytes_skipped == 0
 
 
+# 0.01 s is under one block; 30 s is two full blocks and part of a third
+@pytest.mark.parametrize("duration", [0.01, 30.0])
+@pytest.mark.parametrize("noise_std", [0.0, 3.0, 8.0])
+def test_stream_matches_frame_by_frame_reference(noise_std, duration):
+    cfg = fx.emulator_config(seed=21, noise_std=noise_std)
+    sink = io.BytesIO()
+    run_emulator(cfg, duration, sink)
+    frames = scalar_emulator_frames(cfg, math.floor(duration * cfg.rate))
+    assert sink.getvalue() == b"".join(scalar_frame_bytes(f) for f in frames)
+
+
+def test_step_and_block_continue_one_stream():
+    cfg = fx.emulator_config(seed=4)
+    emu = GloveEmulator(cfg)
+    out = [emu.step().channels for _ in range(3)]
+    out += [tuple(row) for row in emu.block(500).tolist()]
+    out.append(emu.step().channels)
+    assert out == scalar_emulator_frames(cfg, 504)
+    assert emu.t == 504 / cfg.rate
+
+
+def test_half_counts_round_away_from_zero():
+    offsets = (0.5, 1.5, 2.5, 511.5, 1022.5)
+    cfg = EmulatorConfig(channels=tuple(ChannelWaveform(offset=v) for v in offsets))
+    assert GloveEmulator(cfg).step().channels == (1, 2, 3, 512, 1023)
+
+
 class _ClosingSink:
     def __init__(self, fail_after):
         self.fail_after = fail_after
@@ -117,6 +146,9 @@ class _ClosingSink:
 def test_closed_transport_terminates_cleanly():
     written = run_emulator(flat_config(), 1.0, _ClosingSink(fail_after=17))
     assert written == 17
+    # past the first block of frames
+    written = run_emulator(flat_config(), 30.0, _ClosingSink(fail_after=5000))
+    assert written == 5000
 
 
 def test_duration_must_be_positive():

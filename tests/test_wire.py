@@ -1,19 +1,24 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixture13 as fx
+from glovekit.emulator import run_emulator
 from glovekit.errors import ProtocolError
 from glovekit.wire import (
     FRAME_SIZE,
     PwmCommand,
     SensorFrame,
     StreamParser,
-    decode_stream,
     encode_frame,
     encode_pwm_command,
     parse_pwm_command,
 )
+from oracles import ScalarStreamParser, scalar_frame_bytes
 
 channels_st = st.tuples(*[st.integers(0, 1023)] * 5)
 duty_st = st.tuples(*[st.integers(0, 255)] * 5)
@@ -106,10 +111,98 @@ def test_buffer_stays_below_frame_size_at_rest():
     assert len(parser.buffer) < FRAME_SIZE
 
 
-def test_decode_stream_alias():
+def _overlapping_pair() -> bytes:
+    """18 bytes holding two valid frames, the second starting at byte 5 of
+    the first: a scan takes the first and skips into the second."""
+    rng = np.random.default_rng(0)
+    while True:
+        ch1, ch2 = (int(v) for v in rng.integers(0, 1024, 2))
+        high = [int(v) for v in rng.integers(0, 4, 3)]
+        # ch3's low byte is the second sync byte; the second frame's payload
+        # high bytes are ch4's and ch5's low bytes, the first checksum and
+        # two of the trailing bytes, all kept <= 3
+        first = scalar_frame_bytes(
+            (ch1, ch2, 0xA5 | high[0] << 8, 1 | high[1] << 8, 2 | high[2] << 8)
+        )
+        if first[11] <= 3:
+            break
+    second = scalar_frame_bytes(struct.unpack("<5H", first[6:13] + bytes([3, 0x10, 0])))
+    assert second[:8] == first[5:]
+    return first + second[8:]
+
+
+OVERLAPPING_PAIR = _overlapping_pair()
+
+
+@st.composite
+def frame_bytes(draw):
+    """A valid frame, or a frame with a random payload and a valid checksum
+    (so its range check may fail), or the overlapping pair."""
+    kind = draw(st.sampled_from(["valid", "raw", "pair"]))
+    if kind == "valid":
+        return encode_frame(SensorFrame(draw(channels_st)))
+    if kind == "raw":
+        return scalar_frame_bytes(draw(st.tuples(*[st.integers(0, 0xFFFF)] * 5)))
+    return OVERLAPPING_PAIR
+
+
+@st.composite
+def corrupted_stream(draw):
+    data = bytearray(b"".join(draw(st.lists(frame_bytes(), max_size=25))))
+    for _ in range(draw(st.integers(0, 25))):
+        op = draw(st.sampled_from(["flip", "sync", "byte", "delete"]))
+        pos = draw(st.integers(0, len(data)))
+        if op == "flip" and pos < len(data):
+            data[pos] ^= draw(st.integers(1, 255))
+        elif op == "sync":
+            data.insert(pos, 0xA5)
+        elif op == "byte":
+            data.insert(pos, draw(st.integers(0, 255).filter(lambda b: b != 0xA5)))
+        elif op == "delete" and pos < len(data):
+            del data[pos]
+    return bytes(data)
+
+
+def assert_same_as_reference(data: bytes, chunk_sizes: list[int]) -> None:
     parser = StreamParser()
-    frame = SensorFrame((5, 4, 3, 2, 1))
-    assert decode_stream(parser, encode_frame(frame)) == [frame]
+    reference = ScalarStreamParser()
+    pos = 0
+    i = 0
+    while pos < len(data):
+        chunk = data[pos : pos + chunk_sizes[i % len(chunk_sizes)]]
+        pos += len(chunk)
+        i += 1
+        decoded = parser.decode(chunk)
+        assert decoded.shape[1] == 5
+        assert [tuple(row) for row in decoded.tolist()] == reference.feed(chunk)
+        assert parser.bytes_skipped == reference.bytes_skipped
+        assert parser.frames_decoded == reference.frames_decoded
+        assert parser.buffer == reference.buffer
+
+
+@given(corrupted_stream(), st.lists(st.integers(1, 64), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_decode_matches_byte_by_byte_reference(data, chunk_sizes):
+    assert_same_as_reference(data, chunk_sizes)
+
+
+def test_overlapping_valid_frames_keep_the_first():
+    first = StreamParser().decode(OVERLAPPING_PAIR[:13])
+    second = StreamParser().decode(OVERLAPPING_PAIR[5:])
+    assert len(first) == len(second) == 1
+    assert StreamParser().decode(OVERLAPPING_PAIR).tolist() == first.tolist()
+    assert_same_as_reference(OVERLAPPING_PAIR, [len(OVERLAPPING_PAIR)])
+
+
+def test_corrupted_emulator_stream_matches_reference():
+    sink = io.BytesIO()
+    run_emulator(fx.emulator_config(seed=7), 30.0, sink)
+    data = bytearray(sink.getvalue())
+    rng = np.random.default_rng(8)
+    flips = rng.choice(len(data), size=len(data) // 100, replace=False)
+    for i in flips:
+        data[i] ^= int(rng.integers(1, 256))
+    assert_same_as_reference(bytes(data), [4096])
 
 
 def test_encode_pwm_zero():
