@@ -117,11 +117,17 @@ def _cmd_emulate(args) -> int:
     config = formats.load_emulator_config(args.config)
     seed_override = os.environ.get("DEMO_SEED")
     if seed_override is not None:
+        try:
+            seed = int(seed_override)
+        except ValueError:
+            print(f"error: DEMO_SEED must be an integer, got {seed_override!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         config = EmulatorConfig(
             rate=config.rate,
             channels=config.channels,
             noise_std=config.noise_std,
-            seed=int(seed_override),
+            seed=seed,
         )
     with open_transport(args.transport, "wb") as writer:
         written = run_emulator(config, args.duration, writer, fast=args.fast)

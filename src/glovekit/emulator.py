@@ -44,12 +44,14 @@ class EmulatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise GlovekitError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise GlovekitError(f"rate must be positive and finite, got {self.rate}")
         if len(self.channels) != NUM_CHANNELS:
             raise GlovekitError(f"expected {NUM_CHANNELS} channel waveforms")
-        if self.noise_std < 0:
-            raise GlovekitError("noise_std must be nonnegative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise GlovekitError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
+        if self.seed < 0:
+            raise GlovekitError(f"seed must be nonnegative, got {self.seed}")
 
 
 class GloveEmulator:

@@ -2,7 +2,10 @@
 
 All formats are line-oriented, space-separated, and diff-able. Floats are
 written with ``repr`` (shortest exact decimal), so write -> read -> write is
-byte-identical.
+byte-identical. Float tables (demo, tactile, ``sigma_w`` and result CSV rows)
+are written and parsed one block of rows at a time, so the memory a file costs
+stays small and does not grow with its length; the bytes are those of one
+``repr`` per cell, and rows are read back with ``float`` semantics.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights
@@ -14,7 +17,9 @@ byte-identical.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,12 +30,34 @@ from .model import BasisConfig, Demonstration, TrajectoryModel
 from .wire import NUM_CHANNELS
 
 
+# rows formatted per block: enough to amortise stacking one slice per column,
+# few enough that a block's Python floats and text stay near 1 MB even for the
+# 131 columns of an eight-demo bands CSV
+_BLOCK_ROWS = 128
+# values parsed per block: a token costs a str object plus numpy's text copy of
+# it, so blocks are counted in values, whether a row holds the 14 of a demo or
+# the 260 of a 13-joint, 20-basis sigma_w row
+_BLOCK_TOKENS = 2048
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def _fmt_row(values) -> str:
-    return " ".join(_fmt(v) for v in values)
+    return " ".join(map(repr, values.tolist()))
+
+
+def _write_table(path, header_lines: list[str], columns: list[np.ndarray], sep: str) -> None:
+    """Write the header lines, then one line per row of the float64 table whose
+    columns are the given (T,) and (T, k) arrays side by side. Each block of
+    rows is stacked from the arrays on its own; the whole table never is."""
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in header_lines))
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+            rows = block.astype(float, copy=False).tolist()
+            f.write("".join(sep.join(map(repr, row)) + "\n" for row in rows))
 
 
 def _read_lines(path) -> list[str]:
@@ -47,11 +74,29 @@ def _expect_header(lines: list[str], version: str, path) -> list[str]:
     return lines[1:]
 
 
-def _floats(tokens, path, what) -> list[float]:
+def _floats(tokens, path, what) -> np.ndarray:
+    """Parse a token list, or rows of equal token counts, as ``float`` parses."""
     try:
-        return [float(t) for t in tokens]
+        return np.array(tokens, dtype=float)
     except ValueError as exc:
         raise FormatError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, what: str,
+                bad_count: Callable[[int], str]) -> np.ndarray:
+    """Parse ``n_rows`` token lists of ``cols`` tokens each into a float64
+    table, taking one block of rows from the iterator at a time, so only one
+    block's tokens exist at once. A row of ``n != cols`` tokens raises
+    ``FormatError(bad_count(n))``."""
+    block = max(1, _BLOCK_TOKENS // cols)
+    table = np.empty((n_rows, cols))
+    for start in range(0, n_rows, block):
+        rows = list(islice(token_rows, block))
+        for tokens in rows:
+            if len(tokens) != cols:
+                raise FormatError(bad_count(len(tokens)))
+        table[start : start + len(rows)] = _floats(rows, path, what)
+    return table
 
 
 def _number(token: str, path, what, kind=float):
@@ -81,7 +126,7 @@ def load_profile(path) -> CalibrationProfile:
         if len(tokens) != 6 or tokens[0] != "channel":
             raise FormatError(f"{path}: bad profile line {line!r}")
         idx = _number(tokens[1], path, "channel number", int)
-        rows[idx] = _floats(tokens[2:], path, "profile values")
+        rows[idx] = _floats(tokens[2:], path, "profile values").tolist()
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
         raise FormatError(f"{path}: expected channels 1..{NUM_CHANNELS}")
     cols = [tuple(rows[i + 1][j] for i in range(NUM_CHANNELS)) for j in range(4)]
@@ -104,10 +149,10 @@ def load_coupling(path) -> CouplingMap:
         tokens = line.split()
         if tokens[0] != "row" or len(tokens) != NUM_CHANNELS + 1:
             raise FormatError(f"{path}: bad coupling line {line!r}")
-        rows.append(_floats(tokens[1:], path, "coupling weights"))
+        rows.append(tokens[1:])
     if not rows:
         raise FormatError(f"{path}: empty coupling map")
-    return CouplingMap(np.array(rows))
+    return CouplingMap(_floats(rows, path, "coupling weights"))
 
 
 # ----------------------------------------------------------------- demo-v1
@@ -117,10 +162,8 @@ def save_demo(demo: Demonstration, path, labels: list[str] | None = None) -> Non
         labels = [f"j{d + 1:02d}" for d in range(demo.D)]
     if len(labels) != demo.D:
         raise FormatError(f"expected {demo.D} joint labels, got {len(labels)}")
-    lines = ["demo-v1", f"D {demo.D}", f"dt {_fmt(demo.dt)}", "joints " + " ".join(labels)]
-    for i, row in enumerate(demo.values):
-        lines.append(_fmt(i * demo.dt) + " " + _fmt_row(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["demo-v1", f"D {demo.D}", f"dt {_fmt(demo.dt)}", "joints " + " ".join(labels)]
+    _write_table(path, header, [np.arange(demo.T) * demo.dt, demo.values], " ")
 
 
 def load_demo(path) -> tuple[Demonstration, list[str]]:
@@ -137,19 +180,14 @@ def load_demo(path) -> tuple[Demonstration, list[str]]:
     labels = lines[2].split()[1:]
     if len(labels) != d:
         raise FormatError(f"{path}: joint label count != D")
-    times = []
-    values = []
-    for line in lines[3:]:
-        tokens = _floats(line.split(), path, "demo row")
-        if len(tokens) != d + 1:
-            raise FormatError(f"{path}: demo row has {len(tokens)} fields, expected {d + 1}")
-        times.append(tokens[0])
-        values.append(tokens[1:])
-    if len(values) < 2:
+    table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
+                        lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
+    if len(table) < 2:
         raise FormatError(f"{path}: demo needs at least 2 rows")
-    if np.any(np.diff(times) <= 0):
+    if np.any(np.diff(table[:, 0]) <= 0):
         raise FormatError(f"{path}: time column must be strictly increasing")
-    return Demonstration(np.array(values), dt), labels
+    # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
+    return Demonstration(table[:, 1:].copy(), dt), labels
 
 
 # ---------------------------------------------------------------- promp-v1
@@ -167,22 +205,23 @@ def save_model(model: TrajectoryModel, path) -> None:
         "centers " + _fmt_row(basis.centers),
         "mu_w " + _fmt_row(model.mu_w),
     ]
-    for row in model.sigma_w:
-        lines.append("sigma_w " + _fmt_row(row))
-    lines.append("sigma_y " + _fmt_row(model.sigma_y))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in lines))
+        for row in model.sigma_w:
+            f.write("sigma_w " + _fmt_row(row) + "\n")
+        f.write("sigma_y " + _fmt_row(model.sigma_y) + "\n")
 
 
 def load_model(path) -> TrajectoryModel:
     lines = _expect_header(_read_lines(path), "promp-v1", path)
     fields: dict[str, list[str]] = {}
-    sigma_w_rows = []
+    sigma_w_lines = []
     for line in lines:
-        key, *rest = line.split()
+        key = line.split(None, 1)[0]
         if key == "sigma_w":
-            sigma_w_rows.append(_floats(rest, path, "sigma_w row"))
+            sigma_w_lines.append(line)
         else:
-            fields[key] = rest
+            fields[key] = line.split()[1:]
     try:
         k = int(fields["K"][0])
         d = int(fields["D"][0])
@@ -193,13 +232,16 @@ def load_model(path) -> TrajectoryModel:
             normalize=bool(int(fields["normalize"][0])),
         )
         eps_reg = float(fields["eps_reg"][0])
-        mu_w = np.array(_floats(fields["mu_w"], path, "mu_w"))
-        sigma_y = np.array(_floats(fields["sigma_y"], path, "sigma_y"))
+        mu_w = _floats(fields["mu_w"], path, "mu_w")
+        sigma_y = _floats(fields["sigma_y"], path, "sigma_y")
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad model field: {exc}") from exc
-    if len(sigma_w_rows) != k * d or any(len(row) != k * d for row in sigma_w_rows):
+    if len(sigma_w_lines) != k * d:
         raise FormatError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
-    return TrajectoryModel(basis, mu_w, np.array(sigma_w_rows), sigma_y, d, eps_reg)
+    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k * d,
+                          path, "sigma_w row",
+                          lambda n: f"{path}: sigma_w must be {k * d} rows of {k * d} values")
+    return TrajectoryModel(basis, mu_w, sigma_w, sigma_y, d, eps_reg)
 
 
 # -------------------------------------------------------------- tactile-v1
@@ -208,28 +250,29 @@ def save_tactile(times, forces, path) -> None:
     forces = np.atleast_2d(np.asarray(forces, dtype=float))
     if forces.shape[1] != NUM_CHANNELS:
         raise FormatError(f"tactile rows must have {NUM_CHANNELS} forces")
-    lines = ["tactile-v1"]
-    for t, row in zip(times, forces):
-        lines.append(_fmt(t) + " " + _fmt_row(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = min(len(times), forces.shape[0])
+    _write_table(path, ["tactile-v1"], [np.asarray(times)[:rows], forces[:rows]], " ")
 
 
 def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
     lines = _expect_header(_read_lines(path), "tactile-v1", path)
-    times = []
-    forces = []
-    for line in lines:
-        tokens = _floats(line.split(), path, "tactile row")
-        if len(tokens) != NUM_CHANNELS + 1:
-            raise FormatError(f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
-        times.append(tokens[0])
-        forces.append(tokens[1:])
-    if not times:
+    table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, path, "tactile row",
+                        lambda n: f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
+    if not len(table):
         raise FormatError(f"{path}: empty tactile profile")
-    return np.array(times), np.array(forces)
+    return table[:, 0], table[:, 1:]
 
 
 # ------------------------------------------------------------ result CSVs
+
+def _write_joint_csv(path, times, columns: dict[str, np.ndarray]) -> None:
+    """CSV of a time column, then per joint one ``jNN_<name>`` column from
+    each (T, D) array, in the dict's order."""
+    d = next(iter(columns.values())).shape[1]
+    header = ["time"] + [f"j{j + 1:02d}_{name}" for j in range(d) for name in columns]
+    per_joint = [values[:, j] for j in range(d) for values in columns.values()]
+    _write_table(path, [",".join(header)], [np.asarray(times), *per_joint], ",")
+
 
 def save_tracking_csv(path, reference: np.ndarray, executed: np.ndarray, rate: float) -> None:
     """Tracking CSV: time plus reference/executed/error columns per joint."""
@@ -237,44 +280,19 @@ def save_tracking_csv(path, reference: np.ndarray, executed: np.ndarray, rate: f
     executed = np.atleast_2d(executed)
     if reference.shape != executed.shape:
         raise FormatError("reference and executed shapes differ")
-    d = reference.shape[1]
-    header = ["time"]
-    for j in range(d):
-        name = f"j{j + 1:02d}"
-        header += [f"{name}_ref", f"{name}_exec", f"{name}_err"]
-    lines = [",".join(header)]
-    for i in range(reference.shape[0]):
-        cells = [_fmt(i / rate)]
-        for j in range(d):
-            ref = reference[i, j]
-            exe = executed[i, j]
-            cells += [_fmt(ref), _fmt(exe), _fmt(exe - ref)]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = {"ref": reference, "exec": executed, "err": executed - reference}
+    _write_joint_csv(path, np.arange(reference.shape[0]) / rate, columns)
 
 
 def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[np.ndarray]) -> None:
     """Plot-ready CSV: per joint the model mean, std, and each demo's values."""
     mean = np.atleast_2d(mean)
     std = np.atleast_2d(std)
-    d = mean.shape[1]
-    header = ["time"]
-    for j in range(d):
-        name = f"j{j + 1:02d}"
-        header.append(f"{name}_mean")
-        header.append(f"{name}_std")
-        for n in range(len(demos)):
-            header.append(f"{name}_demo{n + 1}")
-    lines = [",".join(header)]
-    for i, t in enumerate(times):
-        cells = [_fmt(t)]
-        for j in range(d):
-            cells.append(_fmt(mean[i, j]))
-            cells.append(_fmt(std[i, j]))
-            for demo in demos:
-                cells.append(_fmt(demo[i, j]))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    shape = (len(times), mean.shape[1])
+    if any(np.shape(a) != shape for a in [mean, std, *demos]):
+        raise FormatError(f"mean, std and demos must all be {shape} arrays")
+    demo_columns = {f"demo{n + 1}": demo for n, demo in enumerate(demos)}
+    _write_joint_csv(path, times, {"mean": mean, "std": std, **demo_columns})
 
 
 # ------------------------------------------------------------------ emu-v1

@@ -225,14 +225,7 @@ def marginal_std(model: TrajectoryModel, T: int) -> np.ndarray:
 
 def log_likelihood(model: TrajectoryModel, demo: Demonstration) -> float:
     """Log-probability of a demonstration under the mean weights (nats)."""
-    if demo.D != model.D:
-        raise ShapeMismatchError(f"demo dimension {demo.D} != model dimension {model.D}")
-    residual = demo.values - mean_trajectory(model, demo.T)
-    var = np.maximum(model.sigma_y, model.eps_reg)
-    per_dim = -0.5 * (
-        demo.T * np.log(2.0 * np.pi * var) + (residual**2).sum(axis=0) / var
-    )
-    return float(per_dim.sum())
+    return float(log_likelihood_per_joint(model, demo).sum())
 
 
 def log_likelihood_per_joint(model: TrajectoryModel, demo: Demonstration) -> np.ndarray:

@@ -3,7 +3,8 @@
 Deliberately naive: hand-rolled elimination and term-by-term summation, no
 shared code with the package's linear-algebra paths; a byte-by-byte stream
 parser and a frame-by-frame emulator, no shared code with the package's
-array paths.
+array paths; text writers that format one cell at a time, no shared code with
+the package's table writer.
 """
 
 import math
@@ -156,3 +157,92 @@ def scalar_emulator_frames(config, count):
             values.append(min(max(v, 0), _ADC_MAX))
         frames.append(tuple(values))
     return frames
+
+
+def _cell(x):
+    return repr(float(x))
+
+
+def _cells(values):
+    return " ".join(_cell(v) for v in values)
+
+
+def demo_text(values, dt, labels):
+    """demo-v1 file text, one ``repr`` per cell, time ``i * dt`` per row."""
+    lines = ["demo-v1", f"D {len(labels)}", f"dt {_cell(dt)}", "joints " + " ".join(labels)]
+    for i, row in enumerate(values):
+        lines.append(_cell(i * dt) + " " + _cells(row))
+    return "\n".join(lines) + "\n"
+
+
+def tactile_text(times, forces):
+    """tactile-v1 file text, one row per (time, forces) pair."""
+    lines = ["tactile-v1"]
+    for t, row in zip(times, forces):
+        lines.append(_cell(t) + " " + _cells(row))
+    return "\n".join(lines) + "\n"
+
+
+def model_text(model):
+    """promp-v1 file text of a trajectory model, cell by cell."""
+    basis = model.basis
+    lines = [
+        "promp-v1",
+        f"K {basis.K}",
+        f"D {model.D}",
+        f"h {_cell(basis.h)}",
+        f"lambda {_cell(basis.lam)}",
+        f"eps_reg {_cell(model.eps_reg)}",
+        f"normalize {int(basis.normalize)}",
+        "centers " + _cells(basis.centers),
+        "mu_w " + _cells(model.mu_w),
+    ]
+    for row in model.sigma_w:
+        lines.append("sigma_w " + _cells(row))
+    lines.append("sigma_y " + _cells(model.sigma_y))
+    return "\n".join(lines) + "\n"
+
+
+def tracking_csv_text(reference, executed, rate):
+    """Tracking CSV text: time ``i / rate``, then ref, exec, exec - ref per joint."""
+    d = reference.shape[1]
+    header = ["time"]
+    for j in range(d):
+        name = f"j{j + 1:02d}"
+        header += [f"{name}_ref", f"{name}_exec", f"{name}_err"]
+    lines = [",".join(header)]
+    for i in range(reference.shape[0]):
+        cells = [_cell(i / rate)]
+        for j in range(d):
+            ref = reference[i, j]
+            exe = executed[i, j]
+            cells += [_cell(ref), _cell(exe), _cell(exe - ref)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def bands_csv_text(times, mean, std, demos):
+    """Bands CSV text: time, then mean, std and each demo's value per joint."""
+    d = mean.shape[1]
+    header = ["time"]
+    for j in range(d):
+        name = f"j{j + 1:02d}"
+        header.append(f"{name}_mean")
+        header.append(f"{name}_std")
+        for n in range(len(demos)):
+            header.append(f"{name}_demo{n + 1}")
+    lines = [",".join(header)]
+    for i, t in enumerate(times):
+        cells = [_cell(t)]
+        for j in range(d):
+            cells.append(_cell(mean[i, j]))
+            cells.append(_cell(std[i, j]))
+            for demo in demos:
+                cells.append(_cell(demo[i, j]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def float_rows(lines):
+    """Each line's space-separated tokens through ``float``, one at a time."""
+    return np.array([[float(token) for token in line.split()] for line in lines])

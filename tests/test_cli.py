@@ -230,3 +230,28 @@ def test_eval_demo_shape_mismatch_is_data_error(workdir, capsys, rows, joints):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: demo 2 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", "-1"), ("rate", "nan"), ("rate", "inf"), ("noise_std", "nan"), ("noise_std", "inf"),
+])
+def test_emulate_bad_config_value_is_data_error(workdir, capsys, key, value):
+    path = workdir / "emu.txt"
+    lines = [f"{key} {value}" if line.split()[0] == key else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["glove-emulate", "--config", str(path), "--duration", "0.5", "--fast",
+               "--transport", f"file:{workdir / 'stream.bin'}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed,code", [("x", 2), ("1.5", 2), ("-1", 3)])
+def test_emulate_bad_demo_seed(workdir, monkeypatch, capsys, seed, code):
+    monkeypatch.setenv("DEMO_SEED", seed)
+    rc = main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "0.5",
+               "--fast", "--transport", f"file:{workdir / 'stream.bin'}"])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err.lower() and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from glovekit import formats
 from glovekit.calibration import CalibrationProfile, CouplingMap, default_coupling_map
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
 from glovekit.errors import FormatError, GlovekitError
-from glovekit.model import BasisConfig, Demonstration, train_model
+from glovekit.model import BasisConfig, Demonstration, TrajectoryModel, train_model
 
 
 @pytest.fixture
@@ -215,6 +217,13 @@ class TestResultCsvs:
         assert lines[0] == "time,j01_mean,j01_std,j01_demo1,j01_demo2"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bands_csv_rejects_demo_of_other_length(self, tmp_path, rows):
+        mean = np.array([[0.5], [0.6]])
+        with pytest.raises(FormatError):
+            formats.save_bands_csv(tmp_path / "bands.csv", [0.0, 0.01], mean, mean,
+                                   [mean, np.zeros((rows, 1))])
+
 
 def _valid_samples() -> dict:
     """One valid file per loader, as text."""
@@ -287,3 +296,120 @@ def test_loaders_raise_only_glovekit_errors(tmp_path_factory, data):
         loader(path)
     except GlovekitError:
         pass
+
+
+BLOCK = formats._BLOCK_ROWS
+# table lengths below, at and above the writers' block size and its multiples
+ROWS = st.one_of(
+    st.integers(2, 9), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+)
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 0.1,
+           -0.1, 1.0, -3.0, 1024.0, 12345678.0, 1e22, 1e300]
+
+
+@st.composite
+def float_tables(draw, shape):
+    """Finite float64 tables mixing special values with random magnitudes."""
+    pool = np.array(SPECIAL + draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    table[special] = rng.choice(pool, size=int(special.sum()))
+    return table
+
+
+def _body(path, header_lines):
+    return path.read_text().splitlines()[header_lines:]
+
+
+@given(rows=ROWS, d=st.integers(1, 13), n=st.integers(0, 8), k=st.integers(1, 6),
+       dt=st.sampled_from([0.005, 1 / 350, 0.01, 0.1, 3.0]),
+       rate=st.sampled_from([200.0, 350.0, 7.0, 1000.0]), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n, k, dt, rate,
+                                                    data):
+    """Every table writer gives the bytes of the per-cell reference, and every
+    table loader gives the bits of a per-token float() parse."""
+    values = data.draw(float_tables((rows, 1 + d * (n + 4) + 5)))
+    mean, std, ref, exe = (values[:, 1 + i * d : 1 + (i + 1) * d] for i in range(4))
+    demos = [values[:, 1 + (4 + i) * d : 1 + (5 + i) * d] for i in range(n)]
+    forces = values[:, -5:]
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+
+    demo = Demonstration(mean, dt)
+    labels = [f"j{j + 1:02d}" for j in range(d)]
+    formats.save_demo(demo, path)
+    assert path.read_bytes() == oracles.demo_text(demo.values, dt, labels).encode()
+    loaded, _ = formats.load_demo(path)
+    assert loaded.values.tobytes() == oracles.float_rows(_body(path, 4))[:, 1:].tobytes()
+
+    formats.save_tactile(values[:, 0], forces, path)
+    assert path.read_bytes() == oracles.tactile_text(values[:, 0], forces).encode()
+    times, loaded_forces = formats.load_tactile(path)
+    parsed = oracles.float_rows(_body(path, 1))
+    assert times.tobytes() == parsed[:, 0].tobytes()
+    assert loaded_forces.tobytes() == parsed[:, 1:].tobytes()
+
+    with np.errstate(over="ignore"):  # drawn values near the float limit give an inf error
+        formats.save_tracking_csv(path, ref, exe, rate)
+        assert path.read_bytes() == oracles.tracking_csv_text(ref, exe, rate).encode()
+
+    times = np.arange(rows) * dt
+    formats.save_bands_csv(path, times, mean, std, demos)
+    assert path.read_bytes() == oracles.bands_csv_text(times, mean, std, demos).encode()
+
+    kd = k * d
+    weights = data.draw(float_tables((kd + 2, kd)))
+    model = TrajectoryModel(BasisConfig(K=k), weights[0], weights[2:], np.abs(weights[1, :d]), d)
+    formats.save_model(model, path)
+    assert path.read_bytes() == oracles.model_text(model).encode()
+    sigma_w = [line.split(None, 1)[1] for line in _body(path, 0) if line.startswith("sigma_w ")]
+    assert formats.load_model(path).sigma_w.tobytes() == oracles.float_rows(sigma_w).tobytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_load_demo_across_parse_blocks(tmp_path, extra):
+    """13-joint demos one row short of, at and past two parser blocks load
+    bit for bit as a per-token float() parse."""
+    rows = 2 * (formats._BLOCK_TOKENS // 14) + extra
+    rng = np.random.default_rng(extra + 1)
+    values = rng.normal(size=(rows, 13)) * 10.0 ** rng.integers(-8, 8, size=(rows, 13))
+    path = tmp_path / "demo.txt"
+    formats.save_demo(Demonstration(values, 0.005), path)
+    loaded, _ = formats.load_demo(path)
+    assert loaded.values.tobytes() == oracles.float_rows(_body(path, 4))[:, 1:].tobytes()
+    assert loaded.values.tobytes() == values.tobytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bands_csv_memory_stays_near_file_size(tmp_path):
+    """Writing the eval CSV of eight 13-joint 30 s demos holds one block of
+    rows at a time: neither the whole table (0.42x the file) nor its text."""
+    rng = np.random.default_rng(0)
+    t_steps, d = 6000, 13
+    mean = rng.normal(size=(t_steps, d))
+    std = rng.random((t_steps, d))
+    demos = [mean + rng.normal(scale=0.1, size=(t_steps, d)) for _ in range(8)]
+    times = np.arange(t_steps) * 0.005
+    path = tmp_path / "bands.csv"
+    peak = _traced_peak(lambda: formats.save_bands_csv(path, times, mean, std, demos))
+    assert peak < 0.25 * path.stat().st_size
+
+
+def test_load_demo_memory_stays_near_file_size(tmp_path):
+    """Loading a 6000 x 13 demo holds the file's lines and one block of
+    tokens, not a token per cell of the whole file (about 6x the file)."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "demo.txt"
+    formats.save_demo(Demonstration(rng.normal(size=(6000, 13)), 0.005), path)
+    peak = _traced_peak(lambda: formats.load_demo(path))
+    assert peak < 3.0 * path.stat().st_size
