@@ -25,7 +25,7 @@ from .controlsim import DEFAULT_CONTROL_RATE, Gains, PlantParams
 from .emulator import DEFAULT_RATE, EmulatorConfig, run_emulator
 from .errors import GlovekitError, TransportError
 from .model import BasisConfig, DEFAULT_EPS_REG, train_model
-from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce, residual_summary
+from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
 from .transports import open_transport
 
 EXIT_OK = 0
@@ -180,9 +180,9 @@ def _cmd_train(args) -> int:
     if len(demos) == 1:
         print("warning: single demonstration, weight covariance is the regularizer only",
               file=sys.stderr)
-    rms = residual_summary(demos, model)
     print(f"K={config.K} D={model.D} N={len(demos)}")
-    print("per-joint RMS residual (rad): " + " ".join(f"{r:.6f}" for r in rms))
+    print("per-joint RMS residual (rad): "
+          + " ".join(f"{r:.6f}" for r in np.sqrt(model.sigma_y)))
     return EXIT_OK
 
 

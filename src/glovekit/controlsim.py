@@ -23,9 +23,9 @@ class Gains:
     kd: float = 0.2  # N*m*s/rad
 
     def __post_init__(self):
-        if self.kp <= 0:
+        if not self.kp > 0:
             raise GlovekitError(f"Kp must be positive, got {self.kp}")
-        if self.kd < 0:
+        if not self.kd >= 0:
             raise GlovekitError(f"Kd must be nonnegative, got {self.kd}")
 
 
@@ -36,11 +36,11 @@ class PlantParams:
     torque_limit: float = 2.0  # N*m
 
     def __post_init__(self):
-        if self.m <= 0:
+        if not self.m > 0:
             raise GlovekitError(f"inertia must be positive, got {self.m}")
-        if self.b < 0:
+        if not self.b >= 0:
             raise GlovekitError(f"damping must be nonnegative, got {self.b}")
-        if self.torque_limit <= 0:
+        if not self.torque_limit > 0:
             raise GlovekitError(f"torque limit must be positive, got {self.torque_limit}")
 
 
@@ -88,19 +88,32 @@ def simulate_tracking(
     if rate <= 0:
         raise GlovekitError(f"rate must be positive, got {rate}")
     dt = 1.0 / rate
-    t_steps, d = reference.shape
     omega_des = np.zeros_like(reference)
     omega_des[1:] = (reference[1:] - reference[:-1]) * rate
 
-    state = PlantState(reference[0].copy(), np.zeros(d))
+    # pd_torque and step_plant over Python floats, one joint at a time: the
+    # same IEEE operations in the same order (neither side fuses multiply-add),
+    # without numpy calls per step; converting one joint at a time keeps the
+    # float lists small
+    kp, kd = gains.kp, gains.kd
+    m, b, limit = params.m, params.b, params.torque_limit
     executed = np.empty_like(reference)
-    executed[0] = state.theta
-    for t in range(1, t_steps):
-        tau = pd_torque(
-            gains, reference[t], omega_des[t], state.theta, state.omega, params.torque_limit
-        )
-        state = step_plant(state, tau, dt, params)
-        executed[t] = state.theta
+    for j in range(reference.shape[1]):
+        ref = reference[:, j].tolist()
+        vel = omega_des[:, j].tolist()
+        theta, omega = ref[0], 0.0
+        column = [theta]
+        for r, v in zip(ref[1:], vel[1:]):
+            tau = kp * (r - theta) + kd * (v - omega)
+            # as np.clip: NaN and values within the limit pass through
+            if tau > limit:
+                tau = limit
+            elif tau < -limit:
+                tau = -limit
+            omega = omega + dt * (tau - b * omega) / m
+            theta = theta + dt * omega
+            column.append(theta)
+        executed[:, j] = column
 
     error = executed - reference
     rmse = np.sqrt((error**2).mean(axis=0))

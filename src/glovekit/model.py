@@ -96,9 +96,17 @@ def design_matrix(T: int, config: BasisConfig) -> np.ndarray:
     return psi
 
 
+def _design_matrices(demos: list[Demonstration], config: BasisConfig) -> dict[int, np.ndarray]:
+    """One basis matrix per distinct demo length."""
+    return {T: design_matrix(T, config) for T in sorted({demo.T for demo in demos})}
+
+
 def fit_weights(demo: Demonstration, config: BasisConfig) -> np.ndarray:
     """Ridge least-squares weights, (K, D): one basis-weight column per joint."""
-    phi = design_matrix(demo.T, config)
+    return _fit_weights(demo, config, design_matrix(demo.T, config))
+
+
+def _fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np.ndarray:
     gram = phi.T @ phi + config.lam * np.eye(config.K)
     if config.lam == 0.0:
         rcond = 1.0 / np.linalg.cond(gram)
@@ -148,13 +156,22 @@ def estimate_noise(
 
     Divisor is (total samples - 1); each entry is floored at eps_reg.
     """
+    return _estimate_noise(demos, weights, _design_matrices(demos, config), eps_reg)
+
+
+def _estimate_noise(
+    demos: list[Demonstration],
+    weights: list[np.ndarray],
+    phis: dict[int, np.ndarray],
+    eps_reg: float,
+) -> np.ndarray:
     if len(demos) != len(weights):
         raise ShapeMismatchError("demos and weights must pair up")
     d = demos[0].D
     sq_sum = np.zeros(d)
     total = 0
     for demo, w in zip(demos, weights):
-        residual = demo.values - design_matrix(demo.T, config) @ w
+        residual = demo.values - phis[demo.T] @ w
         sq_sum += (residual**2).sum(axis=0)
         total += demo.T
     return np.maximum(sq_sum / max(total - 1, 1), eps_reg)
@@ -196,9 +213,10 @@ def train_model(
     dims = {demo.D for demo in demos}
     if len(dims) != 1:
         raise ShapeMismatchError(f"demonstrations disagree in dimension: {sorted(dims)}")
-    weights = [fit_weights(demo, config) for demo in demos]
+    phis = _design_matrices(demos, config)
+    weights = [_fit_weights(demo, config, phis[demo.T]) for demo in demos]
     mu_w, sigma_w = fit_distribution(weights, eps_reg)
-    sigma_y = estimate_noise(demos, weights, config, eps_reg)
+    sigma_y = _estimate_noise(demos, weights, phis, eps_reg)
     return TrajectoryModel(config, mu_w, sigma_w, sigma_y, demos[0].D, eps_reg)
 
 
@@ -213,9 +231,12 @@ def mean_trajectory(model: TrajectoryModel, T: int) -> np.ndarray:
 
 def marginal_std(model: TrajectoryModel, T: int) -> np.ndarray:
     """(T, D) pointwise standard deviation including observation noise."""
-    phi = design_matrix(T, model.basis)
+    return _marginal_std(model, design_matrix(T, model.basis))
+
+
+def _marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     k = model.basis.K
-    std = np.empty((T, model.D))
+    std = np.empty((phi.shape[0], model.D))
     for d in range(model.D):
         block = model.sigma_w[d * k : (d + 1) * k, d * k : (d + 1) * k]
         var = np.einsum("tk,kl,tl->t", phi, block, phi) + model.sigma_y[d]
@@ -232,6 +253,13 @@ def log_likelihood_per_joint(model: TrajectoryModel, demo: Demonstration) -> np.
     """Per-joint decomposition of :func:`log_likelihood` (diagonal noise)."""
     if demo.D != model.D:
         raise ShapeMismatchError(f"demo dimension {demo.D} != model dimension {model.D}")
-    residual = demo.values - mean_trajectory(model, demo.T)
+    return _log_likelihood_per_joint(model, demo, mean_trajectory(model, demo.T))
+
+
+def _log_likelihood_per_joint(
+    model: TrajectoryModel, demo: Demonstration, mean: np.ndarray
+) -> np.ndarray:
+    """:func:`log_likelihood_per_joint` against a precomputed (T, D) mean."""
+    residual = demo.values - mean
     var = np.maximum(model.sigma_y, model.eps_reg)
     return -0.5 * (demo.T * np.log(2.0 * np.pi * var) + (residual**2).sum(axis=0) / var)

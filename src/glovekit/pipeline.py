@@ -32,14 +32,15 @@ from .errors import GlovekitError, ShapeMismatchError, TransportError
 from .model import (
     Demonstration,
     TrajectoryModel,
+    _log_likelihood_per_joint,
+    _marginal_std,
+    _mean_weights,
     design_matrix,
-    log_likelihood_per_joint,
-    marginal_std,
     mean_trajectory,
 )
-from .wire import NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
+from .wire import FRAME_SIZE, NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
 
-_READ_CHUNK = 4096
+_READ_CHUNK = 16384
 # below this fraction of the nominal frame count the recording is flagged
 # as partial (a corrupted-but-continuous stream loses far less than this)
 _PARTIAL_FRACTION = 0.5
@@ -56,16 +57,18 @@ class RecordStats:
 def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
     """Collect raw frames from a byte transport until the nominal count or EOF.
 
-    Reads stop after the chunk that brings the frame count to the nominal
-    count; the frames of that whole chunk are kept. Returns an (n, 5) float
-    array of raw counts and the stream statistics.
+    Each read asks for at most the bytes of the frames still missing: the
+    parser holds fewer than one frame's bytes between reads, so k frames' bytes
+    complete at most k frames and the count never passes nominal, and no byte
+    beyond it is waited for. Returns an (n, 5) float array of raw counts and
+    the stream statistics.
     """
     nominal = math.floor(duration * stream_rate)
     parser = StreamParser()
     blocks = [np.empty((0, NUM_CHANNELS))]
     while parser.frames_decoded < nominal:
         try:
-            data = reader.read(_READ_CHUNK)
+            data = reader.read(min(_READ_CHUNK, (nominal - parser.frames_decoded) * FRAME_SIZE))
         except (OSError, ValueError):
             break
         if not data:
@@ -148,17 +151,6 @@ def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> list[PwmCom
     return sent
 
 
-def residual_summary(demos: list[Demonstration], model: TrajectoryModel) -> np.ndarray:
-    """Per-joint RMS residual of each demo against its own basis reconstruction."""
-    sq = np.zeros(model.D)
-    total = 0
-    for demo in demos:
-        recon = mean_trajectory(model, demo.T)
-        sq += ((demo.values - recon) ** 2).sum(axis=0)
-        total += demo.T
-    return np.sqrt(sq / total)
-
-
 @dataclass(frozen=True)
 class ReproduceResult:
     reference: np.ndarray  # (T, D) mean trajectory used as tracking target
@@ -204,13 +196,14 @@ def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
             raise ShapeMismatchError(f"demo {i} dimension {demo.D} != model dimension {model.D}")
         if demo.T != t_ref:
             raise ShapeMismatchError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
-    mean = mean_trajectory(model, t_ref)
-    std = marginal_std(model, t_ref)
+    phi = design_matrix(t_ref, model.basis)
+    mean = phi @ _mean_weights(model)
+    std = _marginal_std(model, phi)
     inside = np.zeros(model.D)
     lls = []
     per_joint = []
     for demo in demos:
         inside += (np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0)
-        per_joint.append(log_likelihood_per_joint(model, demo))
+        per_joint.append(_log_likelihood_per_joint(model, demo, mean))
         lls.append(float(per_joint[-1].sum()))
     return EvalReport(lls, per_joint, inside / (t_ref * len(demos)), mean, std)

@@ -4,13 +4,16 @@ Deliberately naive: hand-rolled elimination and term-by-term summation, no
 shared code with the package's linear-algebra paths; a byte-by-byte stream
 parser and a frame-by-frame emulator, no shared code with the package's
 array paths; text writers that format one cell at a time, no shared code with
-the package's table writer.
+the package's table writer; the tracking loop as one numpy step per control
+step, no shared code with the package's float loop.
 """
 
 import math
 import struct
 
 import numpy as np
+
+from glovekit.controlsim import PlantState, pd_torque, step_plant
 
 _SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
 _PAYLOAD = struct.Struct("<5H")
@@ -127,6 +130,29 @@ class ScalarStreamParser:
         if checksum != buf[pos + 11]:
             return False
         return all(v <= _ADC_MAX for v in _PAYLOAD.unpack_from(buf, pos + 1))
+
+
+def tracking_per_step(reference, gains, params, rate):
+    """Track a (T, D) reference with one :func:`pd_torque` and one
+    :func:`step_plant` call on the whole joint vector per control step.
+
+    Returns (executed, rmse, max_abs_error) as ``simulate_tracking`` does.
+    """
+    reference = np.asarray(reference, dtype=float)
+    dt = 1.0 / rate
+    omega_des = np.zeros_like(reference)
+    omega_des[1:] = (reference[1:] - reference[:-1]) * rate
+    state = PlantState(reference[0].copy(), np.zeros(reference.shape[1]))
+    executed = np.empty_like(reference)
+    executed[0] = state.theta
+    for t in range(1, reference.shape[0]):
+        tau = pd_torque(
+            gains, reference[t], omega_des[t], state.theta, state.omega, params.torque_limit
+        )
+        state = step_plant(state, tau, dt, params)
+        executed[t] = state.theta
+    error = executed - reference
+    return executed, np.sqrt((error**2).mean(axis=0)), np.abs(error).max(axis=0)
 
 
 def scalar_frame_bytes(channels):

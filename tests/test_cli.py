@@ -217,6 +217,41 @@ def test_short_read_of_long_stream_returns(workdir, monkeypatch, capsys, command
     assert received >= 5 * fx.STREAM_RATE
 
 
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_duration_reads_the_same_frames_as_its_prefix(workdir, capsys, command):
+    """5 s of a clean 20 s stream give the bits and frame count of the stream's
+    first 5 s on their own."""
+    stream = fx.emulate_stream(11, 20.0)
+    nominal = int(5.0 * fx.STREAM_RATE)
+    outputs = []
+    for name, data in (("long", stream), ("prefix", stream[: nominal * 13])):
+        (workdir / f"{name}.bin").write_bytes(data)
+        argv = [command, "--transport", f"file:{workdir / name}.bin", "--duration", "5.0",
+                "--output", str(workdir / f"{name}.txt")]
+        if command == "record":
+            argv += ["--calibration", str(workdir / "calib.txt")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        received = re.match(r"frames (?:received|observed): (\d+)(/\d+)?", out)
+        assert received.group(1) == str(nominal)
+        assert received.group(2) in (None, f"/{nominal}")
+        outputs.append((workdir / f"{name}.txt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_train_prints_rms_of_the_fit_residual(workdir, capsys):
+    run_session(workdir, 11, "demo1.txt")
+    run_session(workdir, 12, "demo2.txt")
+    capsys.readouterr()
+    assert main([
+        "train", str(workdir / "demo1.txt"), str(workdir / "demo2.txt"),
+        "--output", str(workdir / "model.txt"),
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rms = np.sqrt(formats.load_model(workdir / "model.txt").sigma_y)
+    assert lines[1] == "per-joint RMS residual (rad): " + " ".join(f"{v:.6f}" for v in rms)
+
+
 @pytest.mark.parametrize("rows,joints", [(400, 4), (300, 13)])
 def test_eval_demo_shape_mismatch_is_data_error(workdir, capsys, rows, joints):
     run_session(workdir, 11, "demo1.txt")

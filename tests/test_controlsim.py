@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glovekit.controlsim import (
     Gains,
@@ -11,6 +14,7 @@ from glovekit.controlsim import (
     step_plant,
 )
 from glovekit.errors import GlovekitError
+from oracles import tracking_per_step
 
 
 class TestPdTorque:
@@ -79,6 +83,12 @@ class TestStepPlant:
             PlantParams(m=0.0)
         with pytest.raises(GlovekitError):
             PlantParams(torque_limit=0.0)
+        for bad in ({"m": np.nan}, {"b": np.nan}, {"torque_limit": np.nan}):
+            with pytest.raises(GlovekitError):
+                PlantParams(**bad)
+        for bad in ({"kp": np.nan}, {"kd": np.nan}):
+            with pytest.raises(GlovekitError):
+                Gains(**bad)
         with pytest.raises(GlovekitError):
             step_plant(PlantState(np.zeros(1), np.zeros(1)), np.zeros(1), 0.0, PlantParams())
 
@@ -104,6 +114,28 @@ class TestSimulateTracking:
         base = simulate_tracking(reference, Gains(kp=5.0))
         stiff = simulate_tracking(reference, Gains(kp=10.0))
         assert np.all(stiff.rmse <= base.rmse)
+
+    @given(
+        reference=st.tuples(st.integers(2, 400), st.integers(1, 13)).flatmap(
+            lambda shape: arrays(float, shape, elements=st.floats(-50.0, 50.0))
+        ),
+        kp=st.floats(1e-3, 1e4),
+        kd=st.floats(0.0, 10.0),
+        m=st.floats(1e-6, 1.0),
+        b=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        limit=st.floats(1e-3, 10.0),
+        rate=st.sampled_from([50.0, 200.0, 1000.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_step_reference_bit_for_bit(self, reference, kp, kd, m, b, limit, rate):
+        # small inertias saturate the torque limit, or diverge to inf and NaN
+        gains, params = Gains(kp, kd), PlantParams(m, b, limit)
+        with np.errstate(all="ignore"):
+            expected = tracking_per_step(reference, gains, params, rate)
+            result = simulate_tracking(reference, gains, params, rate)
+        got = (result.executed, result.rmse, result.max_abs_error)
+        for a, e in zip(got, expected):
+            assert a.shape == e.shape and a.tobytes() == e.tobytes()
 
     def test_rejects_non_finite_reference(self):
         with pytest.raises(GlovekitError):

@@ -4,12 +4,25 @@ import numpy as np
 import pytest
 
 import fixture13 as fx
+from glovekit import model as model_module
+from glovekit import pipeline
 from glovekit.calibration import ForceFeedbackMap, identity_coupling_map
 from glovekit.emulator import GloveEmulator
 from glovekit.errors import TransportError
-from glovekit.model import BasisConfig, train_model
-from glovekit.pipeline import evaluate, feedback_loop, record, reproduce
-from glovekit.wire import parse_pwm_command
+from glovekit.model import (
+    BasisConfig,
+    Demonstration,
+    estimate_noise,
+    fit_distribution,
+    fit_weights,
+    log_likelihood_per_joint,
+    marginal_std,
+    mean_trajectory,
+    train_model,
+)
+from glovekit.pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
+from glovekit.wire import FRAME_SIZE, parse_pwm_command
+from oracles import ScalarStreamParser
 
 
 def recorded_demo(seed=11, duration=15.0, data=None):
@@ -69,6 +82,34 @@ class TestRecord:
         demo, stats = recorded_demo(data=data[: len(data) // 4])
         assert stats.partial
         assert demo.T == 3000  # interpolation still fills the nominal grid
+
+    def test_reads_ask_for_no_more_than_the_missing_frames(self):
+        data = bytearray(fx.emulate_stream(11, 20.0))
+        rng = np.random.default_rng(5)
+        for i in rng.choice(len(data), size=len(data) // 100, replace=False):
+            data[i] ^= int(rng.integers(1, 256))
+        nominal = int(10.0 * fx.STREAM_RATE)
+
+        class SpyReader(io.BytesIO):
+            """Checks each request against the frames a reference parser has seen."""
+
+            def __init__(self, data):
+                super().__init__(data)
+                self.reference = ScalarStreamParser()
+                self.sizes = []
+
+            def read(self, size=-1):
+                missing = nominal - self.reference.frames_decoded
+                assert 0 < size <= min(pipeline._READ_CHUNK, missing * FRAME_SIZE)
+                self.sizes.append(size)
+                chunk = super().read(size)
+                self.reference.feed(chunk)
+                return chunk
+
+        spy = SpyReader(bytes(data))
+        raw, stats = read_raw_frames(spy, 10.0, fx.STREAM_RATE)
+        assert stats.frames_received == raw.shape[0] == nominal
+        assert spy.sizes[0] == pipeline._READ_CHUNK and min(spy.sizes) < pipeline._READ_CHUNK
 
     def test_empty_stream_is_transport_error(self):
         with pytest.raises(TransportError):
@@ -147,3 +188,34 @@ class TestTrainReproduceEval:
         base = evaluate(model, demos).band_coverage
         inflated = evaluate(wide, demos).band_coverage
         assert np.all(inflated >= base)
+
+
+def test_one_basis_matrix_per_distinct_length(monkeypatch):
+    """train_model and evaluate build each length's basis matrix once, and
+    give the bits of the per-demo public functions."""
+    lengths = []
+
+    def counting(T, config, _original=model_module.design_matrix):
+        lengths.append(T)
+        return _original(T, config)
+
+    rng = np.random.default_rng(3)
+    demos = [Demonstration(rng.normal(size=(T, 3)), 0.005) for T in (120, 90, 120, 90, 120)]
+    config = BasisConfig(K=8)
+    monkeypatch.setattr(model_module, "design_matrix", counting)
+    monkeypatch.setattr(pipeline, "design_matrix", counting)
+    model = train_model(demos, config)
+    assert sorted(lengths) == [90, 120]
+    same_length = [d for d in demos if d.T == 120]
+    lengths.clear()
+    report = evaluate(model, same_length)
+    assert lengths == [120]
+    monkeypatch.undo()
+
+    weights = [fit_weights(d, config) for d in demos]
+    assert model.mu_w.tobytes() == fit_distribution(weights)[0].tobytes()
+    assert model.sigma_y.tobytes() == estimate_noise(demos, weights, config).tobytes()
+    assert report.mean.tobytes() == mean_trajectory(model, 120).tobytes()
+    assert report.std.tobytes() == marginal_std(model, 120).tobytes()
+    for got, demo in zip(report.per_joint_log_likelihoods, same_length):
+        assert got.tobytes() == log_likelihood_per_joint(model, demo).tobytes()
