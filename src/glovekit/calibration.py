@@ -144,20 +144,21 @@ class ForceFeedbackMap:
     scale: tuple[float, ...] = (1.0,) * NUM_CHANNELS
 
     def __post_init__(self):
-        if self.f_max <= 0:
-            raise CalibrationError(f"f_max must be positive, got {self.f_max}")
+        if not (self.f_max > 0 and math.isfinite(self.f_max)):
+            raise CalibrationError(f"f_max must be positive and finite, got {self.f_max}")
         if len(self.scale) != NUM_CHANNELS:
             raise CalibrationError(f"scale must have {NUM_CHANNELS} entries")
 
 
-def _round_half_away(x: float) -> int:
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
 def tactile_to_pwm(fmap: ForceFeedbackMap, force: float, finger: int = 0) -> int:
-    """Map one tactile reading to a PWM duty cycle; clamps into [0, 255]."""
-    pwm = _round_half_away(PWM_MAX * fmap.scale[finger] * force / fmap.f_max)
-    return min(max(pwm, 0), PWM_MAX)
+    """Map one tactile reading to a PWM duty cycle; clamps into [0, 255].
+
+    The duty ratio is clamped before it is rounded half away from zero, which
+    gives the integer of rounding first for every finite ratio; an overflowing
+    ratio maps to 255 and a NaN one to 0.
+    """
+    ratio = PWM_MAX * fmap.scale[finger] * float(force) / fmap.f_max
+    return math.floor(min(PWM_MAX, max(0.0, ratio)) + 0.5)
 
 
 def tactile_to_pwm_command(fmap: ForceFeedbackMap, forces) -> PwmCommand:

@@ -8,6 +8,7 @@ feedback. Exit codes: 0 success, 2 usage error, 3 data/shape error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -34,10 +35,21 @@ EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_emulate(sub):
     p = sub.add_parser("glove-emulate", help="stream a virtual glove to a transport")
     p.add_argument("--config", required=True, help="emu-v1 config file")
-    p.add_argument("--duration", type=float, required=True, help="seconds to stream")
+    p.add_argument("--duration", type=_finite_float, required=True, help="seconds to stream")
     p.add_argument("--fast", action="store_true", help="write without real-time pacing")
     p.add_argument("--transport", required=True, help="pipe | tcp:PORT | file:PATH")
 
@@ -47,19 +59,19 @@ def _add_record(sub):
     p.add_argument("--transport", required=True)
     p.add_argument("--calibration", required=True, help="calib-v1 profile file")
     p.add_argument("--coupling", help="coupling-v1 map file (default: identity)")
-    p.add_argument("--duration", type=float, default=15.0)
-    p.add_argument("--stream-rate", type=float, default=DEFAULT_RATE)
-    p.add_argument("--control-rate", type=float, default=DEFAULT_CONTROL_RATE)
+    p.add_argument("--duration", type=_finite_float, default=15.0)
+    p.add_argument("--stream-rate", type=_finite_float, default=DEFAULT_RATE)
+    p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
     p.add_argument("--output", required=True, help="demo-v1 output file")
 
 
 def _add_calibrate(sub):
     p = sub.add_parser("calibrate", help="capture per-channel extrema into a profile")
     p.add_argument("--transport", required=True)
-    p.add_argument("--duration", type=float, default=5.0)
-    p.add_argument("--stream-rate", type=float, default=DEFAULT_RATE)
-    p.add_argument("--joint-min", type=float, default=DEFAULT_JOINT_MIN)
-    p.add_argument("--joint-max", type=float, default=DEFAULT_JOINT_MAX)
+    p.add_argument("--duration", type=_finite_float, default=5.0)
+    p.add_argument("--stream-rate", type=_finite_float, default=DEFAULT_RATE)
+    p.add_argument("--joint-min", type=_finite_float, default=DEFAULT_JOINT_MIN)
+    p.add_argument("--joint-max", type=_finite_float, default=DEFAULT_JOINT_MAX)
     p.add_argument("--output", required=True, help="calib-v1 output file")
 
 
@@ -67,22 +79,22 @@ def _add_train(sub):
     p = sub.add_parser("train", help="fit the trajectory model from demo files")
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--basis-count", type=int, default=BasisConfig().K)
-    p.add_argument("--basis-width", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=BasisConfig().lam)
-    p.add_argument("--eps-reg", type=float, default=DEFAULT_EPS_REG)
+    p.add_argument("--basis-width", type=_finite_float, default=None)
+    p.add_argument("--ridge", type=_finite_float, default=BasisConfig().lam)
+    p.add_argument("--eps-reg", type=_finite_float, default=DEFAULT_EPS_REG)
     p.add_argument("--output", required=True, help="promp-v1 output file")
 
 
 def _add_reproduce(sub):
     p = sub.add_parser("reproduce", help="track the model mean on the simulated plant")
     p.add_argument("--model", required=True, help="promp-v1 file")
-    p.add_argument("--duration", type=float, default=15.0)
-    p.add_argument("--control-rate", type=float, default=DEFAULT_CONTROL_RATE)
-    p.add_argument("--kp", type=float, default=Gains().kp)
-    p.add_argument("--kd", type=float, default=Gains().kd)
-    p.add_argument("--inertia", type=float, default=PlantParams().m)
-    p.add_argument("--damping", type=float, default=PlantParams().b)
-    p.add_argument("--torque-limit", type=float, default=PlantParams().torque_limit)
+    p.add_argument("--duration", type=_finite_float, default=15.0)
+    p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
+    p.add_argument("--kp", type=_finite_float, default=Gains().kp)
+    p.add_argument("--kd", type=_finite_float, default=Gains().kd)
+    p.add_argument("--inertia", type=_finite_float, default=PlantParams().m)
+    p.add_argument("--damping", type=_finite_float, default=PlantParams().b)
+    p.add_argument("--torque-limit", type=_finite_float, default=PlantParams().torque_limit)
     p.add_argument("--output", required=True, help="tracking CSV output")
 
 
@@ -96,7 +108,7 @@ def _add_eval(sub):
 def _add_feedback(sub):
     p = sub.add_parser("feedback", help="send a scripted tactile profile as PWM commands")
     p.add_argument("--tactile", required=True, help="tactile-v1 file")
-    p.add_argument("--f-max", type=float, required=True, help="tactile full-scale")
+    p.add_argument("--f-max", type=_finite_float, required=True, help="tactile full-scale")
     p.add_argument("--transport", required=True)
 
 

@@ -260,6 +260,8 @@ def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
                         lambda n: f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
     if not len(table):
         raise FormatError(f"{path}: empty tactile profile")
+    if not np.isfinite(table).all():
+        raise FormatError(f"{path}: tactile values must be finite")
     return table[:, 0], table[:, 1:]
 
 

@@ -10,7 +10,9 @@ deviation bands, and trajectory log-likelihood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -37,10 +39,10 @@ class BasisConfig:
             raise GlovekitError(f"K must be >= 1, got {self.K}")
         if self.h is None:
             object.__setattr__(self, "h", 1.0 / (self.K - 1) if self.K > 1 else 1.0)
-        if self.h <= 0:
-            raise GlovekitError(f"h must be positive, got {self.h}")
-        if self.lam < 0:
-            raise GlovekitError(f"lambda must be nonnegative, got {self.lam}")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise GlovekitError(f"h must be positive and finite, got {self.h}")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise GlovekitError(f"lambda must be nonnegative and finite, got {self.lam}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -75,38 +77,30 @@ class Demonstration:
         return self.values.shape[1]
 
 
+def _basis(phases: np.ndarray, config: BasisConfig) -> np.ndarray:
+    """The K basis functions at each phase: shape ``phases.shape + (K,)``."""
+    psi = np.exp(-((phases[..., None] - config.centers) ** 2) / (2.0 * config.h**2))
+    if config.normalize:
+        psi /= psi.sum(axis=-1, keepdims=True)
+    return psi
+
+
 def basis_row(t: float, config: BasisConfig) -> np.ndarray:
     """Evaluate the K basis functions at phase t in [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise GlovekitError(f"phase {t} outside [0, 1]")
-    psi = np.exp(-((t - config.centers) ** 2) / (2.0 * config.h**2))
-    if config.normalize:
-        return psi / psi.sum()
-    return psi
+    return _basis(np.asarray(t, dtype=float), config)
 
 
 def design_matrix(T: int, config: BasisConfig) -> np.ndarray:
-    """(T, K) basis matrix at phases i/(T-1)."""
+    """(T, K) basis matrix Phi at phases i/(T-1); every model query takes it."""
     if T < 2:
         raise GlovekitError(f"T must be >= 2, got {T}")
-    phases = np.arange(T) / (T - 1)
-    psi = np.exp(-((phases[:, None] - config.centers[None, :]) ** 2) / (2.0 * config.h**2))
-    if config.normalize:
-        psi /= psi.sum(axis=1, keepdims=True)
-    return psi
+    return _basis(np.arange(T) / (T - 1), config)
 
 
-def _design_matrices(demos: list[Demonstration], config: BasisConfig) -> dict[int, np.ndarray]:
-    """One basis matrix per distinct demo length."""
-    return {T: design_matrix(T, config) for T in sorted({demo.T for demo in demos})}
-
-
-def fit_weights(demo: Demonstration, config: BasisConfig) -> np.ndarray:
-    """Ridge least-squares weights, (K, D): one basis-weight column per joint."""
-    return _fit_weights(demo, config, design_matrix(demo.T, config))
-
-
-def _fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np.ndarray:
+def fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np.ndarray:
+    """Ridge least-squares weights, (K, D), on ``phi = design_matrix(demo.T, config)``."""
     gram = phi.T @ phi + config.lam * np.eye(config.K)
     if config.lam == 0.0:
         rcond = 1.0 / np.linalg.cond(gram)
@@ -147,33 +141,15 @@ def fit_distribution(
 
 
 def estimate_noise(
-    demos: list[Demonstration],
-    weights: list[np.ndarray],
-    config: BasisConfig,
-    eps_reg: float = DEFAULT_EPS_REG,
+    residuals: Iterable[np.ndarray], eps_reg: float = DEFAULT_EPS_REG
 ) -> np.ndarray:
-    """Diagonal observation-noise variances pooled over all residuals.
-
-    Divisor is (total samples - 1); each entry is floored at eps_reg.
-    """
-    return _estimate_noise(demos, weights, _design_matrices(demos, config), eps_reg)
-
-
-def _estimate_noise(
-    demos: list[Demonstration],
-    weights: list[np.ndarray],
-    phis: dict[int, np.ndarray],
-    eps_reg: float,
-) -> np.ndarray:
-    if len(demos) != len(weights):
-        raise ShapeMismatchError("demos and weights must pair up")
-    d = demos[0].D
-    sq_sum = np.zeros(d)
+    """Diagonal observation-noise variances pooled over (T_i, D) residual arrays,
+    taken one at a time. Divisor is (total samples - 1); each entry is floored at eps_reg."""
+    sq_sum = 0.0
     total = 0
-    for demo, w in zip(demos, weights):
-        residual = demo.values - phis[demo.T] @ w
+    for residual in residuals:
         sq_sum += (residual**2).sum(axis=0)
-        total += demo.T
+        total += residual.shape[0]
     return np.maximum(sq_sum / max(total - 1, 1), eps_reg)
 
 
@@ -200,6 +176,8 @@ class TrajectoryModel:
             raise ShapeMismatchError("model parameter shapes inconsistent with K and D")
         if np.any(sy < 0):
             raise GlovekitError("sigma_y entries must be nonnegative")
+        if not (self.eps_reg >= 0 and math.isfinite(self.eps_reg)):
+            raise GlovekitError(f"eps_reg must be nonnegative and finite, got {self.eps_reg}")
 
 
 def train_model(
@@ -213,28 +191,21 @@ def train_model(
     dims = {demo.D for demo in demos}
     if len(dims) != 1:
         raise ShapeMismatchError(f"demonstrations disagree in dimension: {sorted(dims)}")
-    phis = _design_matrices(demos, config)
-    weights = [_fit_weights(demo, config, phis[demo.T]) for demo in demos]
+    phis = {T: design_matrix(T, config) for T in {demo.T for demo in demos}}
+    weights = [fit_weights(demo, config, phis[demo.T]) for demo in demos]
     mu_w, sigma_w = fit_distribution(weights, eps_reg)
-    sigma_y = _estimate_noise(demos, weights, phis, eps_reg)
+    residuals = (demo.values - phis[demo.T] @ w for demo, w in zip(demos, weights))
+    sigma_y = estimate_noise(residuals, eps_reg)
     return TrajectoryModel(config, mu_w, sigma_w, sigma_y, demos[0].D, eps_reg)
 
 
-def _mean_weights(model: TrajectoryModel) -> np.ndarray:
-    return model.mu_w.reshape((model.basis.K, model.D), order="F")
+def mean_trajectory(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
+    """(T, D) mean trajectory at the phases of the design matrix ``phi``."""
+    return phi @ model.mu_w.reshape((model.basis.K, model.D), order="F")
 
 
-def mean_trajectory(model: TrajectoryModel, T: int) -> np.ndarray:
-    """(T, D) mean trajectory at phases i/(T-1)."""
-    return design_matrix(T, model.basis) @ _mean_weights(model)
-
-
-def marginal_std(model: TrajectoryModel, T: int) -> np.ndarray:
-    """(T, D) pointwise standard deviation including observation noise."""
-    return _marginal_std(model, design_matrix(T, model.basis))
-
-
-def _marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
+def marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
+    """(T, D) pointwise standard deviation including observation noise at ``phi``'s phases."""
     k = model.basis.K
     std = np.empty((phi.shape[0], model.D))
     for d in range(model.D):
@@ -244,22 +215,17 @@ def _marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     return std
 
 
-def log_likelihood(model: TrajectoryModel, demo: Demonstration) -> float:
-    """Log-probability of a demonstration under the mean weights (nats)."""
-    return float(log_likelihood_per_joint(model, demo).sum())
+def log_likelihood(model: TrajectoryModel, demo: Demonstration, mean: np.ndarray) -> float:
+    """Log-probability of a demonstration around a (T, D) mean trajectory (nats)."""
+    return float(log_likelihood_per_joint(model, demo, mean).sum())
 
 
-def log_likelihood_per_joint(model: TrajectoryModel, demo: Demonstration) -> np.ndarray:
+def log_likelihood_per_joint(
+    model: TrajectoryModel, demo: Demonstration, mean: np.ndarray
+) -> np.ndarray:
     """Per-joint decomposition of :func:`log_likelihood` (diagonal noise)."""
     if demo.D != model.D:
         raise ShapeMismatchError(f"demo dimension {demo.D} != model dimension {model.D}")
-    return _log_likelihood_per_joint(model, demo, mean_trajectory(model, demo.T))
-
-
-def _log_likelihood_per_joint(
-    model: TrajectoryModel, demo: Demonstration, mean: np.ndarray
-) -> np.ndarray:
-    """:func:`log_likelihood_per_joint` against a precomputed (T, D) mean."""
     residual = demo.values - mean
     var = np.maximum(model.sigma_y, model.eps_reg)
     return -0.5 * (demo.T * np.log(2.0 * np.pi * var) + (residual**2).sum(axis=0) / var)

@@ -32,10 +32,9 @@ from .errors import GlovekitError, ShapeMismatchError, TransportError
 from .model import (
     Demonstration,
     TrajectoryModel,
-    _log_likelihood_per_joint,
-    _marginal_std,
-    _mean_weights,
     design_matrix,
+    log_likelihood_per_joint,
+    marginal_std,
     mean_trajectory,
 )
 from .wire import FRAME_SIZE, NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
@@ -169,7 +168,7 @@ def reproduce(
     t_steps = math.floor(duration * control_rate)
     if t_steps < 2:
         raise GlovekitError("duration * control_rate must give at least 2 samples")
-    reference = mean_trajectory(model, t_steps)
+    reference = mean_trajectory(model, design_matrix(t_steps, model.basis))
     tracking = simulate_tracking(reference, gains, plant, control_rate)
     return ReproduceResult(reference, tracking, control_rate)
 
@@ -197,13 +196,13 @@ def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
         if demo.T != t_ref:
             raise ShapeMismatchError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
     phi = design_matrix(t_ref, model.basis)
-    mean = phi @ _mean_weights(model)
-    std = _marginal_std(model, phi)
+    mean = mean_trajectory(model, phi)
+    std = marginal_std(model, phi)
     inside = np.zeros(model.D)
     lls = []
     per_joint = []
     for demo in demos:
         inside += (np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0)
-        per_joint.append(_log_likelihood_per_joint(model, demo, mean))
+        per_joint.append(log_likelihood_per_joint(model, demo, mean))
         lls.append(float(per_joint[-1].sum()))
     return EvalReport(lls, per_joint, inside / (t_ref * len(demos)), mean, std)

@@ -5,7 +5,8 @@ shared code with the package's linear-algebra paths; a byte-by-byte stream
 parser and a frame-by-frame emulator, no shared code with the package's
 array paths; text writers that format one cell at a time, no shared code with
 the package's table writer; the tracking loop as one numpy step per control
-step, no shared code with the package's float loop.
+step, no shared code with the package's float loop; the tactile -> PWM map
+as round-then-clamp, where the package clamps the ratio before rounding.
 """
 
 import math
@@ -153,6 +154,14 @@ def tracking_per_step(reference, gains, params, rate):
         executed[t] = state.theta
     error = executed - reference
     return executed, np.sqrt((error**2).mean(axis=0)), np.abs(error).max(axis=0)
+
+
+def pwm_round_then_clamp(fmap, force, finger=0):
+    """PWM duty of one tactile reading: the ratio rounded half away from zero,
+    then clamped into [0, 255]."""
+    x = 255 * fmap.scale[finger] * force / fmap.f_max
+    pwm = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    return min(max(pwm, 0), 255)
 
 
 def scalar_frame_bytes(channels):

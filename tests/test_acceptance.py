@@ -103,7 +103,7 @@ def test_criterion_03_regression_oracle():
         for p in range(100):
             cfg = BasisConfig(K=10, lam=lams[p % 3])
             demo = Demonstration(rng.normal(0.0, 1.0, (50, 3)), 0.02)
-            w = fit_weights(demo, cfg)
+            w = fit_weights(demo, cfg, design_matrix(50, cfg))
             expected = ridge_weights_oracle(design_matrix(50, cfg), demo.values, cfg.lam)
             assert np.max(np.abs(w - expected)) <= 1e-8
 
@@ -152,8 +152,8 @@ def test_criterion_06_mean_linearity():
         ]
         model = train_model(demos, cfg)
         phi = design_matrix(300, cfg)
-        recon = [phi @ fit_weights(d, cfg) for d in demos]
-        diff = mean_trajectory(model, 300) - (recon[0] + recon[1]) / 2.0
+        recon = [phi @ fit_weights(d, cfg, phi) for d in demos]
+        diff = mean_trajectory(model, phi) - (recon[0] + recon[1]) / 2.0
         assert np.max(np.abs(diff)) <= 1e-9
 
 
@@ -176,11 +176,11 @@ def test_criterion_07_variance_sanity():
             for _ in range(2)
         ]
         model = train_model(demos, cfg, eps_reg=eps)
-        std = marginal_std(model, 80)
+        phi = design_matrix(80, cfg)
+        std = marginal_std(model, phi)
         assert np.all(std >= np.sqrt(eps) - 1e-15)
 
         draws = rng.multivariate_normal(model.mu_w, model.sigma_w, size=100_000)
-        phi = design_matrix(80, cfg)
         for d in range(2):
             samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
             mc = np.sqrt(samples.var(axis=0, ddof=1) + model.sigma_y[d])
@@ -239,7 +239,7 @@ def test_criterion_08_cup_stacking_analog(analog):
         assert model.D == 13
 
         t_steps = int(fx.DURATION * fx.CONTROL_RATE)
-        learned = mean_trajectory(model, t_steps)
+        learned = mean_trajectory(model, design_matrix(t_steps, model.basis))
         assert learned.shape == (3000, 13)
         clean = fx.clean_reference(t_steps)
         mean_rmse = np.sqrt(((learned - clean) ** 2).mean(axis=0))
@@ -262,8 +262,9 @@ def test_criterion_09_band_coverage(analog):
         base = root / "run1"
         model = formats.load_model(base / "model.txt")
         demos = [formats.load_demo(base / f"demo_{s}.txt")[0] for s in fx.DEMO_SEEDS]
-        mean = mean_trajectory(model, demos[0].T)
-        std = marginal_std(model, demos[0].T)
+        phi = design_matrix(demos[0].T, model.basis)
+        mean = mean_trajectory(model, phi)
+        std = marginal_std(model, phi)
         inside = 0
         total = 0
         for demo in demos:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from glovekit.calibration import (
     CalibrationProfile,
@@ -17,6 +19,7 @@ from glovekit.calibration import (
 )
 from glovekit.errors import CalibrationError, ShapeMismatchError
 from glovekit.wire import SensorFrame
+from oracles import pwm_round_then_clamp
 
 
 def make_profile(raw_min=100.0, raw_max=900.0, joint_min=0.0, joint_max=math.pi / 2):
@@ -155,3 +158,25 @@ class TestForceFeedback:
     def test_invalid_f_max(self):
         with pytest.raises(CalibrationError):
             ForceFeedbackMap(0.0)
+
+    @pytest.mark.parametrize("f_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_max_rejected(self, f_max):
+        with pytest.raises(CalibrationError):
+            ForceFeedbackMap(f_max)
+
+    def test_overflowing_ratio_maps_to_255_and_nan_to_0(self):
+        fmap = ForceFeedbackMap(1e-320)
+        assert tactile_to_pwm(fmap, np.float64(5.0)) == 255
+        assert tactile_to_pwm(fmap, np.float64(-5.0)) == 0
+        assert tactile_to_pwm(fmap, np.float64(0.0)) == 0
+        assert tactile_to_pwm(fmap, math.nan) == 0
+
+    @given(
+        force=st.floats(allow_nan=False, allow_infinity=False),
+        f_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        scale=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_matches_round_then_clamp_for_every_finite_ratio(self, force, f_max, scale):
+        fmap = ForceFeedbackMap(f_max, scale=(scale,) * 5)
+        assume(math.isfinite(255 * scale * force / f_max))
+        assert tactile_to_pwm(fmap, force) == pwm_round_then_clamp(fmap, force)

@@ -9,7 +9,8 @@ import pytest
 import fixture13 as fx
 from glovekit import formats
 from glovekit.cli import main
-from glovekit.model import Demonstration
+from glovekit.errors import GlovekitError
+from glovekit.model import BasisConfig, Demonstration, train_model
 
 
 @pytest.fixture
@@ -290,3 +291,76 @@ def test_emulate_bad_demo_seed(workdir, monkeypatch, capsys, seed, code):
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err.lower() and err.count("\n") == 1
+
+
+_REQUIRED = {
+    "glove-emulate": ["--config", "emu.txt", "--duration", "1", "--transport", "file:s.bin"],
+    "record": ["--transport", "file:s.bin", "--calibration", "calib.txt", "--output", "d.txt"],
+    "calibrate": ["--transport", "file:s.bin", "--output", "calib.txt"],
+    "train": ["d.txt", "--output", "m.txt"],
+    "reproduce": ["--model", "m.txt", "--output", "t.csv"],
+    "feedback": ["--tactile", "t.txt", "--f-max", "1", "--transport", "file:p.txt"],
+}
+_FLOAT_OPTIONS = [
+    ("glove-emulate", "--duration"),
+    *[("record", o) for o in ("--duration", "--stream-rate", "--control-rate")],
+    *[("calibrate", o) for o in ("--duration", "--stream-rate", "--joint-min", "--joint-max")],
+    *[("train", o) for o in ("--basis-width", "--ridge", "--eps-reg")],
+    *[("reproduce", o) for o in ("--duration", "--control-rate", "--kp", "--kd", "--inertia",
+                                 "--damping", "--torque-limit")],
+    ("feedback", "--f-max"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,option", _FLOAT_OPTIONS)
+def test_non_finite_float_option_is_usage_error(capsys, command, option, value):
+    argv = [command, *_REQUIRED[command], f"{option}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    message = f"argument {option}: must be a finite number, got '{value}'"
+    assert err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("h", "nan"), ("h", "inf"), ("lambda", "nan"), ("eps_reg", "nan"), ("eps_reg", "inf"),
+    ("eps_reg", "-1.0"),
+])
+def test_non_finite_model_parameter_is_data_error(workdir, capsys, key, value):
+    model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
+    formats.save_model(model, workdir / "model.txt")
+    lines = [f"{key} {value}" if line.split()[0] == key else line
+             for line in (workdir / "model.txt").read_text().splitlines()]
+    (workdir / "model.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(GlovekitError, match=key):
+        formats.load_model(workdir / "model.txt")
+    formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
+    rc = main(["eval", str(workdir / "demo.txt"), "--model", str(workdir / "model.txt"),
+               "--output", str(workdir / "bands.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not (workdir / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("force", ["nan", "inf", "-inf"])
+def test_feedback_non_finite_force_is_data_error(workdir, capsys, force):
+    (workdir / "tactile.txt").write_text(f"tactile-v1\n0.0 1 2 3 4 5\n0.1 1 {force} 3 4 5\n")
+    out = workdir / "pwm.txt"
+    rc = main(["feedback", "--tactile", str(workdir / "tactile.txt"), "--f-max", "10",
+               "--transport", f"file:{out}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_feedback_overflowing_ratio_sends_full_scale(workdir):
+    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    out = workdir / "pwm.txt"
+    assert main(["feedback", "--tactile", str(workdir / "tactile.txt"), "--f-max", "1e-320",
+                 "--transport", f"file:{out}"]) == 0
+    assert out.read_bytes() == b"P 0 0 0 0 0\nP 255 255 255 255 255\n"

@@ -74,13 +74,15 @@ class TestBasis:
 class TestFitWeights:
     def test_constant_demo_gives_constant_weights(self):
         demo = Demonstration(np.full((60, 2), 1.7), 0.01)
-        w = fit_weights(demo, BasisConfig(K=8, lam=0.0))
+        cfg = BasisConfig(K=8, lam=0.0)
+        w = fit_weights(demo, cfg, design_matrix(60, cfg))
         assert w == pytest.approx(np.full((8, 2), 1.7), abs=1e-9)
 
     def test_ridge_shrinks_norm(self):
         demo = sine_demo(T=80, D=1)
+        phi = design_matrix(80, BasisConfig(K=10))
         norms = [
-            np.linalg.norm(fit_weights(demo, BasisConfig(K=10, lam=lam)))
+            np.linalg.norm(fit_weights(demo, BasisConfig(K=10, lam=lam), phi))
             for lam in [0.0, 1e-3, 1e-1, 10.0]
         ]
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -90,7 +92,7 @@ class TestFitWeights:
         rng = np.random.default_rng(7)
         demo = Demonstration(rng.normal(0, 1, (50, 3)), 0.02)
         cfg = BasisConfig(K=10, lam=lam)
-        w = fit_weights(demo, cfg)
+        w = fit_weights(demo, cfg, design_matrix(50, cfg))
         expected = ridge_weights_oracle(design_matrix(50, cfg), demo.values, lam)
         assert np.max(np.abs(w - expected)) < 1e-8
 
@@ -99,7 +101,7 @@ class TestFitWeights:
         k = 8
         demo = Demonstration(rng.normal(0, 1, (k, 1)), 0.01)
         cfg = BasisConfig(K=k, lam=0.0)
-        w = fit_weights(demo, cfg)
+        w = fit_weights(demo, cfg, design_matrix(k, cfg))
         recon = design_matrix(k, cfg) @ w
         assert np.max(np.abs(recon - demo.values)) < 1e-9
 
@@ -107,7 +109,8 @@ class TestFitWeights:
         # K far above T leaves the Gram matrix rank deficient
         demo = Demonstration(np.linspace(0, 1, 5)[:, None], 0.01)
         with pytest.raises(SingularSystemError):
-            fit_weights(demo, BasisConfig(K=40, lam=0.0))
+            cfg = BasisConfig(K=40, lam=0.0)
+            fit_weights(demo, cfg, design_matrix(5, cfg))
 
 
 class TestFitDistribution:
@@ -159,17 +162,19 @@ class TestEstimateNoise:
     def test_exact_reproduction_floors_at_regularizer(self):
         demo = Demonstration(np.full((50, 2), 0.5), 0.01)
         cfg = BasisConfig(K=6, lam=0.0)
-        w = fit_weights(demo, cfg)
-        sigma_y = estimate_noise([demo], [w], cfg, eps_reg=1e-8)
+        phi = design_matrix(50, cfg)
+        w = fit_weights(demo, cfg, phi)
+        sigma_y = estimate_noise([demo.values - phi @ w], eps_reg=1e-8)
         assert sigma_y == pytest.approx([1e-8, 1e-8])
 
     def test_constant_residual_magnitude(self):
         demo = Demonstration(np.full((100, 1), 0.5), 0.01)
         cfg = BasisConfig(K=6, lam=0.0)
-        w = fit_weights(demo, cfg)
+        phi = design_matrix(100, cfg)
+        w = fit_weights(demo, cfg, phi)
         r = 0.02
         shifted = Demonstration(demo.values + r, 0.01)
-        sigma_y = estimate_noise([shifted], [w], cfg)
+        sigma_y = estimate_noise([shifted.values - phi @ w])
         assert sigma_y[0] == pytest.approx(r**2 * 100 / 99, rel=1e-6)
 
     def test_recovers_injected_noise_level(self):
@@ -179,8 +184,9 @@ class TestEstimateNoise:
         clean = np.column_stack([np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
         demo = Demonstration(clean + rng.normal(0, sigma, clean.shape), 0.005)
         cfg = BasisConfig(K=20)
-        w = fit_weights(demo, cfg)
-        sigma_y = estimate_noise([demo], [w], cfg)
+        phi = design_matrix(3000, cfg)
+        w = fit_weights(demo, cfg, phi)
+        sigma_y = estimate_noise([demo.values - phi @ w])
         assert np.all(np.abs(sigma_y - sigma**2) < 0.2 * sigma**2)
 
 
@@ -189,8 +195,9 @@ class TestModelQueries:
         demo = sine_demo(T=120, D=2)
         cfg = BasisConfig(K=15)
         model = train_model([demo, demo], cfg)
-        recon = design_matrix(120, cfg) @ fit_weights(demo, cfg)
-        assert mean_trajectory(model, 120) == pytest.approx(recon, abs=1e-12)
+        phi = design_matrix(120, cfg)
+        recon = phi @ fit_weights(demo, cfg, phi)
+        assert mean_trajectory(model, phi) == pytest.approx(recon, abs=1e-12)
 
     def test_two_demo_mean_is_average_of_reconstructions(self):
         d1 = sine_demo(T=150, D=3, noise=0.05, seed=1)
@@ -198,9 +205,9 @@ class TestModelQueries:
         cfg = BasisConfig(K=12)
         model = train_model([d1, d2], cfg)
         phi = design_matrix(150, cfg)
-        r1 = phi @ fit_weights(d1, cfg)
-        r2 = phi @ fit_weights(d2, cfg)
-        assert np.max(np.abs(mean_trajectory(model, 150) - (r1 + r2) / 2)) < 1e-9
+        r1 = phi @ fit_weights(d1, cfg, phi)
+        r2 = phi @ fit_weights(d2, cfg, phi)
+        assert np.max(np.abs(mean_trajectory(model, phi) - (r1 + r2) / 2)) < 1e-9
 
     def test_mean_inside_reconstruction_envelope(self):
         d1 = sine_demo(T=100, D=2, noise=0.03, seed=4)
@@ -208,9 +215,9 @@ class TestModelQueries:
         cfg = BasisConfig(K=10)
         model = train_model([d1, d2], cfg)
         phi = design_matrix(100, cfg)
-        r1 = phi @ fit_weights(d1, cfg)
-        r2 = phi @ fit_weights(d2, cfg)
-        mean = mean_trajectory(model, 100)
+        r1 = phi @ fit_weights(d1, cfg, phi)
+        r2 = phi @ fit_weights(d2, cfg, phi)
+        mean = mean_trajectory(model, phi)
         lo = np.minimum(r1, r2) - 1e-12
         hi = np.maximum(r1, r2) + 1e-12
         assert np.all(mean >= lo) and np.all(mean <= hi)
@@ -223,14 +230,15 @@ class TestModelQueries:
         m1 = TrajectoryModel(cfg, w1, 1e-8 * np.eye(12), sy, 2)
         m2 = TrajectoryModel(cfg, w2, 1e-8 * np.eye(12), sy, 2)
         mavg = TrajectoryModel(cfg, (w1 + w2) / 2, 1e-8 * np.eye(12), sy, 2)
-        avg = (mean_trajectory(m1, 40) + mean_trajectory(m2, 40)) / 2
-        assert np.max(np.abs(mean_trajectory(mavg, 40) - avg)) < 1e-12
+        phi = design_matrix(40, cfg)
+        avg = (mean_trajectory(m1, phi) + mean_trajectory(m2, phi)) / 2
+        assert np.max(np.abs(mean_trajectory(mavg, phi) - avg)) < 1e-12
 
     def test_phase_reparametrization_consistency(self):
         model = train_model([sine_demo(T=90, D=2)], BasisConfig(K=10))
         t = 45
-        coarse = mean_trajectory(model, t)
-        fine = mean_trajectory(model, 2 * t - 1)
+        coarse = mean_trajectory(model, design_matrix(t, model.basis))
+        fine = mean_trajectory(model, design_matrix(2 * t - 1, model.basis))
         assert np.max(np.abs(fine[::2] - coarse)) < 1e-12
 
     def test_std_with_zero_weight_covariance(self):
@@ -238,12 +246,12 @@ class TestModelQueries:
         model = TrajectoryModel(
             cfg, np.zeros(10), np.zeros((10, 10)), np.array([0.04, 0.04]), 2
         )
-        assert marginal_std(model, 30) == pytest.approx(np.full((30, 2), 0.2))
+        assert marginal_std(model, design_matrix(30, cfg)) == pytest.approx(np.full((30, 2), 0.2))
 
     def test_std_floor_from_regularizer(self):
         demo = sine_demo(T=100, D=2)
         model = train_model([demo, demo], BasisConfig(K=10), eps_reg=1e-8)
-        assert np.all(marginal_std(model, 100) >= np.sqrt(1e-8) - 1e-15)
+        assert np.all(marginal_std(model, design_matrix(100, model.basis)) >= np.sqrt(1e-8) - 1e-15)
 
     def test_identical_demos_leave_only_noise_floor(self):
         demo = sine_demo(T=100, D=1)
@@ -251,16 +259,16 @@ class TestModelQueries:
         model = train_model([demo, demo], BasisConfig(K=10), eps_reg=eps)
         phi = design_matrix(100, model.basis)
         expected = np.sqrt(eps * (phi**2).sum(axis=1) + model.sigma_y[0])
-        assert marginal_std(model, 100)[:, 0] == pytest.approx(expected)
+        assert marginal_std(model, phi)[:, 0] == pytest.approx(expected)
 
     def test_std_matches_monte_carlo(self):
         d1 = sine_demo(T=60, D=2, noise=0.05, seed=21)
         d2 = sine_demo(T=60, D=2, noise=0.05, seed=22)
         model = train_model([d1, d2], BasisConfig(K=8))
-        std = marginal_std(model, 60)
+        phi = design_matrix(60, model.basis)
+        std = marginal_std(model, phi)
         rng = np.random.default_rng(99)
         draws = rng.multivariate_normal(model.mu_w, model.sigma_w, size=100_000)
-        phi = design_matrix(60, model.basis)
         mc = np.empty_like(std)
         for d in range(2):
             samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
@@ -275,14 +283,16 @@ class TestLogLikelihood:
         mu = np.zeros(5)
         model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5), np.array([1.0]), 1)
         demo = Demonstration(np.zeros((t_steps, 1)), 0.01)
-        assert log_likelihood(model, demo) == pytest.approx(-t_steps / 2 * np.log(2 * np.pi))
+        mean = mean_trajectory(model, design_matrix(t_steps, cfg))
+        assert log_likelihood(model, demo, mean) == pytest.approx(-t_steps / 2 * np.log(2 * np.pi))
 
     def test_inflating_noise_decreases_zero_residual_likelihood(self):
         cfg = BasisConfig(K=5)
         demo = Demonstration(np.zeros((30, 1)), 0.01)
+        mean = np.zeros((30, 1))
         lls = [
             log_likelihood(
-                TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5), np.array([s]), 1), demo
+                TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5), np.array([s]), 1), demo, mean
             )
             for s in [1.0, 2.0, 10.0]
         ]
@@ -294,14 +304,15 @@ class TestLogLikelihood:
         var = 0.09
         model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(3), np.array([var]), 1)
         demo = Demonstration(np.array([[0.1], [0.0], [0.3]]), 0.01)
-        means = mean_trajectory(model, 3)[:, 0]
-        expected = gaussian_logpdf_sum(demo.values[:, 0], means, var)
-        assert log_likelihood(model, demo) == pytest.approx(expected, abs=1e-10)
+        mean = mean_trajectory(model, design_matrix(3, cfg))
+        expected = gaussian_logpdf_sum(demo.values[:, 0], mean[:, 0], var)
+        assert log_likelihood(model, demo, mean) == pytest.approx(expected, abs=1e-10)
 
     def test_dimension_mismatch(self):
         model = train_model([sine_demo(D=2)], BasisConfig(K=5))
+        mean = mean_trajectory(model, design_matrix(200, model.basis))
         with pytest.raises(ShapeMismatchError):
-            log_likelihood(model, sine_demo(D=3))
+            log_likelihood(model, sine_demo(D=3), mean)
 
 
 class TestDemonstration:

@@ -12,6 +12,7 @@ from glovekit.errors import TransportError
 from glovekit.model import (
     BasisConfig,
     Demonstration,
+    design_matrix,
     estimate_noise,
     fit_distribution,
     fit_weights,
@@ -212,10 +213,13 @@ def test_one_basis_matrix_per_distinct_length(monkeypatch):
     assert lengths == [120]
     monkeypatch.undo()
 
-    weights = [fit_weights(d, config) for d in demos]
+    weights = [fit_weights(d, config, design_matrix(d.T, config)) for d in demos]
+    residuals = [d.values - design_matrix(d.T, config) @ w for d, w in zip(demos, weights)]
     assert model.mu_w.tobytes() == fit_distribution(weights)[0].tobytes()
-    assert model.sigma_y.tobytes() == estimate_noise(demos, weights, config).tobytes()
-    assert report.mean.tobytes() == mean_trajectory(model, 120).tobytes()
-    assert report.std.tobytes() == marginal_std(model, 120).tobytes()
+    assert model.sigma_y.tobytes() == estimate_noise(residuals).tobytes()
+    mean = mean_trajectory(model, design_matrix(120, config))
+    assert report.mean.tobytes() == mean.tobytes()
+    assert report.std.tobytes() == marginal_std(model, design_matrix(120, config)).tobytes()
     for got, demo in zip(report.per_joint_log_likelihoods, same_length):
-        assert got.tobytes() == log_likelihood_per_joint(model, demo).tobytes()
+        mean = mean_trajectory(model, design_matrix(demo.T, config))
+        assert got.tobytes() == log_likelihood_per_joint(model, demo, mean).tobytes()
