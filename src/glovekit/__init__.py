@@ -55,7 +55,6 @@ from .wire import (
     PwmCommand,
     SensorFrame,
     StreamParser,
-    encode_frame,
     encode_pwm_command,
     parse_pwm_command,
 )

@@ -143,7 +143,6 @@ def _cmd_emulate(args) -> int:
         )
     with open_transport(args.transport, "wb") as writer:
         written = run_emulator(config, args.duration, writer, fast=args.fast)
-        writer.flush()
     print(f"frames written: {written}")
     return EXIT_OK
 
@@ -235,7 +234,6 @@ def _cmd_feedback(args) -> int:
     fmap = ForceFeedbackMap(args.f_max)
     with open_transport(args.transport, "wb") as writer:
         sent = feedback_loop(fmap, forces, writer)
-        writer.flush()
     print(f"commands sent: {len(sent)}")
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Virtual glove device: deterministic sinusoidal flex channels plus a PWM sink.
 
 Lets the whole pipeline run and be tested without hardware. One emulator
-instance is single-owner; PWM commands are applied between steps.
+instance is single-owner; PWM commands are applied between blocks.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GlovekitError, TransportError
-from .wire import ADC_MAX, FRAME_SIZE, NUM_CHANNELS, PwmCommand, SensorFrame, encode_frames
+from .wire import ADC_MAX, NUM_CHANNELS, PwmCommand, encode_frames
 
 DEFAULT_RATE = 350.0
-# frames generated and encoded at a time, so memory does not grow with duration
+# frames generated, encoded and written at a time in fast mode, so memory does
+# not grow with duration
 _BLOCK_FRAMES = 4096
 
 
@@ -86,37 +87,42 @@ class GloveEmulator:
         self.t = self._step / cfg.rate
         return np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
 
-    def step(self) -> SensorFrame:
-        """Emit the frame for the current clock, then advance by 1/rate."""
-        return SensorFrame(tuple(self.block(1)[0].tolist()))
-
     def handle_pwm(self, cmd: PwmCommand) -> None:
         self.last_pwm = cmd
+
+
+def sample_count(duration: float, rate: float) -> int:
+    """floor(duration * rate): the samples in ``duration`` seconds at ``rate`` Hz."""
+    product = duration * rate
+    if not math.isfinite(product):
+        raise GlovekitError(f"duration {duration!r} at rate {rate!r} gives no finite sample count")
+    return math.floor(product)
 
 
 def run_emulator(config: EmulatorConfig, duration: float, transport, fast: bool = True) -> int:
     """Write floor(duration * rate) encoded frames to the transport.
 
-    ``transport`` is anything with a ``write(bytes)`` method. In real-time
-    mode writes are paced at 1/rate; fast mode emits identical bytes without
-    sleeping. A closed transport terminates cleanly; returns frames written.
+    ``transport`` is anything with a ``write(bytes)`` method. Fast mode writes
+    blocks of up to 4096 frames without sleeping; real-time mode writes one
+    frame at a time, paced at 1/rate. Both emit the same bytes. A closed
+    transport terminates cleanly; returns the frames in completed writes.
     """
     if duration <= 0:
         raise GlovekitError(f"duration must be positive, got {duration}")
     emulator = GloveEmulator(config)
-    total = math.floor(duration * config.rate)
+    total = sample_count(duration, config.rate)
+    block = _BLOCK_FRAMES if fast else 1
     start = time.monotonic()
     written = 0
     while written < total:
-        data = encode_frames(emulator.block(min(_BLOCK_FRAMES, total - written)))
-        for offset in range(0, len(data), FRAME_SIZE):
-            try:
-                transport.write(data[offset : offset + FRAME_SIZE])
-            except (OSError, ValueError, TransportError):
-                return written
-            written += 1
-            if not fast:
-                delay = start + written / config.rate - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
+        n = min(block, total - written)
+        try:
+            transport.write(encode_frames(emulator.block(n)))
+        except (OSError, ValueError, TransportError):
+            return written
+        written += n
+        if not fast:
+            delay = start + written / config.rate - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
     return written

@@ -65,8 +65,8 @@ class Demonstration:
             raise GlovekitError(f"demonstration needs T >= 2 samples, got {v.shape[0]}")
         if not np.all(np.isfinite(v)):
             raise GlovekitError("demonstration contains non-finite values")
-        if self.dt <= 0:
-            raise GlovekitError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise GlovekitError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def T(self) -> int:
@@ -174,6 +174,9 @@ class TrajectoryModel:
         kd = self.basis.K * self.D
         if mu.shape != (kd,) or sw.shape != (kd, kd) or sy.shape != (self.D,):
             raise ShapeMismatchError("model parameter shapes inconsistent with K and D")
+        for name, values in (("mu_w", mu), ("sigma_w", sw), ("sigma_y", sy)):
+            if not np.all(np.isfinite(values)):
+                raise GlovekitError(f"{name} must be finite")
         if np.any(sy < 0):
             raise GlovekitError("sigma_y entries must be nonnegative")
         if not (self.eps_reg >= 0 and math.isfinite(self.eps_reg)):

@@ -6,7 +6,6 @@ paths and exit codes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .controlsim import (
     resample_linear,
     simulate_tracking,
 )
-from .emulator import DEFAULT_RATE
+from .emulator import DEFAULT_RATE, sample_count
 from .errors import GlovekitError, ShapeMismatchError, TransportError
 from .model import (
     Demonstration,
@@ -62,7 +61,7 @@ def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
     beyond it is waited for. Returns an (n, 5) float array of raw counts and
     the stream statistics.
     """
-    nominal = math.floor(duration * stream_rate)
+    nominal = sample_count(duration, stream_rate)
     parser = StreamParser()
     blocks = [np.empty((0, NUM_CHANNELS))]
     while parser.frames_decoded < nominal:
@@ -98,6 +97,7 @@ def frames_to_demo(
     onto the nominal stream grid, so the output row count depends only on
     duration and control rate.
     """
+    target_rows = sample_count(duration, control_rate)
     if raw.shape[0] < 2:
         raise TransportError(
             f"received {raw.shape[0]} frames, cannot build a trajectory"
@@ -111,7 +111,6 @@ def frames_to_demo(
             [np.interp(dst, src, joints[:, d]) for d in range(joints.shape[1])]
         )
     resampled = resample_linear(joints, stream_rate, control_rate)
-    target_rows = math.floor(duration * control_rate)
     if resampled.shape[0] > target_rows:
         resampled = resampled[:target_rows]
     elif resampled.shape[0] < target_rows:
@@ -165,7 +164,7 @@ def reproduce(
     plant: PlantParams = PlantParams(),
 ) -> ReproduceResult:
     """Track the model's mean trajectory on the simulated plant."""
-    t_steps = math.floor(duration * control_rate)
+    t_steps = sample_count(duration, control_rate)
     if t_steps < 2:
         raise GlovekitError("duration * control_rate must give at least 2 samples")
     reference = mean_trajectory(model, design_matrix(t_steps, model.basis))

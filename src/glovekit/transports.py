@@ -14,7 +14,7 @@ from __future__ import annotations
 import socket
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from .errors import TransportError
 
@@ -26,74 +26,60 @@ _TCP_RETRY_DELAY = 0.1
 def open_transport(spec: str, mode: str):
     """Yield a binary file-like object for the given transport spec.
 
-    ``mode`` is ``"rb"`` for readers or ``"wb"`` for writers.
+    ``mode`` is ``"rb"`` for readers or ``"wb"`` for writers. Every writer is
+    buffered, so it is flushed on exit; bytes it cannot deliver then raise
+    TransportError.
     """
     if mode not in ("rb", "wb"):
         raise ValueError(f"mode must be 'rb' or 'wb', got {mode!r}")
+    with ExitStack() as closers:
+        stream = _open(spec, mode, closers)
+        yield stream
+        try:
+            closers.close()
+        except (OSError, ValueError) as exc:
+            raise TransportError(f"closing {spec} failed: {exc}") from exc
+
+
+def _open(spec: str, mode: str, closers: ExitStack):
+    """Open the stream for ``spec``; push what flushes and closes it on exit."""
     if spec == "pipe":
-        yield sys.stdin.buffer if mode == "rb" else sys.stdout.buffer
-        return
+        if mode == "rb":
+            return sys.stdin.buffer
+        closers.callback(sys.stdout.buffer.flush)
+        return sys.stdout.buffer
     if spec.startswith("tcp:"):
         try:
             port = int(spec[4:])
         except ValueError:
             raise TransportError(f"bad TCP port in {spec!r}") from None
-        if mode == "wb":
-            with _tcp_accept(port) as stream:
-                yield stream
-        else:
-            with _tcp_connect(port) as stream:
-                yield stream
-        return
+        conn = closers.enter_context(_tcp_accept(port) if mode == "wb" else _tcp_connect(port))
+        return closers.enter_context(conn.makefile(mode))
     path = spec[5:] if spec.startswith("file:") else spec
     try:
-        handle = open(path, mode)
+        return closers.enter_context(open(path, mode))
     except OSError as exc:
         raise TransportError(f"cannot open {path}: {exc}") from exc
-    try:
-        yield handle
-    finally:
-        handle.close()
 
 
-@contextmanager
-def _tcp_accept(port: int):
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", port))
-        server.listen(1)
-        conn, _ = server.accept()
-    except OSError as exc:
-        server.close()
-        raise TransportError(f"TCP listen on port {port} failed: {exc}") from exc
-    stream = conn.makefile("wb")
-    try:
-        yield stream
-    finally:
+def _tcp_accept(port: int) -> socket.socket:
+    """Listen on localhost and return the first client's connection."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         try:
-            stream.close()
-        except OSError:
-            pass
-        conn.close()
-        server.close()
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.bind(("127.0.0.1", port))
+            server.listen(1)
+            return server.accept()[0]
+        except OSError as exc:
+            raise TransportError(f"TCP listen on port {port} failed: {exc}") from exc
 
 
-@contextmanager
-def _tcp_connect(port: int):
+def _tcp_connect(port: int) -> socket.socket:
     last_error = None
     for _ in range(_TCP_CONNECT_ATTEMPTS):
         try:
-            conn = socket.create_connection(("127.0.0.1", port))
-            break
+            return socket.create_connection(("127.0.0.1", port))
         except OSError as exc:
             last_error = exc
             time.sleep(_TCP_RETRY_DELAY)
-    else:
-        raise TransportError(f"cannot connect to TCP port {port}: {last_error}")
-    stream = conn.makefile("rb")
-    try:
-        yield stream
-    finally:
-        stream.close()
-        conn.close()
+    raise TransportError(f"cannot connect to TCP port {port}: {last_error}")

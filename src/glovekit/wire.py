@@ -63,11 +63,6 @@ def encode_frames(values) -> bytes:
     return frames.tobytes()
 
 
-def encode_frame(frame: SensorFrame) -> bytes:
-    """Encode a sensor frame into its 13-byte wire representation."""
-    return encode_frames(frame.channels)
-
-
 _PAYLOAD_OFFSETS = np.arange(1, 11)
 
 

@@ -25,7 +25,7 @@ from glovekit.model import (
     stack_weights,
     train_model,
 )
-from glovekit.wire import FRAME_SIZE, SensorFrame, StreamParser, encode_frame
+from glovekit.wire import FRAME_SIZE, SensorFrame, StreamParser, encode_frames
 from oracles import covariance_term_by_term, ridge_weights_oracle
 
 
@@ -47,7 +47,7 @@ def test_criterion_01_protocol_round_trip_and_corruption():
             SensorFrame(tuple(int(v) for v in row))
             for row in rng.integers(0, 1024, (100_000, 5))
         ]
-        data = b"".join(encode_frame(f) for f in frames)
+        data = encode_frames([f.channels for f in frames])
 
         parser = StreamParser()
         decoded = []

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import sys
 import threading
@@ -327,12 +328,14 @@ def test_non_finite_float_option_is_usage_error(capsys, command, option, value):
 
 @pytest.mark.parametrize("key,value", [
     ("h", "nan"), ("h", "inf"), ("lambda", "nan"), ("eps_reg", "nan"), ("eps_reg", "inf"),
-    ("eps_reg", "-1.0"),
+    ("eps_reg", "-1.0"), ("mu_w", "nan"), ("mu_w", "inf"), ("sigma_w", "nan"),
+    ("sigma_w", "inf"), ("sigma_y", "nan"), ("sigma_y", "inf"),
 ])
 def test_non_finite_model_parameter_is_data_error(workdir, capsys, key, value):
     model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
     formats.save_model(model, workdir / "model.txt")
-    lines = [f"{key} {value}" if line.split()[0] == key else line
+    # the first value on each line of the key
+    lines = [" ".join([key, value, *line.split()[2:]]) if line.split()[0] == key else line
              for line in (workdir / "model.txt").read_text().splitlines()]
     (workdir / "model.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(GlovekitError, match=key):
@@ -364,3 +367,64 @@ def test_feedback_overflowing_ratio_sends_full_scale(workdir):
     assert main(["feedback", "--tactile", str(workdir / "tactile.txt"), "--f-max", "1e-320",
                  "--transport", f"file:{out}"]) == 0
     assert out.read_bytes() == b"P 0 0 0 0 0\nP 255 255 255 255 255\n"
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_non_finite_demo_dt_is_data_error(workdir, capsys, dt):
+    formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
+    lines = [f"dt {dt}" if line.split()[0] == "dt" else line
+             for line in (workdir / "demo.txt").read_text().splitlines()]
+    (workdir / "demo.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(GlovekitError, match="dt must be positive and finite"):
+        formats.load_demo(workdir / "demo.txt")
+    model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
+    formats.save_model(model, workdir / "model.txt")
+    rc = main(["eval", str(workdir / "demo.txt"), "--model", str(workdir / "model.txt"),
+               "--output", str(workdir / "bands.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt must be positive and finite") and err.count("\n") == 1
+    assert not (workdir / "bands.csv").exists()
+
+
+_HUGE = [
+    ["glove-emulate", "--config", "emu.txt", "--duration", "1e308", "--fast",
+     "--transport", "file:out.bin"],
+    ["calibrate", "--transport", "file:empty.bin", "--duration", "1e308",
+     "--output", "cal_out.txt"],
+    ["record", "--transport", "file:empty.bin", "--calibration", "calib.txt",
+     "--duration", "1e308", "--output", "demo.txt"],
+    ["record", "--transport", "file:empty.bin", "--calibration", "calib.txt",
+     "--control-rate", "1e308", "--output", "demo.txt"],
+    ["reproduce", "--model", "model.txt", "--duration", "1e308", "--output", "t.csv"],
+    ["reproduce", "--model", "model.txt", "--control-rate", "1e308", "--output", "t.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE,
+                         ids=lambda argv: f"{argv[0]} {argv[argv.index('1e308') - 1]}")
+def test_huge_duration_or_rate_is_data_error(workdir, monkeypatch, capsys, argv):
+    (workdir / "empty.bin").write_bytes(b"")
+    model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
+    formats.save_model(model, workdir / "model.txt")
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration ") and "no finite sample count" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1", "--fast"],
+    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1"],
+    ["feedback", "--tactile", "tactile.txt", "--f-max", "10"],
+], ids=["emulate-fast", "emulate-paced", "feedback"])
+def test_write_failing_at_close_is_transport_error(workdir, monkeypatch, capsys, argv):
+    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--transport", "/dev/full"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("transport error: closing /dev/full failed: ")
+    assert captured.err.count("\n") == 1

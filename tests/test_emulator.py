@@ -1,7 +1,10 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit.emulator import ChannelWaveform, EmulatorConfig, GloveEmulator, run_emulator
@@ -23,32 +26,31 @@ def sine_config(**kwargs):
 
 def test_constant_waveform():
     emu = GloveEmulator(flat_config())
-    for _ in range(10):
-        assert emu.step().channels == (512, 512, 512, 512, 512)
+    assert emu.block(10).tolist() == [[512, 512, 512, 512, 512]] * 10
 
 
 def test_sine_starts_at_offset():
     emu = GloveEmulator(sine_config())
-    assert emu.step().channels == (512,) * 5  # sin(0) = 0
+    assert emu.block(1).tolist() == [[512] * 5]  # sin(0) = 0
 
 
 def test_clock_advances_by_inverse_rate():
     emu = GloveEmulator(flat_config(rate=350.0))
-    emu.step()
-    emu.step()
+    emu.block(1)
+    emu.block(1)
     assert emu.t == pytest.approx(2.0 / 350.0)
 
 
 def test_determinism_same_seed():
     a = GloveEmulator(sine_config(noise_std=5.0, seed=42))
     b = GloveEmulator(sine_config(noise_std=5.0, seed=42))
-    assert [a.step() for _ in range(200)] == [b.step() for _ in range(200)]
+    assert np.array_equal(a.block(200), b.block(200))
 
 
 def test_different_seeds_differ():
     a = GloveEmulator(flat_config(noise_std=5.0, seed=1))
     b = GloveEmulator(flat_config(noise_std=5.0, seed=2))
-    assert [a.step() for _ in range(50)] != [b.step() for _ in range(50)]
+    assert not np.array_equal(a.block(50), b.block(50))
 
 
 def test_noise_clamps_into_adc_range():
@@ -57,9 +59,8 @@ def test_noise_clamps_into_adc_range():
         noise_std=200.0,
         seed=3,
     )
-    emu = GloveEmulator(cfg)
-    for _ in range(500):
-        assert all(0 <= v <= 1023 for v in emu.step().channels)
+    block = GloveEmulator(cfg).block(500)
+    assert ((block >= 0) & (block <= 1023)).all()
 
 
 def test_pwm_initially_zero_and_updates():
@@ -116,39 +117,52 @@ def test_stream_matches_frame_by_frame_reference(noise_std, duration):
     assert sink.getvalue() == b"".join(scalar_frame_bytes(f) for f in frames)
 
 
-def test_step_and_block_continue_one_stream():
-    cfg = fx.emulator_config(seed=4)
-    emu = GloveEmulator(cfg)
-    out = [emu.step().channels for _ in range(3)]
-    out += [tuple(row) for row in emu.block(500).tolist()]
-    out.append(emu.step().channels)
-    assert out == scalar_emulator_frames(cfg, 504)
-    assert emu.t == 504 / cfg.rate
+# blocks of any sizes continue one stream: this is what lets paced mode
+# (blocks of 1) and fast mode (blocks of 4096) write the same bytes
+@given(st.lists(st.integers(1, 5000), min_size=1, max_size=4), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_blocks_of_any_sizes_continue_one_stream(sizes, seed):
+    cfg = fx.emulator_config(seed=seed, noise_std=3.0)
+    split, whole = GloveEmulator(cfg), GloveEmulator(cfg)
+    blocks = [split.block(n) for n in sizes]
+    assert np.array_equal(np.concatenate(blocks), whole.block(sum(sizes)))
+    assert split.t == whole.t == sum(sizes) / cfg.rate
 
 
 def test_half_counts_round_away_from_zero():
     offsets = (0.5, 1.5, 2.5, 511.5, 1022.5)
     cfg = EmulatorConfig(channels=tuple(ChannelWaveform(offset=v) for v in offsets))
-    assert GloveEmulator(cfg).step().channels == (1, 2, 3, 512, 1023)
+    assert GloveEmulator(cfg).block(1).tolist() == [[1, 2, 3, 512, 1023]]
 
 
 class _ClosingSink:
-    def __init__(self, fail_after):
+    """Records the size of each write; fails every write after ``fail_after``."""
+
+    def __init__(self, fail_after=math.inf):
         self.fail_after = fail_after
-        self.writes = 0
+        self.sizes = []
 
     def write(self, data):
-        if self.writes >= self.fail_after:
+        if len(self.sizes) >= self.fail_after:
             raise ValueError("I/O operation on closed file")
-        self.writes += 1
+        self.sizes.append(len(data))
+
+
+# 30 s is 10 500 frames: blocks of 4096, 4096 and 2308
+@pytest.mark.parametrize("fast,duration,frames_per_write", [
+    (True, 30.0, [4096, 4096, 2308]), (False, 0.1, [1] * 35),
+])
+def test_one_write_per_block(fast, duration, frames_per_write):
+    sink = _ClosingSink()
+    assert run_emulator(flat_config(), duration, sink, fast=fast) == sum(frames_per_write)
+    assert sink.sizes == [13 * n for n in frames_per_write]
 
 
 def test_closed_transport_terminates_cleanly():
-    written = run_emulator(flat_config(), 1.0, _ClosingSink(fail_after=17))
-    assert written == 17
-    # past the first block of frames
-    written = run_emulator(flat_config(), 30.0, _ClosingSink(fail_after=5000))
-    assert written == 5000
+    # frames written counts the frames in completed writes
+    for fail_after, frames in [(1, 4096), (2, 8192), (3, 10_500)]:
+        assert run_emulator(flat_config(), 30.0, _ClosingSink(fail_after)) == frames
+    assert run_emulator(flat_config(), 0.1, _ClosingSink(17), fast=False) == 17
 
 
 def test_duration_must_be_positive():

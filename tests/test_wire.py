@@ -14,7 +14,7 @@ from glovekit.wire import (
     PwmCommand,
     SensorFrame,
     StreamParser,
-    encode_frame,
+    encode_frames,
     encode_pwm_command,
     parse_pwm_command,
 )
@@ -25,19 +25,19 @@ duty_st = st.tuples(*[st.integers(0, 255)] * 5)
 
 
 def test_encode_zero_frame():
-    assert encode_frame(SensorFrame((0, 0, 0, 0, 0))) == bytes.fromhex(
+    assert encode_frames((0, 0, 0, 0, 0)) == bytes.fromhex(
         "a500000000000000000000000a"
     )
 
 
 def test_encode_full_scale_first_channel():
-    assert encode_frame(SensorFrame((1023, 0, 0, 0, 0))) == bytes.fromhex(
+    assert encode_frames((1023, 0, 0, 0, 0)) == bytes.fromhex(
         "a5ff030000000000000000fc0a"
     )
 
 
 def test_frame_is_13_bytes():
-    assert len(encode_frame(SensorFrame((1, 2, 3, 4, 5)))) == FRAME_SIZE
+    assert len(encode_frames((1, 2, 3, 4, 5))) == FRAME_SIZE
 
 
 def test_frame_rejects_out_of_range():
@@ -51,14 +51,14 @@ def test_frame_rejects_out_of_range():
 def test_round_trip_single_frame(channels):
     frame = SensorFrame(channels)
     parser = StreamParser()
-    assert parser.feed(encode_frame(frame)) == [frame]
+    assert parser.feed(encode_frames(frame.channels)) == [frame]
     assert parser.bytes_skipped == 0
     assert len(parser.buffer) == 0
 
 
 def test_split_frame_across_two_calls():
     frame = SensorFrame((10, 20, 30, 40, 50))
-    data = encode_frame(frame)
+    data = encode_frames(frame.channels)
     parser = StreamParser()
     assert parser.feed(data[:7]) == []
     assert parser.feed(data[7:]) == [frame]
@@ -68,16 +68,16 @@ def test_split_frame_across_two_calls():
 def test_garbage_prefix_resync():
     frame = SensorFrame((100, 200, 300, 400, 500))
     parser = StreamParser()
-    assert parser.feed(b"\x01\x02\x03" + encode_frame(frame)) == [frame]
+    assert parser.feed(b"\x01\x02\x03" + encode_frames(frame.channels)) == [frame]
     assert parser.bytes_skipped == 3
 
 
 def test_corrupted_checksum_then_valid_frame():
     good = SensorFrame((1, 2, 3, 4, 5))
-    bad = bytearray(encode_frame(SensorFrame((9, 9, 9, 9, 9))))
+    bad = bytearray(encode_frames((9, 9, 9, 9, 9)))
     bad[11] ^= 0xFF
     parser = StreamParser()
-    frames = parser.feed(bytes(bad) + encode_frame(good))
+    frames = parser.feed(bytes(bad) + encode_frames(good.channels))
     assert frames == [good]
     assert parser.bytes_skipped > 0
 
@@ -86,7 +86,7 @@ def test_corrupted_checksum_then_valid_frame():
 @settings(max_examples=50, deadline=None)
 def test_concatenation_any_chunking(all_channels, chunk):
     frames = [SensorFrame(c) for c in all_channels]
-    data = b"".join(encode_frame(f) for f in frames)
+    data = encode_frames([f.channels for f in frames])
     parser = StreamParser()
     out = []
     for i in range(0, len(data), chunk):
@@ -101,12 +101,12 @@ def test_non_sync_garbage_never_loses_frame():
     for _ in range(50):
         garbage = bytes(int(v) for v in rng.integers(0, 256, rng.integers(1, 40)) if v != 0xA5)
         parser = StreamParser()
-        assert parser.feed(garbage + encode_frame(frame))[-1] == frame
+        assert parser.feed(garbage + encode_frames(frame.channels))[-1] == frame
 
 
 def test_buffer_stays_below_frame_size_at_rest():
     parser = StreamParser()
-    data = encode_frame(SensorFrame((1, 1, 1, 1, 1))) * 7
+    data = encode_frames((1, 1, 1, 1, 1)) * 7
     parser.feed(data + b"\xa5\x01")
     assert len(parser.buffer) < FRAME_SIZE
 
@@ -140,7 +140,7 @@ def frame_bytes(draw):
     (so its range check may fail), or the overlapping pair."""
     kind = draw(st.sampled_from(["valid", "raw", "pair"]))
     if kind == "valid":
-        return encode_frame(SensorFrame(draw(channels_st)))
+        return encode_frames(draw(channels_st))
     if kind == "raw":
         return scalar_frame_bytes(draw(st.tuples(*[st.integers(0, 0xFFFF)] * 5)))
     return OVERLAPPING_PAIR
