@@ -8,6 +8,7 @@ feedback. Exit codes: 0 success, 2 usage error, 3 data/shape error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from .calibration import (
     identity_coupling_map,
 )
 from .controlsim import DEFAULT_CONTROL_RATE, Gains, PlantParams
-from .emulator import DEFAULT_RATE, EmulatorConfig, run_emulator
+from .emulator import DEFAULT_RATE, run_emulator
 from .errors import GlovekitError, TransportError
 from .model import BasisConfig, DEFAULT_EPS_REG, train_model
 from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
@@ -135,12 +136,7 @@ def _cmd_emulate(args) -> int:
             print(f"error: DEMO_SEED must be an integer, got {seed_override!r}",
                   file=sys.stderr)
             return EXIT_USAGE
-        config = EmulatorConfig(
-            rate=config.rate,
-            channels=config.channels,
-            noise_std=config.noise_std,
-            seed=seed,
-        )
+        config = dataclasses.replace(config, seed=seed)
     with open_transport(args.transport, "wb") as writer:
         written = run_emulator(config, args.duration, writer, fast=args.fast)
     print(f"frames written: {written}")

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GlovekitError, TransportError
+from .errors import GlovekitError
+from .transports import send
 from .wire import ADC_MAX, NUM_CHANNELS, PwmCommand, encode_frames
 
 DEFAULT_RATE = 350.0
@@ -116,9 +117,7 @@ def run_emulator(config: EmulatorConfig, duration: float, transport, fast: bool 
     written = 0
     while written < total:
         n = min(block, total - written)
-        try:
-            transport.write(encode_frames(emulator.block(n)))
-        except (OSError, ValueError, TransportError):
+        if not send(transport, encode_frames(emulator.block(n))):
             return written
         written += n
         if not fast:

@@ -36,6 +36,7 @@ from .model import (
     marginal_std,
     mean_trajectory,
 )
+from .transports import send
 from .wire import FRAME_SIZE, NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 16384
@@ -141,9 +142,7 @@ def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> list[PwmCom
     sent: list[PwmCommand] = []
     for forces in np.atleast_2d(np.asarray(tactile_forces, dtype=float)):
         cmd = tactile_to_pwm_command(fmap, forces)
-        try:
-            writer.write(encode_pwm_command(cmd).encode("ascii"))
-        except (OSError, ValueError, TransportError):
+        if not send(writer, encode_pwm_command(cmd).encode("ascii")):
             break
         sent.append(cmd)
     return sent

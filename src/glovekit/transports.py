@@ -21,24 +21,42 @@ from .errors import TransportError
 _TCP_CONNECT_ATTEMPTS = 50
 _TCP_RETRY_DELAY = 0.1
 
+# What a writer raises once its reader has gone away (a closed pipe or socket,
+# or a file object closed under it): the stream then ends cleanly
+READER_GONE = (ConnectionError, ValueError)
+
 
 @contextmanager
 def open_transport(spec: str, mode: str):
     """Yield a binary file-like object for the given transport spec.
 
     ``mode`` is ``"rb"`` for readers or ``"wb"`` for writers. Every writer is
-    buffered, so it is flushed on exit; bytes it cannot deliver then raise
-    TransportError.
+    buffered, so it is flushed on exit: bytes left for a reader that has gone
+    away are dropped, any other failure raises TransportError.
     """
     if mode not in ("rb", "wb"):
         raise ValueError(f"mode must be 'rb' or 'wb', got {mode!r}")
-    with ExitStack() as closers:
-        stream = _open(spec, mode, closers)
-        yield stream
+    closers = ExitStack()
+    try:
+        yield _open(spec, mode, closers)
+    finally:
         try:
             closers.close()
-        except (OSError, ValueError) as exc:
+        except READER_GONE:
+            pass
+        except OSError as exc:
             raise TransportError(f"closing {spec} failed: {exc}") from exc
+
+
+def send(writer, data: bytes) -> bool:
+    """Write ``data``; False if the reader has gone away, TransportError on any other OSError."""
+    try:
+        writer.write(data)
+    except READER_GONE:
+        return False
+    except OSError as exc:
+        raise TransportError(f"write failed: {exc}") from exc
+    return True
 
 
 def _open(spec: str, mode: str, closers: ExitStack):

@@ -1,8 +1,10 @@
 import io
 import os
 import re
+import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -415,16 +417,44 @@ def test_huge_duration_or_rate_is_data_error(workdir, monkeypatch, capsys, argv)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [
-    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1", "--fast"],
-    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1"],
-    ["feedback", "--tactile", "tactile.txt", "--f-max", "10"],
-], ids=["emulate-fast", "emulate-paced", "feedback"])
-def test_write_failing_at_close_is_transport_error(workdir, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv,failing", [
+    (["glove-emulate", "--config", "emu.txt", "--duration", "0.1", "--fast"], "closing /dev/full"),
+    (["glove-emulate", "--config", "emu.txt", "--duration", "0.1"], "closing /dev/full"),
+    (["feedback", "--tactile", "tactile.txt", "--f-max", "10"], "closing /dev/full"),
+    # a 4096-frame block is larger than the write buffer, so the write itself fails
+    (["glove-emulate", "--config", "emu.txt", "--duration", "1", "--fast"], "write"),
+], ids=["emulate-fast", "emulate-paced", "feedback", "emulate-fast-block"])
+def test_full_device_is_transport_error(workdir, monkeypatch, capsys, argv, failing):
     formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
     monkeypatch.chdir(workdir)
     assert main([*argv, "--transport", "/dev/full"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("transport error: closing /dev/full failed: ")
+    assert captured.err.startswith(f"transport error: {failing} failed: [Errno 28] ")
     assert captured.err.count("\n") == 1
+
+
+def test_tcp_reader_leaving_early_ends_paced_writer_cleanly(workdir, capsys):
+    """A reader takes the first frame of a paced 2.5 s stream and closes with
+    the rest of the first flushed buffer unread, which resets the connection;
+    the writer's flush at close then fails with the reader gone."""
+    port = 47654
+    results = {}
+    writer = threading.Thread(target=lambda: results.update(rc=main([
+        "glove-emulate", "--config", str(workdir / "emu.txt"),
+        "--duration", "2.5", "--transport", f"tcp:{port}",
+    ])))
+    writer.start()
+    for _ in range(50):
+        try:
+            reader = socket.create_connection(("127.0.0.1", port))
+            break
+        except OSError:
+            time.sleep(0.1)
+    with reader:
+        assert len(reader.recv(13)) > 0
+    writer.join(timeout=10)
+    assert results["rc"] == 0
+    captured = capsys.readouterr()
+    assert captured.out == "frames written: 875\n"
+    assert captured.err == ""

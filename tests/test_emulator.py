@@ -1,3 +1,4 @@
+import errno
 import io
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit.emulator import ChannelWaveform, EmulatorConfig, GloveEmulator, run_emulator
-from glovekit.errors import GlovekitError
+from glovekit.errors import GlovekitError, TransportError
 from glovekit.wire import PwmCommand, StreamParser
 from oracles import scalar_emulator_frames, scalar_frame_bytes
 
@@ -138,13 +139,14 @@ def test_half_counts_round_away_from_zero():
 class _ClosingSink:
     """Records the size of each write; fails every write after ``fail_after``."""
 
-    def __init__(self, fail_after=math.inf):
+    def __init__(self, fail_after=math.inf, error=ValueError("I/O operation on closed file")):
         self.fail_after = fail_after
+        self.error = error
         self.sizes = []
 
     def write(self, data):
         if len(self.sizes) >= self.fail_after:
-            raise ValueError("I/O operation on closed file")
+            raise self.error
         self.sizes.append(len(data))
 
 
@@ -163,6 +165,13 @@ def test_closed_transport_terminates_cleanly():
     for fail_after, frames in [(1, 4096), (2, 8192), (3, 10_500)]:
         assert run_emulator(flat_config(), 30.0, _ClosingSink(fail_after)) == frames
     assert run_emulator(flat_config(), 0.1, _ClosingSink(17), fast=False) == 17
+    assert run_emulator(flat_config(), 30.0, _ClosingSink(1, BrokenPipeError())) == 4096
+
+
+def test_failing_device_is_transport_error():
+    full = _ClosingSink(1, OSError(errno.ENOSPC, "No space left on device"))
+    with pytest.raises(TransportError, match="No space left"):
+        run_emulator(flat_config(), 30.0, full)
 
 
 def test_duration_must_be_positive():

@@ -1,3 +1,4 @@
+import errno
 import io
 
 import numpy as np
@@ -147,10 +148,18 @@ class TestFeedbackLoop:
     def test_failed_transport_ends_cleanly(self):
         class Broken:
             def write(self, data):
-                raise OSError("gone")
+                raise BrokenPipeError("gone")
 
         sent = feedback_loop(ForceFeedbackMap(10.0), np.ones((3, 5)), Broken())
         assert sent == []
+
+    def test_failing_device_is_transport_error(self):
+        class Full:
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(TransportError, match="No space left"):
+            feedback_loop(ForceFeedbackMap(10.0), np.ones((3, 5)), Full())
 
 
 @pytest.fixture(scope="module")
