@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ShapeMismatchError
-from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX, PwmCommand, SensorFrame
+from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX, PwmCommand
 
 DEFAULT_JOINT_MIN = 0.0
 DEFAULT_JOINT_MAX = math.pi / 2
@@ -43,11 +43,8 @@ class ExtremaBuilder:
         self.raw_max = [0.0] * NUM_CHANNELS
         self.frames_seen = 0
 
-    def observe(self, frame: SensorFrame) -> None:
-        self.update([frame.channels])
-
-    def update(self, raw) -> None:
-        """Take in an (n, 5) array of raw frames."""
+    def observe(self, raw) -> None:
+        """Take in one frame's 5 raw counts or an (n, 5) array of raw frames."""
         raw = np.asarray(raw, dtype=float).reshape(-1, NUM_CHANNELS)
         if raw.shape[0]:
             self.raw_min = [min(a, b) for a, b in zip(self.raw_min, raw.min(axis=0).tolist())]
@@ -73,10 +70,8 @@ class ExtremaBuilder:
 def raw_to_angle(profile: CalibrationProfile, raw) -> np.ndarray:
     """Linearly map raw counts to joint angles; out-of-range values clamp.
 
-    ``raw`` is a SensorFrame, a length-5 sequence, or an (N, 5) array.
+    ``raw`` is a length-5 sequence or an (N, 5) array.
     """
-    if isinstance(raw, SensorFrame):
-        raw = raw.channels
     raw = np.asarray(raw, dtype=float)
     lo = np.asarray(profile.raw_min)
     hi = np.asarray(profile.raw_max)
@@ -105,10 +100,6 @@ class CouplingMap:
             raise CalibrationError("coupling weights must be nonnegative")
         if not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
             raise CalibrationError("coupling weights must sum to 1 per output")
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weights.shape[0]
 
 
 def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:

@@ -8,9 +8,7 @@ feedback. Exit codes: 0 success, 2 usage error, 3 data/shape error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,7 +29,6 @@ from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduc
 from .transports import open_transport
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TRANSPORT = 4
 
@@ -126,20 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _status_file(transport: str):
+    """Where a writer prints its status line: stderr when ``pipe`` puts the
+    data itself on stdout."""
+    return sys.stderr if transport == "pipe" else sys.stdout
+
+
 def _cmd_emulate(args) -> int:
     config = formats.load_emulator_config(args.config)
-    seed_override = os.environ.get("DEMO_SEED")
-    if seed_override is not None:
-        try:
-            seed = int(seed_override)
-        except ValueError:
-            print(f"error: DEMO_SEED must be an integer, got {seed_override!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        config = dataclasses.replace(config, seed=seed)
     with open_transport(args.transport, "wb") as writer:
         written = run_emulator(config, args.duration, writer, fast=args.fast)
-    print(f"frames written: {written}")
+    print(f"frames written: {written}", file=_status_file(args.transport))
     return EXIT_OK
 
 
@@ -165,7 +159,7 @@ def _cmd_calibrate(args) -> int:
     with open_transport(args.transport, "rb") as reader:
         raw, _ = read_raw_frames(reader, args.duration, args.stream_rate)
     builder = ExtremaBuilder()
-    builder.update(raw)
+    builder.observe(raw)
     profile = builder.finalize((args.joint_min,) * 5, (args.joint_max,) * 5)
     formats.save_profile(profile, args.output)
     print(f"frames observed: {builder.frames_seen}, profile written: {args.output}")
@@ -230,7 +224,7 @@ def _cmd_feedback(args) -> int:
     fmap = ForceFeedbackMap(args.f_max)
     with open_transport(args.transport, "wb") as writer:
         sent = feedback_loop(fmap, forces, writer)
-    print(f"commands sent: {len(sent)}")
+    print(f"commands sent: {len(sent)}", file=_status_file(args.transport))
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
-"""Virtual glove device: deterministic sinusoidal flex channels plus a PWM sink.
+"""Virtual glove device: deterministic sinusoidal flex channels.
 
 Lets the whole pipeline run and be tested without hardware. One emulator
-instance is single-owner; PWM commands are applied between blocks.
+instance is single-owner.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GlovekitError
 from .transports import send
-from .wire import ADC_MAX, NUM_CHANNELS, PwmCommand, encode_frames
+from .wire import ADC_MAX, NUM_CHANNELS, encode_frames
 
 DEFAULT_RATE = 350.0
 # frames generated, encoded and written at a time in fast mode, so memory does
@@ -57,12 +57,11 @@ class EmulatorConfig:
 
 
 class GloveEmulator:
-    """Produces the 350 Hz sensor stream and records the last PWM command."""
+    """Produces the 350 Hz sensor stream."""
 
     def __init__(self, config: EmulatorConfig):
         self.config = config
         self.t = 0.0
-        self.last_pwm = PwmCommand((0, 0, 0, 0, 0))
         self._rng = np.random.default_rng(config.seed)
         self._step = 0
 
@@ -87,9 +86,6 @@ class GloveEmulator:
         # integer step count avoids drift over long runs
         self.t = self._step / cfg.rate
         return np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
-
-    def handle_pwm(self, cmd: PwmCommand) -> None:
-        self.last_pwm = cmd
 
 
 def sample_count(duration: float, rate: float) -> int:

@@ -17,6 +17,7 @@ stays small and does not grow with its length; the bytes are those of one
 
 from __future__ import annotations
 
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
@@ -65,7 +66,7 @@ def _read_lines(path) -> list[str]:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    return [line.rstrip("\n") for line in text.splitlines() if line.strip()]
+    return [line for line in text.splitlines() if line.strip()]
 
 
 def _expect_header(lines: list[str], version: str, path) -> list[str]:
@@ -157,12 +158,9 @@ def load_coupling(path) -> CouplingMap:
 
 # ----------------------------------------------------------------- demo-v1
 
-def save_demo(demo: Demonstration, path, labels: list[str] | None = None) -> None:
-    if labels is None:
-        labels = [f"j{d + 1:02d}" for d in range(demo.D)]
-    if len(labels) != demo.D:
-        raise FormatError(f"expected {demo.D} joint labels, got {len(labels)}")
-    header = ["demo-v1", f"D {demo.D}", f"dt {_fmt(demo.dt)}", "joints " + " ".join(labels)]
+def save_demo(demo: Demonstration, path) -> None:
+    labels = " ".join(f"j{d + 1:02d}" for d in range(demo.D))
+    header = ["demo-v1", f"D {demo.D}", f"dt {_fmt(demo.dt)}", "joints " + labels]
     _write_table(path, header, [np.arange(demo.T) * demo.dt, demo.values], " ")
 
 
@@ -307,11 +305,8 @@ def save_emulator_config(config: EmulatorConfig, path) -> None:
         f"seed {config.seed}",
     ]
     for i, ch in enumerate(config.channels):
-        prefix = f"channel{i + 1}"
-        lines.append(f"{prefix}.offset {_fmt(ch.offset)}")
-        lines.append(f"{prefix}.amplitude {_fmt(ch.amplitude)}")
-        lines.append(f"{prefix}.frequency {_fmt(ch.frequency)}")
-        lines.append(f"{prefix}.phase {_fmt(ch.phase)}")
+        for f in fields(ChannelWaveform):
+            lines.append(f"channel{i + 1}.{f.name} {_fmt(getattr(ch, f.name))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -323,23 +318,18 @@ def load_emulator_config(path) -> EmulatorConfig:
         if len(tokens) != 2:
             raise FormatError(f"{path}: expected 'key value' lines, got {line!r}")
         kv[tokens[0]] = tokens[1]
+    # only the keys present are passed, so the dataclasses' defaults apply
     try:
-        rate = float(kv.pop("rate", "350"))
-        noise_std = float(kv.pop("noise_std", "0"))
-        seed = int(kv.pop("seed", "0"))
+        top = {key: kind(kv.pop(key))
+               for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in kv}
         channels = []
         for i in range(NUM_CHANNELS):
-            prefix = f"channel{i + 1}"
-            channels.append(
-                ChannelWaveform(
-                    offset=float(kv.pop(f"{prefix}.offset", "512")),
-                    amplitude=float(kv.pop(f"{prefix}.amplitude", "0")),
-                    frequency=float(kv.pop(f"{prefix}.frequency", "0")),
-                    phase=float(kv.pop(f"{prefix}.phase", "0")),
-                )
-            )
+            prefix = f"channel{i + 1}."
+            channels.append(ChannelWaveform(**{f.name: float(kv.pop(prefix + f.name))
+                                               for f in fields(ChannelWaveform)
+                                               if prefix + f.name in kv}))
     except ValueError as exc:
         raise FormatError(f"{path}: bad emulator config value: {exc}") from exc
     if kv:
         raise FormatError(f"{path}: unknown keys {sorted(kv)}")
-    return EmulatorConfig(rate=rate, channels=tuple(channels), noise_std=noise_std, seed=seed)
+    return EmulatorConfig(channels=tuple(channels), **top)

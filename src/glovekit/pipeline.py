@@ -59,8 +59,9 @@ def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
     Each read asks for at most the bytes of the frames still missing: the
     parser holds fewer than one frame's bytes between reads, so k frames' bytes
     complete at most k frames and the count never passes nominal, and no byte
-    beyond it is waited for. Returns an (n, 5) float array of raw counts and
-    the stream statistics.
+    beyond it is waited for. A read that times out raises TransportError; any
+    other failed read ends the stream as EOF does. Returns an (n, 5) float
+    array of raw counts and the stream statistics.
     """
     nominal = sample_count(duration, stream_rate)
     parser = StreamParser()
@@ -68,6 +69,8 @@ def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
     while parser.frames_decoded < nominal:
         try:
             data = reader.read(min(_READ_CHUNK, (nominal - parser.frames_decoded) * FRAME_SIZE))
+        except TimeoutError as exc:
+            raise TransportError(f"read timed out: {exc}") from exc
         except (OSError, ValueError):
             break
         if not data:

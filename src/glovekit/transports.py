@@ -5,7 +5,7 @@ Specs accepted on the command line:
     pipe        stdin/stdout (binary)
     file:PATH   regular file
     tcp:PORT    localhost TCP; writers listen and accept one client,
-                readers connect
+                readers connect; a peer silent for 30 s fails the stream
     PATH        any other string is opened as a device/file path
 """
 
@@ -20,6 +20,10 @@ from .errors import TransportError
 
 _TCP_CONNECT_ATTEMPTS = 50
 _TCP_RETRY_DELAY = 0.1
+# seconds a tcp: accept, read or write waits for its peer before the stream
+# fails with TransportError. A paced writer flushes its 8 KiB buffer about
+# every 1.8 s at 350 Hz, so a live stream is never silent this long
+_TCP_TIMEOUT = 30.0
 
 # What a writer raises once its reader has gone away (a closed pipe or socket,
 # or a file object closed under it): the stream then ends cleanly
@@ -85,9 +89,12 @@ def _tcp_accept(port: int) -> socket.socket:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         try:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.settimeout(_TCP_TIMEOUT)
             server.bind(("127.0.0.1", port))
             server.listen(1)
-            return server.accept()[0]
+            conn = server.accept()[0]
+            conn.settimeout(_TCP_TIMEOUT)
+            return conn
         except OSError as exc:
             raise TransportError(f"TCP listen on port {port} failed: {exc}") from exc
 
@@ -96,7 +103,7 @@ def _tcp_connect(port: int) -> socket.socket:
     last_error = None
     for _ in range(_TCP_CONNECT_ATTEMPTS):
         try:
-            return socket.create_connection(("127.0.0.1", port))
+            return socket.create_connection(("127.0.0.1", port), timeout=_TCP_TIMEOUT)
         except OSError as exc:
             last_error = exc
             time.sleep(_TCP_RETRY_DELAY)

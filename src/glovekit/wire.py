@@ -143,7 +143,4 @@ def parse_pwm_command(line: str) -> PwmCommand:
             values.append(int(tok))
         except ValueError:
             raise ProtocolError(f"non-numeric PWM value {tok!r}") from None
-    for v in values:
-        if not (0 <= v <= PWM_MAX):
-            raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
     return PwmCommand(tuple(values))

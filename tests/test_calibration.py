@@ -18,7 +18,6 @@ from glovekit.calibration import (
     tactile_to_pwm_command,
 )
 from glovekit.errors import CalibrationError, ShapeMismatchError
-from glovekit.wire import SensorFrame
 from oracles import pwm_round_then_clamp
 
 
@@ -31,32 +30,31 @@ def make_profile(raw_min=100.0, raw_max=900.0, joint_min=0.0, joint_max=math.pi 
 class TestExtremaBuilder:
     def test_tracks_min_and_max(self):
         builder = ExtremaBuilder()
-        builder.observe(SensorFrame((100, 300, 500, 700, 900)))
-        builder.observe(SensorFrame((900, 700, 400, 300, 100)))
+        builder.observe((100, 300, 500, 700, 900))
+        builder.observe((900, 700, 400, 300, 100))
         profile = builder.finalize()
         assert profile.raw_min == (100.0, 300.0, 400.0, 300.0, 100.0)
         assert profile.raw_max == (900.0, 700.0, 500.0, 700.0, 900.0)
 
     def test_degenerate_range_fails(self):
         builder = ExtremaBuilder()
-        builder.observe(SensorFrame((500, 500, 500, 500, 500)))
+        builder.observe((500, 500, 500, 500, 500))
         with pytest.raises(CalibrationError):
             builder.finalize()
 
     def test_order_independence(self):
         rng = np.random.default_rng(0)
-        frames = [SensorFrame(tuple(int(v) for v in rng.integers(0, 1024, 5))) for _ in range(30)]
+        frames = rng.integers(0, 1024, (30, 5))
         a = ExtremaBuilder()
         b = ExtremaBuilder()
         for f in frames:
             a.observe(f)
-        for f in reversed(frames):
-            b.observe(f)
+        b.observe(frames[::-1])
         pa, pb = a.finalize(), b.finalize()
         assert pa == pb
 
     def test_replay_idempotent(self):
-        frames = [SensorFrame((10, 20, 30, 40, 50)), SensorFrame((60, 70, 80, 90, 99))]
+        frames = [(10, 20, 30, 40, 50), (60, 70, 80, 90, 99)]
         once = ExtremaBuilder()
         twice = ExtremaBuilder()
         for f in frames:
@@ -91,8 +89,7 @@ class TestRawToAngle:
 
     def test_accepts_sensor_frame_and_matrix(self):
         profile = make_profile()
-        frame = SensorFrame((500, 500, 500, 500, 500))
-        single = raw_to_angle(profile, frame)
+        single = raw_to_angle(profile, (500, 500, 500, 500, 500))
         batch = raw_to_angle(profile, np.full((3, 5), 500.0))
         assert batch.shape == (3, 5)
         assert batch[1] == pytest.approx(single)

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fixture13 as fx
-from glovekit import formats
+from glovekit import formats, transports
 from glovekit.cli import main
 from glovekit.errors import GlovekitError
 from glovekit.model import BasisConfig, Demonstration, train_model
@@ -171,22 +172,6 @@ def test_eval_without_demos_is_usage_error(workdir):
     assert exc.value.code == 2
 
 
-def test_demo_seed_env_override(workdir, monkeypatch):
-    stream_a = workdir / "a.bin"
-    stream_b = workdir / "b.bin"
-    monkeypatch.setenv("DEMO_SEED", "123")
-    main([
-        "glove-emulate", "--config", str(workdir / "emu.txt"),
-        "--duration", "0.5", "--fast", "--transport", f"file:{stream_a}",
-    ])
-    monkeypatch.setenv("DEMO_SEED", "124")
-    main([
-        "glove-emulate", "--config", str(workdir / "emu.txt"),
-        "--duration", "0.5", "--fast", "--transport", f"file:{stream_b}",
-    ])
-    assert stream_a.read_bytes() != stream_b.read_bytes()
-
-
 def test_train_load_reproduces_mean_byte_identically(workdir):
     run_session(workdir, 11, "demo1.txt")
     run_session(workdir, 12, "demo2.txt")
@@ -284,16 +269,6 @@ def test_emulate_bad_config_value_is_data_error(workdir, capsys, key, value):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("seed,code", [("x", 2), ("1.5", 2), ("-1", 3)])
-def test_emulate_bad_demo_seed(workdir, monkeypatch, capsys, seed, code):
-    monkeypatch.setenv("DEMO_SEED", seed)
-    rc = main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "0.5",
-               "--fast", "--transport", f"file:{workdir / 'stream.bin'}"])
-    assert rc == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "seed" in err.lower() and err.count("\n") == 1
 
 
 _REQUIRED = {
@@ -458,3 +433,77 @@ def test_tcp_reader_leaving_early_ends_paced_writer_cleanly(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == "frames written: 875\n"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["glove-emulate", "--config", "emu.txt", "--duration", "2", "--fast"], b"frames written: 700\n"),
+    (["glove-emulate", "--config", "emu.txt", "--duration", "0.1"], b"frames written: 35\n"),
+    (["feedback", "--tactile", "tactile.txt", "--f-max", "10"], b"commands sent: 2\n"),
+], ids=["emulate-fast", "emulate-paced", "feedback"])
+def test_pipe_writer_prints_its_status_line_to_stderr(workdir, monkeypatch, capsysbinary,
+                                                      argv, status):
+    """Under ``pipe`` stdout carries only the data, the same bytes a file gets;
+    file transports keep the status line on stdout."""
+    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--transport", "file:data.bin"]) == 0
+    assert capsysbinary.readouterr() == (status, b"")
+    assert main([*argv, "--transport", "pipe"]) == 0
+    assert capsysbinary.readouterr() == ((workdir / "data.bin").read_bytes(), status)
+
+
+class _GoneReader(io.RawIOBase):
+    """A stdout whose reader has gone away, as after ``| head -c 100``."""
+
+    gone = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.gone:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(data)
+
+
+def test_pipe_writer_with_its_reader_gone_ends_cleanly(workdir, monkeypatch, capsys):
+    raw = _GoneReader()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    rc = main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "30",
+               "--fast", "--transport", "pipe"])
+    raw.gone = False
+    stdout.close()
+    assert rc == 0
+    assert capsys.readouterr().err == "frames written: 0\n"
+
+
+def test_tcp_writer_without_client_times_out(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(transports, "_TCP_TIMEOUT", 0.2)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc = main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "1",
+               "--fast", "--transport", f"tcp:{port}"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("transport error: TCP listen on port ")
+    assert captured.err.endswith(" failed: timed out\n") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_tcp_reader_of_a_silent_peer_times_out(workdir, monkeypatch, capsys, command):
+    """The peer accepts the connection (in the listen backlog) and never sends."""
+    monkeypatch.setattr(transports, "_TCP_TIMEOUT", 0.2)
+    extra = {"record": ["--calibration", str(workdir / "calib.txt")], "calibrate": []}[command]
+    with socket.socket() as peer:
+        peer.bind(("127.0.0.1", 0))
+        peer.listen(1)
+        rc = main([command, "--transport", f"tcp:{peer.getsockname()[1]}", "--duration", "1",
+                   *extra, "--output", str(workdir / "out.txt")])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "transport error: read timed out: timed out\n"
+    assert not (workdir / "out.txt").exists()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fixture13 as fx
 from glovekit.emulator import ChannelWaveform, EmulatorConfig, GloveEmulator, run_emulator
 from glovekit.errors import GlovekitError, TransportError
-from glovekit.wire import PwmCommand, StreamParser
+from glovekit.wire import StreamParser
 from oracles import scalar_emulator_frames, scalar_frame_bytes
 
 
@@ -62,15 +62,6 @@ def test_noise_clamps_into_adc_range():
     )
     block = GloveEmulator(cfg).block(500)
     assert ((block >= 0) & (block <= 1023)).all()
-
-
-def test_pwm_initially_zero_and_updates():
-    emu = GloveEmulator(flat_config())
-    assert emu.last_pwm == PwmCommand((0, 0, 0, 0, 0))
-    emu.handle_pwm(PwmCommand((255, 0, 0, 0, 0)))
-    assert emu.last_pwm == PwmCommand((255, 0, 0, 0, 0))
-    emu.handle_pwm(PwmCommand((1, 2, 3, 4, 5)))
-    assert emu.last_pwm == PwmCommand((1, 2, 3, 4, 5))
 
 
 def test_waveform_range_validated():

@@ -186,6 +186,8 @@ class TestEmulatorConfigFormat:
         cfg = formats.load_emulator_config(path)
         assert cfg.rate == 350.0
         assert cfg.channels[0].offset == 512.0
+        path.write_text("emu-v1\n")
+        assert formats.load_emulator_config(path) == EmulatorConfig()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "emu.txt"

