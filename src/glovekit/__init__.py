@@ -22,7 +22,6 @@ from .controlsim import (
     PlantState,
     TrackingResult,
     pd_torque,
-    resample_linear,
     simulate_tracking,
     step_plant,
 )

@@ -1,4 +1,4 @@
-"""Per-joint PD tracking on a second-order plant, plus stream-rate resampling.
+"""Per-joint PD tracking on a second-order plant.
 
 Stand-in for a robot's built-in low-level impedance controller: each joint is
 an independent inertia-damper plant driven by a torque-limited PD law that
@@ -7,7 +7,6 @@ tracks a reference trajectory at the control rate (default 200 Hz).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,24 +117,3 @@ def simulate_tracking(
     error = executed - reference
     rmse = np.sqrt((error**2).mean(axis=0))
     return TrackingResult(executed, rmse, np.abs(error).max(axis=0))
-
-
-def resample_linear(series: np.ndarray, r1: float, r2: float) -> np.ndarray:
-    """Linearly resample a uniformly sampled (T, D) series from rate r1 to r2.
-
-    Output length is floor((T-1) * r2 / r1) + 1; sample j interpolates at
-    source index j * r1 / r2.
-    """
-    if r1 <= 0 or r2 <= 0:
-        raise GlovekitError("rates must be positive")
-    series = np.atleast_2d(np.asarray(series, dtype=float))
-    t_in = series.shape[0]
-    if t_in < 2:
-        raise GlovekitError(f"need T >= 2 samples to resample, got {t_in}")
-    t_out = math.floor((t_in - 1) * r2 / r1) + 1
-    src = np.arange(t_out) * (r1 / r2)
-    grid = np.arange(t_in, dtype=float)
-    out = np.empty((t_out, series.shape[1]))
-    for d in range(series.shape[1]):
-        out[:, d] = np.interp(src, grid, series[:, d])
-    return out

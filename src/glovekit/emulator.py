@@ -91,8 +91,11 @@ class GloveEmulator:
 def sample_count(duration: float, rate: float) -> int:
     """floor(duration * rate): the samples in ``duration`` seconds at ``rate`` Hz."""
     product = duration * rate
-    if not math.isfinite(product):
-        raise GlovekitError(f"duration {duration!r} at rate {rate!r} gives no finite sample count")
+    # from 2**53 on a float no longer tells neighbouring counts apart
+    if not (math.isfinite(product) and product < 2**53):
+        raise GlovekitError(
+            f"duration {duration!r} at rate {rate!r} gives no finite sample count below 2**53"
+        )
     return math.floor(product)
 
 

@@ -23,7 +23,6 @@ from .controlsim import (
     Gains,
     PlantParams,
     TrackingResult,
-    resample_linear,
     simulate_tracking,
 )
 from .emulator import DEFAULT_RATE, sample_count
@@ -51,37 +50,45 @@ class RecordStats:
     bytes_skipped: int = 0
     nominal_frames: int = 0
     partial: bool = False
+    # each received frame's place on the nominal grid: its stream offset // 13
+    index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp), repr=False)
 
 
 def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
-    """Collect raw frames from a byte transport until the nominal count or EOF.
+    """Collect raw frames from the first ``duration`` of a byte transport.
 
-    Each read asks for at most the bytes of the frames still missing: the
-    parser holds fewer than one frame's bytes between reads, so k frames' bytes
-    complete at most k frames and the count never passes nominal, and no byte
-    beyond it is waited for. A read that times out raises TransportError; any
-    other failed read ends the stream as EOF does. Returns an (n, 5) float
-    array of raw counts and the stream statistics.
+    Reading stops at EOF or after the bytes of the nominal frame count: each
+    read asks for at most 16 KiB and at most the bytes left, so a longer
+    stream gives the same frames as its first ``duration`` and no byte beyond
+    it is waited for. A read that times out raises TransportError; any other
+    failed read ends the stream as EOF does. Returns an (n, 5) float array of
+    raw counts and the stream statistics.
     """
     nominal = sample_count(duration, stream_rate)
     parser = StreamParser()
     blocks = [np.empty((0, NUM_CHANNELS))]
-    while parser.frames_decoded < nominal:
+    index = [np.empty(0, dtype=np.intp)]
+    left = nominal * FRAME_SIZE
+    while left > 0:
         try:
-            data = reader.read(min(_READ_CHUNK, (nominal - parser.frames_decoded) * FRAME_SIZE))
+            data = reader.read(min(_READ_CHUNK, left))
         except TimeoutError as exc:
             raise TransportError(f"read timed out: {exc}") from exc
         except (OSError, ValueError):
             break
         if not data:
             break
-        blocks.append(parser.decode(data))
+        left -= len(data)
+        values, offsets = parser.decode(data)
+        blocks.append(values)
+        index.append(offsets // FRAME_SIZE)
     received = parser.frames_decoded
     stats = RecordStats(
         frames_received=received,
         bytes_skipped=parser.bytes_skipped,
         nominal_frames=nominal,
         partial=received < _PARTIAL_FRACTION * nominal,
+        index=np.concatenate(index),
     )
     return np.concatenate(blocks, dtype=float), stats
 
@@ -95,32 +102,26 @@ def frames_to_demo(
     control_rate: float,
     duration: float,
 ) -> Demonstration:
-    """Map raw frames to joint space and resample to the control rate.
+    """Map raw frames to joint space and sample them at the control rate.
 
-    Frames lost to stream corruption are bridged by linear interpolation back
-    onto the nominal stream grid, so the output row count depends only on
-    duration and control rate.
+    Row j interpolates linearly at grid position j * stream_rate /
+    control_rate between the received frames, each at its ``stats.index``;
+    rows before the first or past the last frame take that frame's value.
+    Frames lost to stream corruption leave holes that the interpolation
+    bridges without moving any other frame, so the output row count depends
+    only on duration and control rate.
     """
-    target_rows = sample_count(duration, control_rate)
+    rows = sample_count(duration, control_rate)
     if raw.shape[0] < 2:
         raise TransportError(
             f"received {raw.shape[0]} frames, cannot build a trajectory"
         )
     joints = apply_coupling(coupling, raw_to_angle(profile, raw))
-    nominal = stats.nominal_frames
-    if joints.shape[0] != nominal and nominal >= 2:
-        src = np.linspace(0.0, 1.0, joints.shape[0])
-        dst = np.linspace(0.0, 1.0, nominal)
-        joints = np.column_stack(
-            [np.interp(dst, src, joints[:, d]) for d in range(joints.shape[1])]
-        )
-    resampled = resample_linear(joints, stream_rate, control_rate)
-    if resampled.shape[0] > target_rows:
-        resampled = resampled[:target_rows]
-    elif resampled.shape[0] < target_rows:
-        pad = np.repeat(resampled[-1:], target_rows - resampled.shape[0], axis=0)
-        resampled = np.vstack([resampled, pad])
-    return Demonstration(resampled, 1.0 / control_rate)
+    grid = np.arange(rows) * (stream_rate / control_rate)
+    values = np.column_stack(
+        [np.interp(grid, stats.index, joints[:, d]) for d in range(joints.shape[1])]
+    )
+    return Demonstration(values, 1.0 / control_rate)
 
 
 def record(
@@ -131,7 +132,7 @@ def record(
     stream_rate: float = DEFAULT_RATE,
     control_rate: float = DEFAULT_CONTROL_RATE,
 ) -> tuple[Demonstration, RecordStats]:
-    """Full record step: read encoded frames, calibrate, couple, resample."""
+    """Full record step: read encoded frames, calibrate, couple, sample at the control rate."""
     raw, stats = read_raw_frames(reader, duration, stream_rate)
     demo = frames_to_demo(raw, stats, profile, coupling, stream_rate, control_rate, duration)
     return demo, stats

@@ -83,8 +83,12 @@ class StreamParser:
     frames_decoded: int = 0
     bytes_skipped: int = 0
 
-    def decode(self, data: bytes) -> np.ndarray:
-        """Consume a chunk; return the complete frames as an (n, 5) uint16 array."""
+    def decode(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Consume a chunk; return the complete frames as an (n, 5) uint16 array
+        and the stream offset of each one's first byte, counted from the first
+        byte ever fed."""
+        # every byte fed before the held ones is counted in a frame or skipped
+        base = FRAME_SIZE * self.frames_decoded + self.bytes_skipped
         if self.buffer:
             data = bytes(self.buffer) + data
         buf = np.frombuffer(data, dtype=np.uint8)
@@ -118,11 +122,11 @@ class StreamParser:
         self.buffer = bytearray(data[consumed:])
         self.bytes_skipped += consumed - FRAME_SIZE * starts.size
         self.frames_decoded += starts.size
-        return values
+        return values, starts + base
 
     def feed(self, data: bytes) -> list[SensorFrame]:
         """Consume a chunk; return the complete frames as :class:`SensorFrame` objects."""
-        return [SensorFrame(tuple(row)) for row in self.decode(data).tolist()]
+        return [SensorFrame(tuple(row)) for row in self.decode(data)[0].tolist()]
 
 
 def encode_pwm_command(cmd: PwmCommand) -> str:

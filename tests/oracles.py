@@ -95,6 +95,8 @@ class ScalarStreamParser:
         self.buffer = bytearray()
         self.frames_decoded = 0
         self.bytes_skipped = 0
+        self.offsets = []  # stream offset of each frame's first byte
+        self._dropped = 0  # bytes already removed from the front of buffer
 
     def feed(self, data):
         """Consume a chunk; return the decoded frames as 5-tuples."""
@@ -115,11 +117,13 @@ class ScalarStreamParser:
                 break
             if buf[pos + _FRAME_SIZE - 1] == _TERMINATOR and self._frame_ok(buf, pos):
                 frames.append(_PAYLOAD.unpack_from(buf, pos + 1))
+                self.offsets.append(self._dropped + pos)
                 pos += _FRAME_SIZE
             else:
                 self.bytes_skipped += 1
                 pos += 1
         del buf[:pos]
+        self._dropped += pos
         self.frames_decoded += len(frames)
         return frames
 

@@ -228,6 +228,24 @@ def test_duration_reads_the_same_frames_as_its_prefix(workdir, capsys, command):
     assert outputs[0] == outputs[1]
 
 
+def test_corrupted_duration_records_the_same_file_as_its_prefix(workdir, capsys):
+    """10 s of a corrupted 20 s stream give the demo and status line of the
+    stream's first 10 s of bytes on their own, although frames were lost."""
+    data = np.frombuffer(fx.emulate_stream(11, 20.0), dtype=np.uint8).copy()
+    rng = np.random.default_rng(5)
+    flips = rng.choice(data.size, size=data.size // 100, replace=False)
+    data[flips] ^= rng.integers(1, 256, flips.size, dtype=np.uint8)
+    outputs = []
+    for name, stream in (("long", data), ("prefix", data[: int(10.0 * fx.STREAM_RATE) * 13])):
+        (workdir / f"{name}.bin").write_bytes(stream.tobytes())
+        assert main(["record", "--transport", f"file:{workdir / name}.bin",
+                     "--calibration", str(workdir / "calib.txt"), "--duration", "10.0",
+                     "--output", str(workdir / f"{name}.txt")]) == 0
+        outputs.append((capsys.readouterr().out, (workdir / f"{name}.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert not outputs[0][0].startswith("frames received: 3500/")
+
+
 def test_train_prints_rms_of_the_fit_residual(workdir, capsys):
     run_session(workdir, 11, "demo1.txt")
     run_session(workdir, 12, "demo2.txt")
@@ -375,11 +393,23 @@ _HUGE = [
      "--control-rate", "1e308", "--output", "demo.txt"],
     ["reproduce", "--model", "model.txt", "--duration", "1e308", "--output", "t.csv"],
     ["reproduce", "--model", "model.txt", "--control-rate", "1e308", "--output", "t.csv"],
+    # finite, but 2**53 samples or more
+    ["glove-emulate", "--config", "emu.txt", "--duration", "1e300", "--fast",
+     "--transport", "file:out.bin"],
+    ["record", "--transport", "file:empty.bin", "--calibration", "calib.txt",
+     "--duration", "1e300", "--output", "demo.txt"],
+    ["record", "--transport", "file:empty.bin", "--calibration", "calib.txt",
+     "--duration", "2", "--control-rate", "1e300", "--output", "demo.txt"],
+    ["reproduce", "--model", "model.txt", "--duration", "1e300", "--output", "t.csv"],
 ]
 
 
-@pytest.mark.parametrize("argv", _HUGE,
-                         ids=lambda argv: f"{argv[0]} {argv[argv.index('1e308') - 1]}")
+def _huge_id(argv):
+    i = next(i for i, arg in enumerate(argv) if arg in ("1e308", "1e300"))
+    return f"{argv[0]} {argv[i - 1]}" + ("" if argv[i] == "1e308" else f" {argv[i]}")
+
+
+@pytest.mark.parametrize("argv", _HUGE, ids=_huge_id)
 def test_huge_duration_or_rate_is_data_error(workdir, monkeypatch, capsys, argv):
     (workdir / "empty.bin").write_bytes(b"")
     model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))

@@ -9,7 +9,6 @@ from glovekit.controlsim import (
     PlantParams,
     PlantState,
     pd_torque,
-    resample_linear,
     simulate_tracking,
     step_plant,
 )
@@ -140,32 +139,3 @@ class TestSimulateTracking:
     def test_rejects_non_finite_reference(self):
         with pytest.raises(GlovekitError):
             simulate_tracking(np.array([[0.0], [np.inf]]))
-
-
-class TestResampleLinear:
-    def test_identity_at_equal_rates(self):
-        series = np.random.default_rng(0).normal(size=(17, 3))
-        out = resample_linear(series, 100.0, 100.0)
-        assert np.array_equal(out, series)
-
-    def test_midpoint_upsampling(self):
-        out = resample_linear(np.array([[0.0], [1.0]]), 1.0, 2.0)
-        assert out == pytest.approx(np.array([[0.0], [0.5], [1.0]]))
-
-    def test_stream_to_control_rate_length(self):
-        series = np.zeros((351, 2))
-        assert resample_linear(series, 350.0, 200.0).shape == (201, 2)
-
-    def test_exact_on_affine_series(self):
-        t = np.arange(100) / 350.0
-        series = np.column_stack([2.0 * t + 1.0, -0.5 * t])
-        out = resample_linear(series, 350.0, 200.0)
-        t_out = np.arange(out.shape[0]) / 200.0
-        expected = np.column_stack([2.0 * t_out + 1.0, -0.5 * t_out])
-        assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_requires_two_samples(self):
-        with pytest.raises(GlovekitError):
-            resample_linear(np.zeros((1, 2)), 100.0, 50.0)
-        with pytest.raises(GlovekitError):
-            resample_linear(np.zeros((5, 2)), 0.0, 50.0)

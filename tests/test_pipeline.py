@@ -1,8 +1,11 @@
 import errno
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit import model as model_module
@@ -21,9 +24,15 @@ from glovekit.model import (
     mean_trajectory,
     train_model,
 )
-from glovekit.pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
-from glovekit.wire import FRAME_SIZE, PwmCommand, parse_pwm_command
-from oracles import ScalarStreamParser
+from glovekit.pipeline import (
+    evaluate,
+    feedback_loop,
+    frames_to_demo,
+    read_raw_frames,
+    record,
+    reproduce,
+)
+from glovekit.wire import FRAME_SIZE, PwmCommand, StreamParser, parse_pwm_command
 
 
 def recorded_demo(seed=11, duration=15.0, data=None):
@@ -36,6 +45,15 @@ def recorded_demo(seed=11, duration=15.0, data=None):
         fx.STREAM_RATE,
         fx.CONTROL_RATE,
     )
+
+
+def flip_bytes(data, seed, fraction=0.01):
+    """XOR a random nonzero value into ``fraction`` of the bytes."""
+    data = bytearray(data)
+    rng = np.random.default_rng(seed)
+    for i in rng.choice(len(data), size=int(len(data) * fraction), replace=False):
+        data[i] ^= int(rng.integers(1, 256))
+    return bytes(data)
 
 
 class TestRecord:
@@ -85,36 +103,75 @@ class TestRecord:
         assert demo.T == 3000  # interpolation still fills the nominal grid
 
     def test_reads_ask_for_no_more_than_the_missing_frames(self):
-        data = bytearray(fx.emulate_stream(11, 20.0))
-        rng = np.random.default_rng(5)
-        for i in rng.choice(len(data), size=len(data) // 100, replace=False):
-            data[i] ^= int(rng.integers(1, 256))
-        nominal = int(10.0 * fx.STREAM_RATE)
+        """No read asks past the bytes of the duration's nominal frames."""
+        data = flip_bytes(fx.emulate_stream(11, 20.0), seed=5)
+        limit = int(10.0 * fx.STREAM_RATE) * FRAME_SIZE
 
         class SpyReader(io.BytesIO):
-            """Checks each request against the frames a reference parser has seen."""
-
             def __init__(self, data):
                 super().__init__(data)
-                self.reference = ScalarStreamParser()
                 self.sizes = []
 
             def read(self, size=-1):
-                missing = nominal - self.reference.frames_decoded
-                assert 0 < size <= min(pipeline._READ_CHUNK, missing * FRAME_SIZE)
+                assert 0 < size <= min(pipeline._READ_CHUNK, limit - self.tell())
                 self.sizes.append(size)
-                chunk = super().read(size)
-                self.reference.feed(chunk)
-                return chunk
+                return super().read(size)
 
-        spy = SpyReader(bytes(data))
+        spy = SpyReader(data)
         raw, stats = read_raw_frames(spy, 10.0, fx.STREAM_RATE)
-        assert stats.frames_received == raw.shape[0] == nominal
+        assert spy.tell() == limit
         assert spy.sizes[0] == pipeline._READ_CHUNK and min(spy.sizes) < pipeline._READ_CHUNK
+        assert stats.frames_received == raw.shape[0] < stats.nominal_frames
+
+    def test_corrupted_stream_stays_close_to_clean(self):
+        """Frames keep their stream position, so on a noise-free stream the
+        rows bridging lost frames stay within interpolation error of the clean
+        recording."""
+        data = fx.emulate_stream(11, 15.0, noise_std=0.0)
+        clean, _ = recorded_demo(data=data)
+        demo, stats = recorded_demo(data=flip_bytes(data, seed=77))
+        assert stats.frames_received < 0.9 * stats.nominal_frames
+        assert np.sqrt(np.mean((demo.values - clean.values) ** 2)) < 1e-3
 
     def test_empty_stream_is_transport_error(self):
         with pytest.raises(TransportError):
             recorded_demo(data=b"")
+
+
+PLACEMENT_STREAM = fx.emulate_stream(11, 5.0)
+
+
+def demo_of(raw, stats):
+    return frames_to_demo(raw, stats, fx.make_profile(), fx.make_coupling13(),
+                          fx.STREAM_RATE, fx.CONTROL_RATE, 5.0)
+
+
+@given(st.lists(st.tuples(st.integers(0, len(PLACEMENT_STREAM) - 1), st.integers(1, 255)),
+                max_size=80))
+@settings(max_examples=60, deadline=None)
+def test_flipped_bytes_move_no_intact_frame(flips):
+    """Byte flips lose frames but never move the intact ones: each keeps its
+    clean index and values, and a row between two intact frames keeps the
+    clean row's bits."""
+    data = bytearray(PLACEMENT_STREAM)
+    for pos, mask in flips:
+        data[pos] ^= mask
+    flipped = {pos for pos, _ in flips}
+    clean_raw, clean_stats = read_raw_frames(io.BytesIO(PLACEMENT_STREAM), 5.0, fx.STREAM_RATE)
+    raw, stats = read_raw_frames(io.BytesIO(bytes(data)), 5.0, fx.STREAM_RATE)
+    _, offsets = StreamParser().decode(bytes(data))
+    assert stats.index.tolist() == (offsets // FRAME_SIZE).tolist()
+    assert np.all(np.diff(stats.index) > 0)
+    intact = set()
+    for k, offset in enumerate(offsets.tolist()):
+        if offset % FRAME_SIZE == 0 and flipped.isdisjoint(range(offset, offset + FRAME_SIZE)):
+            i = offset // FRAME_SIZE
+            assert raw[k].tolist() == clean_raw[i].tolist()
+            intact.add(i)
+    demo, clean = demo_of(raw, stats), demo_of(clean_raw, clean_stats)
+    for j, position in enumerate(np.arange(demo.T) * (fx.STREAM_RATE / fx.CONTROL_RATE)):
+        if math.floor(position) in intact and math.ceil(position) in intact:
+            assert demo.values[j].tobytes() == clean.values[j].tobytes()
 
 
 class TestFeedbackLoop:

@@ -172,9 +172,11 @@ def assert_same_as_reference(data: bytes, chunk_sizes: list[int]) -> None:
         chunk = data[pos : pos + chunk_sizes[i % len(chunk_sizes)]]
         pos += len(chunk)
         i += 1
-        decoded = parser.decode(chunk)
+        decoded, offsets = parser.decode(chunk)
         assert decoded.shape[1] == 5
+        known = len(reference.offsets)
         assert [tuple(row) for row in decoded.tolist()] == reference.feed(chunk)
+        assert offsets.tolist() == reference.offsets[known:]
         assert parser.bytes_skipped == reference.bytes_skipped
         assert parser.frames_decoded == reference.frames_decoded
         assert parser.buffer == reference.buffer
@@ -187,10 +189,11 @@ def test_decode_matches_byte_by_byte_reference(data, chunk_sizes):
 
 
 def test_overlapping_valid_frames_keep_the_first():
-    first = StreamParser().decode(OVERLAPPING_PAIR[:13])
-    second = StreamParser().decode(OVERLAPPING_PAIR[5:])
+    first, _ = StreamParser().decode(OVERLAPPING_PAIR[:13])
+    second, _ = StreamParser().decode(OVERLAPPING_PAIR[5:])
     assert len(first) == len(second) == 1
-    assert StreamParser().decode(OVERLAPPING_PAIR).tolist() == first.tolist()
+    both, offsets = StreamParser().decode(OVERLAPPING_PAIR)
+    assert both.tolist() == first.tolist() and offsets.tolist() == [0]
     assert_same_as_reference(OVERLAPPING_PAIR, [len(OVERLAPPING_PAIR)])
 
 
