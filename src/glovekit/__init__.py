@@ -14,7 +14,6 @@ from .calibration import (
     identity_coupling_map,
     raw_to_angle,
     tactile_to_pwm,
-    tactile_to_pwm_command,
 )
 from .controlsim import (
     Gains,
@@ -44,15 +43,12 @@ from .model import (
     estimate_noise,
     fit_distribution,
     fit_weights,
-    log_likelihood,
     marginal_std,
     mean_trajectory,
     train_model,
 )
 from .pipeline import evaluate, feedback_loop, record, reproduce
 from .wire import (
-    PwmCommand,
-    SensorFrame,
     StreamParser,
     encode_pwm_command,
     parse_pwm_command,

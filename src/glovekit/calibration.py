@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ShapeMismatchError
-from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX, PwmCommand
+from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX
 
 DEFAULT_JOINT_MIN = 0.0
 DEFAULT_JOINT_MAX = math.pi / 2
@@ -129,32 +129,23 @@ def default_coupling_map() -> CouplingMap:
 
 @dataclass(frozen=True)
 class ForceFeedbackMap:
-    """Proportional tactile -> PWM map with per-finger scaling."""
+    """Proportional tactile -> PWM map: ``f_max`` gives full duty."""
 
     f_max: float
-    scale: tuple[float, ...] = (1.0,) * NUM_CHANNELS
 
     def __post_init__(self):
         if not (self.f_max > 0 and math.isfinite(self.f_max)):
             raise CalibrationError(f"f_max must be positive and finite, got {self.f_max}")
-        if len(self.scale) != NUM_CHANNELS:
-            raise CalibrationError(f"scale must have {NUM_CHANNELS} entries")
 
 
-def tactile_to_pwm(fmap: ForceFeedbackMap, force: float, finger: int = 0) -> int:
-    """Map one tactile reading to a PWM duty cycle; clamps into [0, 255].
+def tactile_to_pwm(fmap: ForceFeedbackMap, forces) -> np.ndarray:
+    """Map tactile readings, an (n, 5) array or one row, to integer PWM duty
+    cycles of the same shape, clamped into [0, 255].
 
     The duty ratio is clamped before it is rounded half away from zero, which
     gives the integer of rounding first for every finite ratio; an overflowing
     ratio maps to 255 and a NaN one to 0.
     """
-    ratio = PWM_MAX * fmap.scale[finger] * float(force) / fmap.f_max
-    return math.floor(min(PWM_MAX, max(0.0, ratio)) + 0.5)
-
-
-def tactile_to_pwm_command(fmap: ForceFeedbackMap, forces) -> PwmCommand:
-    """Map 5 tactile readings to a full PWM command."""
-    forces = list(forces)
-    if len(forces) != NUM_CHANNELS:
-        raise ShapeMismatchError(f"expected {NUM_CHANNELS} tactile values")
-    return PwmCommand(tuple(tactile_to_pwm(fmap, f, i) for i, f in enumerate(forces)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = PWM_MAX * np.asarray(forces, dtype=float) / fmap.f_max
+    return np.floor(np.fmin(np.fmax(ratio, 0.0), PWM_MAX) + 0.5).astype(int)

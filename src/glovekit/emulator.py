@@ -89,7 +89,10 @@ class GloveEmulator:
 
 
 def sample_count(duration: float, rate: float) -> int:
-    """floor(duration * rate): the samples in ``duration`` seconds at ``rate`` Hz."""
+    """floor(duration * rate): the samples in ``duration`` seconds at ``rate`` Hz,
+    which must be positive."""
+    if not rate > 0:
+        raise GlovekitError(f"rate must be positive, got {rate!r}")
     product = duration * rate
     # from 2**53 on a float no longer tells neighbouring counts apart
     if not (math.isfinite(product) and product < 2**53):

@@ -89,7 +89,7 @@ def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, w
     table, taking one block of rows from the iterator at a time, so only one
     block's tokens exist at once. A row of ``n != cols`` tokens raises
     ``FormatError(bad_count(n))``."""
-    block = max(1, _BLOCK_TOKENS // cols)
+    block = max(1, _BLOCK_TOKENS // max(cols, 1))
     table = np.empty((n_rows, cols))
     for start in range(0, n_rows, block):
         rows = list(islice(token_rows, block))

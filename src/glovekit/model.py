@@ -63,6 +63,8 @@ class Demonstration:
         object.__setattr__(self, "values", v)
         if v.shape[0] < 2:
             raise GlovekitError(f"demonstration needs T >= 2 samples, got {v.shape[0]}")
+        if v.shape[1] < 1:
+            raise GlovekitError(f"demonstration needs D >= 1 joints, got {v.shape[1]}")
         if not np.all(np.isfinite(v)):
             raise GlovekitError("demonstration contains non-finite values")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -165,6 +167,8 @@ class TrajectoryModel:
     eps_reg: float = DEFAULT_EPS_REG
 
     def __post_init__(self):
+        if self.D < 1:
+            raise GlovekitError(f"model needs D >= 1 joints, got {self.D}")
         mu = np.asarray(self.mu_w, dtype=float)
         sw = np.asarray(self.sigma_w, dtype=float)
         sy = np.asarray(self.sigma_y, dtype=float)
@@ -218,15 +222,11 @@ def marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     return std
 
 
-def log_likelihood(model: TrajectoryModel, demo: Demonstration, mean: np.ndarray) -> float:
-    """Log-probability of a demonstration around a (T, D) mean trajectory (nats)."""
-    return float(log_likelihood_per_joint(model, demo, mean).sum())
-
-
 def log_likelihood_per_joint(
     model: TrajectoryModel, demo: Demonstration, mean: np.ndarray
 ) -> np.ndarray:
-    """Per-joint decomposition of :func:`log_likelihood` (diagonal noise)."""
+    """Per-joint log-probability (nats) of a demonstration around a (T, D) mean
+    trajectory under the diagonal noise; its sum is the demo's log-likelihood."""
     if demo.D != model.D:
         raise ShapeMismatchError(f"demo dimension {demo.D} != model dimension {model.D}")
     residual = demo.values - mean

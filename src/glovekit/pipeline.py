@@ -16,7 +16,7 @@ from .calibration import (
     ForceFeedbackMap,
     apply_coupling,
     raw_to_angle,
-    tactile_to_pwm_command,
+    tactile_to_pwm,
 )
 from .controlsim import (
     DEFAULT_CONTROL_RATE,
@@ -36,7 +36,7 @@ from .model import (
     mean_trajectory,
 )
 from .transports import send
-from .wire import FRAME_SIZE, NUM_CHANNELS, PwmCommand, StreamParser, encode_pwm_command
+from .wire import FRAME_SIZE, NUM_CHANNELS, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 16384
 # below this fraction of the nominal frame count the recording is flagged
@@ -79,9 +79,10 @@ def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
         if not data:
             break
         left -= len(data)
-        values, offsets = parser.decode(data)
-        blocks.append(values)
-        index.append(offsets // FRAME_SIZE)
+        frames = parser.feed(data)
+        # a compact copy: a view of the field would keep every whole record
+        blocks.append(frames["channels"].copy())
+        index.append(frames["offset"] // FRAME_SIZE)
     received = parser.frames_decoded
     stats = RecordStats(
         frames_received=received,
@@ -138,18 +139,16 @@ def record(
     return demo, stats
 
 
-def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> list[PwmCommand]:
+def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> np.ndarray:
     """Map each tactile sample to a PWM command and send it down the transport.
 
-    A failed transport ends the loop cleanly; returns the commands sent.
+    A failed transport ends the loop cleanly; returns the duty rows sent, (sent, 5).
     """
-    sent: list[PwmCommand] = []
-    for forces in np.atleast_2d(np.asarray(tactile_forces, dtype=float)):
-        cmd = tactile_to_pwm_command(fmap, forces)
-        if not send(writer, encode_pwm_command(cmd).encode("ascii")):
-            break
-        sent.append(cmd)
-    return sent
+    duties = tactile_to_pwm(fmap, np.atleast_2d(tactile_forces))
+    for sent, duty in enumerate(duties.tolist()):
+        if not send(writer, encode_pwm_command(duty).encode("ascii")):
+            return duties[:sent]
+    return duties
 
 
 @dataclass(frozen=True)

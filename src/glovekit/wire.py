@@ -22,34 +22,8 @@ NUM_CHANNELS = 5
 ADC_MAX = 1023
 PWM_MAX = 255
 FRAME_SIZE = 13  # sync + 5 * uint16 + checksum + terminator
-
-
-@dataclass(frozen=True)
-class SensorFrame:
-    """One decoded 5-channel flex-sensor sample (raw 10-bit ADC counts)."""
-
-    channels: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.channels) != NUM_CHANNELS:
-            raise ProtocolError(f"expected {NUM_CHANNELS} channels, got {len(self.channels)}")
-        for v in self.channels:
-            if not (0 <= v <= ADC_MAX):
-                raise ProtocolError(f"channel value {v} outside [0, {ADC_MAX}]")
-
-
-@dataclass(frozen=True)
-class PwmCommand:
-    """Per-finger vibration-motor duty cycles in [0, 255]."""
-
-    duty: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.duty) != NUM_CHANNELS:
-            raise ProtocolError(f"expected {NUM_CHANNELS} duty values, got {len(self.duty)}")
-        for v in self.duty:
-            if not (0 <= v <= PWM_MAX):
-                raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
+# one decoded frame: the stream offset of its first byte and its raw counts
+FRAME_DTYPE = np.dtype([("offset", "<i8"), ("channels", "<u2", (NUM_CHANNELS,))])
 
 
 def encode_frames(values) -> bytes:
@@ -83,10 +57,10 @@ class StreamParser:
     frames_decoded: int = 0
     bytes_skipped: int = 0
 
-    def decode(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """Consume a chunk; return the complete frames as an (n, 5) uint16 array
-        and the stream offset of each one's first byte, counted from the first
-        byte ever fed."""
+    def feed(self, data: bytes) -> np.ndarray:
+        """Consume a chunk; return its complete frames as a ``FRAME_DTYPE``
+        array: each frame's raw counts and the stream offset of its first
+        byte, counted from the first byte ever fed."""
         # every byte fed before the held ones is counted in a frame or skipped
         base = FRAME_SIZE * self.frames_decoded + self.bytes_skipped
         if self.buffer:
@@ -122,20 +96,31 @@ class StreamParser:
         self.buffer = bytearray(data[consumed:])
         self.bytes_skipped += consumed - FRAME_SIZE * starts.size
         self.frames_decoded += starts.size
-        return values, starts + base
-
-    def feed(self, data: bytes) -> list[SensorFrame]:
-        """Consume a chunk; return the complete frames as :class:`SensorFrame` objects."""
-        return [SensorFrame(tuple(row)) for row in self.decode(data)[0].tolist()]
-
-
-def encode_pwm_command(cmd: PwmCommand) -> str:
-    """Format a PWM command as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``."""
-    return "P " + " ".join(str(v) for v in cmd.duty) + "\n"
+        frames = np.empty(starts.size, dtype=FRAME_DTYPE)
+        frames["offset"] = starts + base
+        frames["channels"] = values
+        return frames
 
 
-def parse_pwm_command(line: str) -> PwmCommand:
-    """Parse a host PWM command line; raises ProtocolError when malformed."""
+def _checked_duty(duty) -> tuple[int, ...]:
+    duty = tuple(duty)
+    if len(duty) != NUM_CHANNELS:
+        raise ProtocolError(f"expected {NUM_CHANNELS} duty values, got {len(duty)}")
+    for v in duty:
+        if not (0 <= v <= PWM_MAX):
+            raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
+    return duty
+
+
+def encode_pwm_command(duty) -> str:
+    """Format 5 duty cycles in [0, 255] as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``;
+    raises ProtocolError for another count or a value out of range."""
+    return "P " + " ".join(map(str, _checked_duty(duty))) + "\n"
+
+
+def parse_pwm_command(line: str) -> tuple[int, ...]:
+    """Parse a host PWM command line into its 5 duty cycles; raises
+    ProtocolError when malformed."""
     tokens = line.strip().split(" ")
     if len(tokens) != NUM_CHANNELS + 1:
         raise ProtocolError(f"expected 6 fields, got {len(tokens)}: {line!r}")
@@ -147,4 +132,4 @@ def parse_pwm_command(line: str) -> PwmCommand:
             values.append(int(tok))
         except ValueError:
             raise ProtocolError(f"non-numeric PWM value {tok!r}") from None
-    return PwmCommand(tuple(values))
+    return _checked_duty(values)

@@ -160,10 +160,12 @@ def tracking_per_step(reference, gains, params, rate):
     return executed, np.sqrt((error**2).mean(axis=0)), np.abs(error).max(axis=0)
 
 
-def pwm_round_then_clamp(fmap, force, finger=0):
+def pwm_round_then_clamp(fmap, force):
     """PWM duty of one tactile reading: the ratio rounded half away from zero,
-    then clamped into [0, 255]."""
-    x = 255 * fmap.scale[finger] * force / fmap.f_max
+    then clamped into [0, 255]; an infinite ratio clamps and a NaN one is 0."""
+    x = 255 * force / fmap.f_max
+    if not math.isfinite(x):
+        return 255 if x == math.inf else 0
     pwm = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
     return min(max(pwm, 0), 255)
 

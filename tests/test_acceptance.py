@@ -25,7 +25,7 @@ from glovekit.model import (
     stack_weights,
     train_model,
 )
-from glovekit.wire import FRAME_SIZE, SensorFrame, StreamParser, encode_frames
+from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
 from oracles import covariance_term_by_term, ridge_weights_oracle
 
 
@@ -43,17 +43,14 @@ def test_criterion_01_protocol_round_trip_and_corruption():
     with criterion(1, "10^5 frame round-trip, corruption recovery, < 5 s"):
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
-        frames = [
-            SensorFrame(tuple(int(v) for v in row))
-            for row in rng.integers(0, 1024, (100_000, 5))
-        ]
-        data = encode_frames([f.channels for f in frames])
+        frames = rng.integers(0, 1024, (100_000, 5)).astype(np.uint16)
+        data = encode_frames(frames)
 
         parser = StreamParser()
-        decoded = []
-        for i in range(0, len(data), 65536):
-            decoded.extend(parser.feed(data[i : i + 65536]))
-        assert decoded == frames
+        decoded = np.concatenate(
+            [parser.feed(data[i : i + 65536]) for i in range(0, len(data), 65536)]
+        )
+        assert np.array_equal(decoded["channels"], frames)
         assert parser.bytes_skipped == 0
 
         corrupted = bytearray(data)
@@ -61,16 +58,16 @@ def test_criterion_01_protocol_round_trip_and_corruption():
         for i in flips:
             corrupted[i] ^= int(rng.integers(1, 256))
         touched = {int(i) // FRAME_SIZE for i in flips}
-        survivors = [f for k, f in enumerate(frames) if k not in touched]
+        survivors = [tuple(f) for k, f in enumerate(frames.tolist()) if k not in touched]
 
         parser = StreamParser()
-        decoded = []
-        for i in range(0, len(corrupted), 65536):
-            decoded.extend(parser.feed(bytes(corrupted[i : i + 65536])))
+        decoded = np.concatenate([
+            parser.feed(bytes(corrupted[i : i + 65536])) for i in range(0, len(corrupted), 65536)
+        ])
         # every untouched frame must come out, in order
         idx = 0
-        for f in decoded:
-            if idx < len(survivors) and f == survivors[idx]:
+        for f in decoded["channels"].tolist():
+            if idx < len(survivors) and tuple(f) == survivors[idx]:
                 idx += 1
         assert idx == len(survivors), f"lost {len(survivors) - idx} uncorrupted frames"
 

@@ -2,6 +2,7 @@
 and every method the benchmark's tracer patches exists."""
 
 import ast
+import io
 import importlib
 import importlib.util
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import glovekit
+from glovekit import pipeline
+from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -33,19 +36,47 @@ def test_no_module_imports_private_names_of_another():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
-def tracer_methods():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name
     sys.modules[spec.name] = tracer
     spec.loader.exec_module(tracer)
-    return tracer.METHODS
+    return tracer
 
 
-@pytest.mark.parametrize("layer,cls,method", tracer_methods(),
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("layer,cls,method", tracer.METHODS,
                          ids=lambda part: part if isinstance(part, str) else None)
 def test_tracer_patches_a_method_the_class_defines(layer, cls, method):
     """The tracer replaces ``vars(cls)[method]``; an inherited or removed
     method would leave its span metrics reading 0."""
     module = importlib.import_module(f"glovekit.{layer}")
     assert method in vars(getattr(module, cls))
+
+
+
+def test_tracer_feed_probe_reads_the_reader_loop():
+    """The ``wire.*`` metrics come from ``_feed_counts`` on each ``feed`` span.
+    ``read_raw_frames``, the loop of ``record`` and ``calibrate``, must go
+    through ``feed``, and on a corrupted chunk the probe must read its bytes,
+    frames and skipped bytes, or those metrics fall back to 0 unnoticed."""
+    good = encode_frames([(1, 2, 3, 4, 5)] * 3)
+    bad_checksum = good[:11] + bytes([good[11] ^ 0xFF, good[12]])
+    chunk = b"\x00\x01" + bad_checksum + good[FRAME_SIZE:]
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        _, stats = pipeline.read_raw_frames(io.BytesIO(chunk), 1.0, 350.0)
+    finally:
+        spans.uninstall()
+    view = tracer.PassView(spans.take(), spans.labels, 1.0)
+    assert stats.frames_received == 2
+    assert view.attrs("wire.StreamParser.feed") == [(len(chunk), 2, 2 + FRAME_SIZE)]
+    metrics = {name: value(view) for name, _, value in tracer.LAYER_METRICS}
+    assert metrics["wire.frames_decoded"] == 2
+    assert metrics["wire.bytes_skipped"] == 2 + FRAME_SIZE
+    assert metrics["wire.skip_ratio"] == (2 + FRAME_SIZE) / len(chunk)
+    assert metrics["wire.feed_s"] > 0 and metrics["wire.frames_per_s"] > 0

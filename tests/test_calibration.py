@@ -15,7 +15,6 @@ from glovekit.calibration import (
     identity_coupling_map,
     raw_to_angle,
     tactile_to_pwm,
-    tactile_to_pwm_command,
 )
 from glovekit.errors import CalibrationError, ShapeMismatchError
 from oracles import pwm_round_then_clamp
@@ -147,11 +146,6 @@ class TestForceFeedback:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0 <= v <= 255 for v in values)
 
-    def test_per_finger_scale(self):
-        fmap = ForceFeedbackMap(10.0, scale=(1.0, 0.5, 1.0, 1.0, 1.0))
-        cmd = tactile_to_pwm_command(fmap, [10.0, 10.0, 0.0, 0.0, 0.0])
-        assert cmd.duty == (255, 128, 0, 0, 0)
-
     def test_invalid_f_max(self):
         with pytest.raises(CalibrationError):
             ForceFeedbackMap(0.0)
@@ -171,9 +165,20 @@ class TestForceFeedback:
     @given(
         force=st.floats(allow_nan=False, allow_infinity=False),
         f_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        scale=st.floats(allow_nan=False, allow_infinity=False),
     )
-    def test_matches_round_then_clamp_for_every_finite_ratio(self, force, f_max, scale):
-        fmap = ForceFeedbackMap(f_max, scale=(scale,) * 5)
-        assume(math.isfinite(255 * scale * force / f_max))
+    def test_matches_round_then_clamp_for_every_finite_ratio(self, force, f_max):
+        fmap = ForceFeedbackMap(f_max)
+        assume(math.isfinite(255 * force / f_max))
         assert tactile_to_pwm(fmap, force) == pwm_round_then_clamp(fmap, force)
+
+    @given(
+        forces=st.lists(st.tuples(*[st.floats()] * 5), max_size=6),
+        f_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_rows_map_each_reading_on_its_own(self, forces, f_max):
+        """An (n, 5) array maps to (n, 5) integer duties, each the duty of its
+        own reading: NaN and overflowing ratios included."""
+        fmap = ForceFeedbackMap(f_max)
+        duties = tactile_to_pwm(fmap, np.array(forces, dtype=float).reshape(-1, 5))
+        assert duties.shape == (len(forces), 5) and duties.dtype.kind == "i"
+        assert duties.tolist() == [[pwm_round_then_clamp(fmap, f) for f in row] for row in forces]

@@ -6,15 +6,19 @@ import socket
 import sys
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit import formats, transports
 from glovekit.cli import main
 from glovekit.errors import GlovekitError
 from glovekit.model import BasisConfig, Demonstration, train_model
+from mutations import SAMPLES, mutated_file
 
 
 @pytest.fixture
@@ -380,6 +384,108 @@ def test_non_finite_demo_dt_is_data_error(workdir, capsys, dt):
     err = capsys.readouterr().err
     assert err.startswith("error: dt must be positive and finite") and err.count("\n") == 1
     assert not (workdir / "bands.csv").exists()
+
+
+# a demo and a model of zero joints: both load as text, neither is a trajectory
+ZERO_JOINT_DEMO = "demo-v1\nD 0\ndt 0.005\njoints \n0.0\n0.005\n0.01\n"
+ZERO_JOINT_MODEL = ("promp-v1\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\n"
+                    "centers 0.0 0.5 1.0\nmu_w \nsigma_y \n")
+
+
+def test_zero_joint_demo_is_data_error(workdir, capsys):
+    (workdir / "demo.txt").write_text(ZERO_JOINT_DEMO)
+    rc = main(["train", str(workdir / "demo.txt"), "--output", str(workdir / "model.txt")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: demonstration needs D >= 1 joints, got 0\n"
+    assert not (workdir / "model.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "demo.txt", "--model", "model.txt", "--output", "bands.csv"],
+    ["reproduce", "--model", "model.txt", "--output", "bands.csv"],
+], ids=lambda argv: argv[0])
+def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
+    formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
+    (workdir / "model.txt").write_text(ZERO_JOINT_MODEL)
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: model needs D >= 1 joints, got 0\n"
+    assert not (workdir / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-350"])
+@pytest.mark.parametrize("argv", [
+    ["record", "--transport", "file:stream.bin", "--calibration", "calib.txt",
+     "--duration", "1", "--output", "out.txt", "--stream-rate"],
+    ["calibrate", "--transport", "file:stream.bin", "--duration", "1", "--output", "out.txt",
+     "--stream-rate"],
+    ["record", "--transport", "file:stream.bin", "--calibration", "calib.txt",
+     "--duration", "1", "--output", "out.txt", "--control-rate"],
+    ["reproduce", "--model", "model.txt", "--output", "out.txt", "--control-rate"],
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_non_positive_rate_is_data_error(workdir, monkeypatch, capsys, argv, value):
+    (workdir / "stream.bin").write_bytes(fx.emulate_stream(11, 1.0))
+    formats.save_model(train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4)),
+                       workdir / "model.txt")
+    monkeypatch.chdir(workdir)
+    assert main([*argv[:-1], f"{argv[-1]}={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rate must be positive, got {float(value)!r}\n"
+    assert not (workdir / "out.txt").exists()
+
+
+@st.composite
+def cli_input(draw):
+    """An input format's short name and a mutated file of that format."""
+    kind = draw(st.sampled_from(list(SAMPLES)))
+    return kind, draw(mutated_file(kind))
+
+
+def _readers(d, file) -> dict:
+    """Per input format, the subcommands that read it, with ``file`` in its
+    place and the valid sample of every other format beside it."""
+    out = str(d / "out.txt")
+    record = ["record", "--transport", f"file:{d / 'stream.bin'}", "--duration", "0.2",
+              "--output", out]
+    return {
+        "emu": [["glove-emulate", "--config", str(file), "--duration", "0.01", "--fast",
+                 "--transport", f"file:{out}"]],
+        "calib": [[*record, "--calibration", str(file)]],
+        "coupling": [[*record, "--calibration", str(d / "calib"), "--coupling", str(file)]],
+        "demo": [["train", str(file), "--output", out],
+                 ["eval", str(file), "--model", str(d / "model"), "--output", out]],
+        "model": [["eval", str(d / "demo"), "--model", str(file), "--output", out],
+                  ["reproduce", "--model", str(file), "--duration", "0.1", "--output", out]],
+        "tactile": [["feedback", "--tactile", str(file), "--f-max", "1",
+                     "--transport", f"file:{out}"]],
+    }
+
+
+@given(case=cli_input())
+@example(case=("demo", ZERO_JOINT_DEMO.encode()))
+@example(case=("model", ZERO_JOINT_MODEL.encode()))
+@settings(max_examples=300, deadline=None)
+def test_any_input_file_ends_in_a_documented_exit_code(tmp_path_factory, case):
+    """Every subcommand that reads a mutated emu, calib, coupling, demo, model
+    or tactile file exits 0, 3 or 4, with one stderr line when it fails; any
+    other exception escapes ``main`` and fails the test."""
+    kind, content = case
+    d = tmp_path_factory.getbasetemp() / "cli_inputs"
+    if not d.exists():
+        d.mkdir()
+        for name, text in SAMPLES.items():
+            (d / name).write_text(text)
+        (d / "stream.bin").write_bytes(fx.emulate_stream(11, 0.2))
+    (d / "mutated").write_bytes(content)
+    for argv in _readers(d, d / "mutated")[kind]:
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            rc = main(argv)
+        err = stderr.getvalue()
+        assert rc in (0, 3, 4), (argv[0], err)
+        if rc:
+            assert err.endswith("\n") and err.count("\n") == 1, err
 
 
 _HUGE = [

@@ -1,7 +1,5 @@
 import math
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mutations import SAMPLES, mutated_file
 from glovekit import formats
 from glovekit.calibration import CalibrationProfile, CouplingMap, default_coupling_map
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
@@ -227,75 +226,24 @@ class TestResultCsvs:
                                    [mean, np.zeros((rows, 1))])
 
 
-def _valid_samples() -> dict:
-    """One valid file per loader, as text."""
-    model = train_model(
-        [Demonstration(np.column_stack([np.linspace(0, 1, 6), np.ones(6) * s]), 0.01)
-         for s in (0.1, 0.2)],
-        BasisConfig(K=3),
-    )
-    profile = CalibrationProfile((100.0,) * 5, (900.0,) * 5, (0.0,) * 5, (1.5,) * 5)
-    writers = {
-        formats.load_profile: lambda p: formats.save_profile(profile, p),
-        formats.load_coupling: lambda p: formats.save_coupling(default_coupling_map(), p),
-        formats.load_demo: lambda p: formats.save_demo(
-            Demonstration(np.arange(6.0).reshape(3, 2), 0.005), p),
-        formats.load_model: lambda p: formats.save_model(model, p),
-        formats.load_tactile: lambda p: formats.save_tactile([0.0, 0.1], np.eye(2, 5), p),
-        formats.load_emulator_config: lambda p: formats.save_emulator_config(
-            EmulatorConfig(channels=(ChannelWaveform(500.0, 100.0, 0.5, 1.0),) * 5, seed=3), p),
-    }
-    samples = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "sample.txt"
-        for loader, write in writers.items():
-            write(path)
-            samples[loader] = path.read_text()
-    return samples
-
-
-SAMPLES = _valid_samples()
-TOKENS = ["channel", "row", "D", "dt", "joints", "K", "h", "lambda", "eps_reg", "normalize",
-          "centers", "mu_w", "sigma_w", "sigma_y", "rate", "noise_std", "seed",
-          "channel1.offset", "0", "1", "2", "3", "-1", "0.5", "1e400", "nan", "inf", "x", "é"]
-
-
-@st.composite
-def mutated_file(draw, loader):
-    """Bytes: the loader's valid sample with tokens and lines replaced,
-    inserted or deleted, or arbitrary text, or arbitrary bytes."""
-    kind = draw(st.sampled_from(["mutated", "text", "bytes"]))
-    if kind == "text":
-        return draw(st.text()).encode()
-    if kind == "bytes":
-        return draw(st.binary())
-    lines = [line.split(" ") for line in SAMPLES[loader].splitlines()]
-    token = st.one_of(st.sampled_from(TOKENS), st.text(max_size=4))
-    for _ in range(draw(st.integers(1, 5))):
-        i = draw(st.integers(0, len(lines) - 1))
-        j = draw(st.integers(0, len(lines[i])))
-        op = draw(st.sampled_from(["replace", "insert", "delete", "drop_line", "copy_line"]))
-        if op == "replace" and j < len(lines[i]):
-            lines[i][j] = draw(token)
-        elif op == "insert":
-            lines[i].insert(j, draw(token))
-        elif op == "delete" and j < len(lines[i]):
-            del lines[i][j]
-        elif op == "drop_line" and len(lines) > 1:
-            del lines[i]
-        elif op == "copy_line":
-            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
-    return "\n".join(" ".join(line) for line in lines).encode()
+LOADERS = {
+    "calib": formats.load_profile,
+    "coupling": formats.load_coupling,
+    "demo": formats.load_demo,
+    "model": formats.load_model,
+    "tactile": formats.load_tactile,
+    "emu": formats.load_emulator_config,
+}
 
 
 @given(st.data())
 @settings(max_examples=600, deadline=None)
 def test_loaders_raise_only_glovekit_errors(tmp_path_factory, data):
-    loader = data.draw(st.sampled_from(list(SAMPLES)))
+    kind = data.draw(st.sampled_from(list(SAMPLES)))
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-    path.write_bytes(data.draw(mutated_file(loader)))
+    path.write_bytes(data.draw(mutated_file(kind)))
     try:
-        loader(path)
+        LOADERS[kind](path)
     except GlovekitError:
         pass
 

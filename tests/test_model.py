@@ -13,7 +13,7 @@ from glovekit.model import (
     estimate_noise,
     fit_distribution,
     fit_weights,
-    log_likelihood,
+    log_likelihood_per_joint,
     marginal_std,
     mean_trajectory,
     stack_weights,
@@ -284,16 +284,17 @@ class TestLogLikelihood:
         model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5), np.array([1.0]), 1)
         demo = Demonstration(np.zeros((t_steps, 1)), 0.01)
         mean = mean_trajectory(model, design_matrix(t_steps, cfg))
-        assert log_likelihood(model, demo, mean) == pytest.approx(-t_steps / 2 * np.log(2 * np.pi))
+        ll = log_likelihood_per_joint(model, demo, mean).sum()
+        assert ll == pytest.approx(-t_steps / 2 * np.log(2 * np.pi))
 
     def test_inflating_noise_decreases_zero_residual_likelihood(self):
         cfg = BasisConfig(K=5)
         demo = Demonstration(np.zeros((30, 1)), 0.01)
         mean = np.zeros((30, 1))
         lls = [
-            log_likelihood(
+            log_likelihood_per_joint(
                 TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5), np.array([s]), 1), demo, mean
-            )
+            ).sum()
             for s in [1.0, 2.0, 10.0]
         ]
         assert lls[0] > lls[1] > lls[2]
@@ -306,13 +307,14 @@ class TestLogLikelihood:
         demo = Demonstration(np.array([[0.1], [0.0], [0.3]]), 0.01)
         mean = mean_trajectory(model, design_matrix(3, cfg))
         expected = gaussian_logpdf_sum(demo.values[:, 0], mean[:, 0], var)
-        assert log_likelihood(model, demo, mean) == pytest.approx(expected, abs=1e-10)
+        ll = log_likelihood_per_joint(model, demo, mean).sum()
+        assert ll == pytest.approx(expected, abs=1e-10)
 
     def test_dimension_mismatch(self):
         model = train_model([sine_demo(D=2)], BasisConfig(K=5))
         mean = mean_trajectory(model, design_matrix(200, model.basis))
         with pytest.raises(ShapeMismatchError):
-            log_likelihood(model, sine_demo(D=3), mean)
+            log_likelihood_per_joint(model, sine_demo(D=3), mean)
 
 
 class TestDemonstration:
@@ -323,6 +325,13 @@ class TestDemonstration:
             Demonstration(np.array([[np.nan], [1.0]]), 0.01)
         with pytest.raises(GlovekitError):
             Demonstration(np.ones((5, 2)), 0.0)
+
+    def test_needs_at_least_one_joint(self):
+        with pytest.raises(GlovekitError, match="demonstration needs D >= 1 joints, got 0"):
+            Demonstration(np.ones((5, 0)), 0.01)
+        cfg = BasisConfig(K=3)
+        with pytest.raises(GlovekitError, match="model needs D >= 1 joints, got 0"):
+            TrajectoryModel(cfg, np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
 
     def test_train_requires_matching_dims(self):
         with pytest.raises(ShapeMismatchError):

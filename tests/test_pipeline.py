@@ -32,7 +32,7 @@ from glovekit.pipeline import (
     record,
     reproduce,
 )
-from glovekit.wire import FRAME_SIZE, PwmCommand, StreamParser, parse_pwm_command
+from glovekit.wire import FRAME_SIZE, StreamParser, parse_pwm_command
 
 
 def recorded_demo(seed=11, duration=15.0, data=None):
@@ -159,7 +159,7 @@ def test_flipped_bytes_move_no_intact_frame(flips):
     flipped = {pos for pos, _ in flips}
     clean_raw, clean_stats = read_raw_frames(io.BytesIO(PLACEMENT_STREAM), 5.0, fx.STREAM_RATE)
     raw, stats = read_raw_frames(io.BytesIO(bytes(data)), 5.0, fx.STREAM_RATE)
-    _, offsets = StreamParser().decode(bytes(data))
+    offsets = StreamParser().feed(bytes(data))["offset"]
     assert stats.index.tolist() == (offsets // FRAME_SIZE).tolist()
     assert np.all(np.diff(stats.index) > 0)
     intact = set()
@@ -178,19 +178,19 @@ class TestFeedbackLoop:
     def test_zero_forces_zero_commands(self):
         sink = io.BytesIO()
         sent = feedback_loop(ForceFeedbackMap(10.0), np.zeros((5, 5)), sink)
-        assert all(cmd.duty == (0, 0, 0, 0, 0) for cmd in sent)
+        assert sent.shape == (5, 5) and not sent.any()
         assert sink.getvalue() == b"P 0 0 0 0 0\n" * 5
 
     def test_full_scale_single_finger(self):
         sink = io.BytesIO()
         sent = feedback_loop(ForceFeedbackMap(10.0), [[0.0, 10.0, 0.0, 0.0, 0.0]], sink)
-        assert sent[0].duty == (0, 255, 0, 0, 0)
+        assert sent.tolist() == [[0, 255, 0, 0, 0]]
 
     def test_ramp_is_monotone(self):
         forces = np.linspace(0, 10, 40)[:, None] * np.ones((1, 5))
         sink = io.BytesIO()
         sent = feedback_loop(ForceFeedbackMap(10.0), forces, sink)
-        duties = [cmd.duty[0] for cmd in sent]
+        duties = sent[:, 0].tolist()
         assert duties == sorted(duties)
 
     def test_commands_parse_on_the_emulator_side(self):
@@ -198,7 +198,7 @@ class TestFeedbackLoop:
         feedback_loop(ForceFeedbackMap(10.0), [[5.0] * 5, [10.0] * 5], sink)
         lines = sink.getvalue().decode().splitlines()
         commands = [parse_pwm_command(line + "\n") for line in lines]
-        assert commands[-1] == PwmCommand((255,) * 5)
+        assert commands[-1] == (255,) * 5
 
     def test_failed_transport_ends_cleanly(self):
         class Broken:
@@ -206,7 +206,20 @@ class TestFeedbackLoop:
                 raise BrokenPipeError("gone")
 
         sent = feedback_loop(ForceFeedbackMap(10.0), np.ones((3, 5)), Broken())
-        assert sent == []
+        assert sent.shape == (0, 5)
+
+    def test_reader_leaving_midway_returns_the_rows_sent(self):
+        class LeavesAfterTwo(io.BytesIO):
+            def write(self, data):
+                if self.getvalue().count(b"\n") == 2:
+                    raise BrokenPipeError("gone")
+                return super().write(data)
+
+        sink = LeavesAfterTwo()
+        forces = np.array([[0.0] * 5, [5.0] * 5, [10.0] * 5])
+        sent = feedback_loop(ForceFeedbackMap(10.0), forces, sink)
+        assert sent.tolist() == [[0] * 5, [128] * 5]
+        assert sink.getvalue() == b"P 0 0 0 0 0\nP 128 128 128 128 128\n"
 
     def test_failing_device_is_transport_error(self):
         class Full:

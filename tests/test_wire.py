@@ -10,9 +10,8 @@ import fixture13 as fx
 from glovekit.emulator import run_emulator
 from glovekit.errors import ProtocolError
 from glovekit.wire import (
+    FRAME_DTYPE,
     FRAME_SIZE,
-    PwmCommand,
-    SensorFrame,
     StreamParser,
     encode_frames,
     encode_pwm_command,
@@ -40,68 +39,83 @@ def test_frame_is_13_bytes():
     assert len(encode_frames((1, 2, 3, 4, 5))) == FRAME_SIZE
 
 
+def channels_of(frames) -> list[tuple]:
+    return [tuple(row) for row in frames["channels"].tolist()]
+
+
 def test_frame_rejects_out_of_range():
-    with pytest.raises(ProtocolError):
-        SensorFrame((1024, 0, 0, 0, 0))
-    with pytest.raises(ProtocolError):
-        SensorFrame((0, 0, 0, 0))
+    # checksum and terminator valid, one count above 1023
+    parser = StreamParser()
+    frames = parser.feed(scalar_frame_bytes((1024, 0, 0, 0, 0)) + encode_frames((1, 2, 3, 4, 5)))
+    assert channels_of(frames) == [(1, 2, 3, 4, 5)]
+    assert frames["offset"].tolist() == [FRAME_SIZE]
+    assert parser.bytes_skipped == FRAME_SIZE
+
+
+def test_feed_returns_one_record_per_frame():
+    frames = StreamParser().feed(b"\x00" + encode_frames([(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)]))
+    assert frames.dtype == FRAME_DTYPE and frames.dtype.itemsize == 18
+    assert len(frames) == 2 and frames["channels"].shape == (2, 5)
+    assert frames["offset"].tolist() == [1, 1 + FRAME_SIZE]
+    empty = StreamParser().feed(b"")
+    assert empty.dtype == FRAME_DTYPE and len(empty) == 0
 
 
 @given(channels_st)
 def test_round_trip_single_frame(channels):
-    frame = SensorFrame(channels)
     parser = StreamParser()
-    assert parser.feed(encode_frames(frame.channels)) == [frame]
+    assert channels_of(parser.feed(encode_frames(channels))) == [channels]
     assert parser.bytes_skipped == 0
     assert len(parser.buffer) == 0
 
 
 def test_split_frame_across_two_calls():
-    frame = SensorFrame((10, 20, 30, 40, 50))
-    data = encode_frames(frame.channels)
+    channels = (10, 20, 30, 40, 50)
+    data = encode_frames(channels)
     parser = StreamParser()
-    assert parser.feed(data[:7]) == []
-    assert parser.feed(data[7:]) == [frame]
+    assert len(parser.feed(data[:7])) == 0
+    frames = parser.feed(data[7:])
+    assert channels_of(frames) == [channels]
+    assert frames["offset"].tolist() == [0]
     assert parser.bytes_skipped == 0
 
 
 def test_garbage_prefix_resync():
-    frame = SensorFrame((100, 200, 300, 400, 500))
+    channels = (100, 200, 300, 400, 500)
     parser = StreamParser()
-    assert parser.feed(b"\x01\x02\x03" + encode_frames(frame.channels)) == [frame]
+    assert channels_of(parser.feed(b"\x01\x02\x03" + encode_frames(channels))) == [channels]
     assert parser.bytes_skipped == 3
 
 
 def test_corrupted_checksum_then_valid_frame():
-    good = SensorFrame((1, 2, 3, 4, 5))
+    good = (1, 2, 3, 4, 5)
     bad = bytearray(encode_frames((9, 9, 9, 9, 9)))
     bad[11] ^= 0xFF
     parser = StreamParser()
-    frames = parser.feed(bytes(bad) + encode_frames(good.channels))
-    assert frames == [good]
+    frames = parser.feed(bytes(bad) + encode_frames(good))
+    assert channels_of(frames) == [good]
     assert parser.bytes_skipped > 0
 
 
 @given(st.lists(channels_st, min_size=1, max_size=20), st.integers(1, 13))
 @settings(max_examples=50, deadline=None)
 def test_concatenation_any_chunking(all_channels, chunk):
-    frames = [SensorFrame(c) for c in all_channels]
-    data = encode_frames([f.channels for f in frames])
+    data = encode_frames(all_channels)
     parser = StreamParser()
     out = []
     for i in range(0, len(data), chunk):
-        out.extend(parser.feed(data[i : i + chunk]))
-    assert out == frames
+        out.extend(channels_of(parser.feed(data[i : i + chunk])))
+    assert out == all_channels
     assert parser.bytes_skipped == 0
 
 
 def test_non_sync_garbage_never_loses_frame():
     rng = np.random.default_rng(1)
-    frame = SensorFrame((512, 0, 1023, 7, 300))
+    channels = (512, 0, 1023, 7, 300)
     for _ in range(50):
         garbage = bytes(int(v) for v in rng.integers(0, 256, rng.integers(1, 40)) if v != 0xA5)
         parser = StreamParser()
-        assert parser.feed(garbage + encode_frames(frame.channels))[-1] == frame
+        assert channels_of(parser.feed(garbage + encode_frames(channels)))[-1] == channels
 
 
 def test_buffer_stays_below_frame_size_at_rest():
@@ -172,11 +186,10 @@ def assert_same_as_reference(data: bytes, chunk_sizes: list[int]) -> None:
         chunk = data[pos : pos + chunk_sizes[i % len(chunk_sizes)]]
         pos += len(chunk)
         i += 1
-        decoded, offsets = parser.decode(chunk)
-        assert decoded.shape[1] == 5
+        frames = parser.feed(chunk)
         known = len(reference.offsets)
-        assert [tuple(row) for row in decoded.tolist()] == reference.feed(chunk)
-        assert offsets.tolist() == reference.offsets[known:]
+        assert channels_of(frames) == reference.feed(chunk)
+        assert frames["offset"].tolist() == reference.offsets[known:]
         assert parser.bytes_skipped == reference.bytes_skipped
         assert parser.frames_decoded == reference.frames_decoded
         assert parser.buffer == reference.buffer
@@ -184,16 +197,16 @@ def assert_same_as_reference(data: bytes, chunk_sizes: list[int]) -> None:
 
 @given(corrupted_stream(), st.lists(st.integers(1, 64), min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
-def test_decode_matches_byte_by_byte_reference(data, chunk_sizes):
+def test_feed_matches_byte_by_byte_reference(data, chunk_sizes):
     assert_same_as_reference(data, chunk_sizes)
 
 
 def test_overlapping_valid_frames_keep_the_first():
-    first, _ = StreamParser().decode(OVERLAPPING_PAIR[:13])
-    second, _ = StreamParser().decode(OVERLAPPING_PAIR[5:])
+    first = StreamParser().feed(OVERLAPPING_PAIR[:13])
+    second = StreamParser().feed(OVERLAPPING_PAIR[5:])
     assert len(first) == len(second) == 1
-    both, offsets = StreamParser().decode(OVERLAPPING_PAIR)
-    assert both.tolist() == first.tolist() and offsets.tolist() == [0]
+    both = StreamParser().feed(OVERLAPPING_PAIR)
+    assert channels_of(both) == channels_of(first) and both["offset"].tolist() == [0]
     assert_same_as_reference(OVERLAPPING_PAIR, [len(OVERLAPPING_PAIR)])
 
 
@@ -209,22 +222,24 @@ def test_corrupted_emulator_stream_matches_reference():
 
 
 def test_encode_pwm_zero():
-    assert encode_pwm_command(PwmCommand((0, 0, 0, 0, 0))) == "P 0 0 0 0 0\n"
+    assert encode_pwm_command((0, 0, 0, 0, 0)) == "P 0 0 0 0 0\n"
 
 
 def test_encode_pwm_mixed():
-    assert encode_pwm_command(PwmCommand((255, 0, 0, 0, 128))) == "P 255 0 0 0 128\n"
+    assert encode_pwm_command([255, 0, 0, 0, 128]) == "P 255 0 0 0 128\n"
 
 
 def test_pwm_rejects_out_of_range():
-    with pytest.raises(ProtocolError):
-        PwmCommand((256, 0, 0, 0, 0))
-    with pytest.raises(ProtocolError):
-        PwmCommand((-1, 0, 0, 0, 0))
+    with pytest.raises(ProtocolError, match="outside"):
+        encode_pwm_command((256, 0, 0, 0, 0))
+    with pytest.raises(ProtocolError, match="outside"):
+        encode_pwm_command((-1, 0, 0, 0, 0))
+    with pytest.raises(ProtocolError, match="expected 5 duty values, got 4"):
+        encode_pwm_command((0, 0, 0, 0))
 
 
 def test_parse_pwm_basic():
-    assert parse_pwm_command("P 10 20 30 40 50\n") == PwmCommand((10, 20, 30, 40, 50))
+    assert parse_pwm_command("P 10 20 30 40 50\n") == (10, 20, 30, 40, 50)
 
 
 @pytest.mark.parametrize(
@@ -238,5 +253,4 @@ def test_parse_pwm_malformed(line):
 
 @given(duty_st)
 def test_pwm_round_trip(duty):
-    cmd = PwmCommand(duty)
-    assert parse_pwm_command(encode_pwm_command(cmd)) == cmd
+    assert parse_pwm_command(encode_pwm_command(duty)) == duty
