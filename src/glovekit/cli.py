@@ -156,10 +156,10 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    with open_transport(args.transport, "rb") as reader:
-        raw, _ = read_raw_frames(reader, args.duration, args.stream_rate)
     builder = ExtremaBuilder()
-    builder.observe(raw)
+    with open_transport(args.transport, "rb") as reader:
+        read_raw_frames(reader, args.duration, args.stream_rate,
+                        lambda raw, index: builder.observe(raw))
     profile = builder.finalize((args.joint_min,) * 5, (args.joint_max,) * 5)
     formats.save_profile(profile, args.output)
     print(f"frames observed: {builder.frames_seen}, profile written: {args.output}")

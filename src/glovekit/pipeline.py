@@ -6,7 +6,7 @@ paths and exit codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +50,22 @@ class RecordStats:
     bytes_skipped: int = 0
     nominal_frames: int = 0
     partial: bool = False
-    # each received frame's place on the nominal grid: its stream offset // 13
-    index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp), repr=False)
 
 
-def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
-    """Collect raw frames from the first ``duration`` of a byte transport.
+def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> RecordStats:
+    """Decode the first ``duration`` of a byte transport, one read at a time.
 
     Reading stops at EOF or after the bytes of the nominal frame count: each
     read asks for at most 16 KiB and at most the bytes left, so a longer
     stream gives the same frames as its first ``duration`` and no byte beyond
     it is waited for. A read that times out raises TransportError; any other
-    failed read ends the stream as EOF does. Returns an (n, 5) float array of
-    raw counts and the stream statistics.
+    failed read ends the stream as EOF does. The frames of each read go to
+    ``sink(raw, index)`` as they arrive: ``raw`` is their (n, 5) float array
+    of raw counts, ``index`` each one's place on the nominal grid, its stream
+    offset // 13. Returns the stream statistics.
     """
     nominal = sample_count(duration, stream_rate)
     parser = StreamParser()
-    blocks = [np.empty((0, NUM_CHANNELS))]
-    index = [np.empty(0, dtype=np.intp)]
     left = nominal * FRAME_SIZE
     while left > 0:
         try:
@@ -80,49 +78,10 @@ def read_raw_frames(reader, duration: float, stream_rate: float = DEFAULT_RATE):
             break
         left -= len(data)
         frames = parser.feed(data)
-        # a compact copy: a view of the field would keep every whole record
-        blocks.append(frames["channels"].copy())
-        index.append(frames["offset"] // FRAME_SIZE)
+        sink(frames["channels"].astype(float), frames["offset"] // FRAME_SIZE)
     received = parser.frames_decoded
-    stats = RecordStats(
-        frames_received=received,
-        bytes_skipped=parser.bytes_skipped,
-        nominal_frames=nominal,
-        partial=received < _PARTIAL_FRACTION * nominal,
-        index=np.concatenate(index),
-    )
-    return np.concatenate(blocks, dtype=float), stats
-
-
-def frames_to_demo(
-    raw: np.ndarray,
-    stats: RecordStats,
-    profile: CalibrationProfile,
-    coupling: CouplingMap,
-    stream_rate: float,
-    control_rate: float,
-    duration: float,
-) -> Demonstration:
-    """Map raw frames to joint space and sample them at the control rate.
-
-    Row j interpolates linearly at grid position j * stream_rate /
-    control_rate between the received frames, each at its ``stats.index``;
-    rows before the first or past the last frame take that frame's value.
-    Frames lost to stream corruption leave holes that the interpolation
-    bridges without moving any other frame, so the output row count depends
-    only on duration and control rate.
-    """
-    rows = sample_count(duration, control_rate)
-    if raw.shape[0] < 2:
-        raise TransportError(
-            f"received {raw.shape[0]} frames, cannot build a trajectory"
-        )
-    joints = apply_coupling(coupling, raw_to_angle(profile, raw))
-    grid = np.arange(rows) * (stream_rate / control_rate)
-    values = np.column_stack(
-        [np.interp(grid, stats.index, joints[:, d]) for d in range(joints.shape[1])]
-    )
-    return Demonstration(values, 1.0 / control_rate)
+    return RecordStats(received, parser.bytes_skipped, nominal,
+                       received < _PARTIAL_FRACTION * nominal)
 
 
 def record(
@@ -133,10 +92,49 @@ def record(
     stream_rate: float = DEFAULT_RATE,
     control_rate: float = DEFAULT_CONTROL_RATE,
 ) -> tuple[Demonstration, RecordStats]:
-    """Full record step: read encoded frames, calibrate, couple, sample at the control rate."""
-    raw, stats = read_raw_frames(reader, duration, stream_rate)
-    demo = frames_to_demo(raw, stats, profile, coupling, stream_rate, control_rate, duration)
-    return demo, stats
+    """Full record step: read encoded frames, calibrate, couple, sample at the control rate.
+
+    Row j interpolates linearly at grid position j * stream_rate /
+    control_rate between the received frames, each at its stream offset //
+    13; rows before the first or past the last frame take that frame's value.
+    Frames lost to stream corruption leave holes that the interpolation
+    bridges without moving any other frame, so the output row count depends
+    only on duration and control rate. Each read's frames are mapped, and the
+    rows below its last frame written, as they arrive.
+    """
+    rows = sample_count(duration, control_rate)
+    if rows < 2:
+        raise GlovekitError("duration * control_rate must give at least 2 samples")
+    try:
+        values = np.empty((rows, coupling.weights.shape[0]))
+    except MemoryError:
+        raise GlovekitError(f"{rows} rows do not fit in memory") from None
+    ratio = stream_rate / control_rate
+    done, last = 0, None
+    tail = (np.empty((0, NUM_CHANNELS)), np.empty(0, dtype=np.int64))
+
+    def interpolate(raw, index):
+        nonlocal done, tail, last
+        # the latest frame goes first: rows before this read's first frame need
+        # it, and BLAS sums a one-row coupling in another order than a stack
+        raw = np.concatenate((tail[0], raw))
+        index = np.concatenate((tail[1], index))
+        tail = raw[-1:], index[-1:]
+        if index.size < 2:
+            return
+        joints = apply_coupling(coupling, raw_to_angle(profile, raw))
+        # the rows j * ratio < last frame's index, all of them below last / ratio + 1
+        grid = np.arange(done, min(rows, int(index[-1] / ratio) + 2)) * ratio
+        grid = grid[: np.searchsorted(grid, index[-1])]
+        for d in range(joints.shape[1]):
+            values[done : done + grid.size, d] = np.interp(grid, index, joints[:, d])
+        done, last = done + grid.size, joints[-1]
+
+    stats = read_raw_frames(reader, duration, stream_rate, interpolate)
+    if stats.frames_received < 2:
+        raise TransportError(f"received {stats.frames_received} frames, cannot build a trajectory")
+    values[done:] = last
+    return Demonstration(values, 1.0 / control_rate), stats
 
 
 def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> np.ndarray:

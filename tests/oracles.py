@@ -6,7 +6,9 @@ parser and a frame-by-frame emulator, no shared code with the package's
 array paths; text writers that format one cell at a time, no shared code with
 the package's table writer; the tracking loop as one numpy step per control
 step, no shared code with the package's float loop; the tactile -> PWM map
-as round-then-clamp, where the package clamps the ratio before rounding.
+as round-then-clamp, where the package clamps the ratio before rounding; the
+record step over the whole stream in one array, where the package maps and
+interpolates one read at a time.
 """
 
 import math
@@ -14,7 +16,9 @@ import struct
 
 import numpy as np
 
+from glovekit.calibration import apply_coupling, raw_to_angle
 from glovekit.controlsim import PlantState, pd_torque, step_plant
+from glovekit.emulator import sample_count
 
 _SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
 _PAYLOAD = struct.Struct("<5H")
@@ -158,6 +162,21 @@ def tracking_per_step(reference, gains, params, rate):
         executed[t] = state.theta
     error = executed - reference
     return executed, np.sqrt((error**2).mean(axis=0)), np.abs(error).max(axis=0)
+
+
+def whole_stream_demo(raw, index, profile, coupling, stream_rate, control_rate, duration):
+    """The record step's rows from all received frames at once: ``raw`` (n, 5)
+    mapped and coupled in one array, then one ``np.interp`` per joint from
+    each frame's grid ``index`` to control row positions j * stream_rate /
+    control_rate. Raises ValueError for fewer than 2 frames."""
+    if raw.shape[0] < 2:
+        raise ValueError(f"received {raw.shape[0]} frames, cannot build a trajectory")
+    rows = sample_count(duration, control_rate)
+    joints = apply_coupling(coupling, raw_to_angle(profile, raw))
+    grid = np.arange(rows) * (stream_rate / control_rate)
+    return np.column_stack(
+        [np.interp(grid, index, joints[:, d]) for d in range(joints.shape[1])]
+    )
 
 
 def pwm_round_then_clamp(fmap, force):

@@ -1,10 +1,12 @@
 """Module boundaries: no glovekit module imports another one's private names,
-and every method the benchmark's tracer patches exists."""
+every method the benchmark's tracer patches exists, and the benchmark's
+self-check runs."""
 
 import ast
 import io
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,8 @@ import glovekit
 from glovekit import pipeline
 from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 PACKAGE = Path(glovekit.__file__).parent
 
@@ -66,17 +69,28 @@ def test_tracer_feed_probe_reads_the_reader_loop():
     good = encode_frames([(1, 2, 3, 4, 5)] * 3)
     bad_checksum = good[:11] + bytes([good[11] ^ 0xFF, good[12]])
     chunk = b"\x00\x01" + bad_checksum + good[FRAME_SIZE:]
+    blocks = []
     spans = tracer.Tracer()
     spans.install()
     try:
-        _, stats = pipeline.read_raw_frames(io.BytesIO(chunk), 1.0, 350.0)
+        stats = pipeline.read_raw_frames(io.BytesIO(chunk), 1.0, 350.0,
+                                         lambda raw, index: blocks.append(raw))
     finally:
         spans.uninstall()
     view = tracer.PassView(spans.take(), spans.labels, 1.0)
-    assert stats.frames_received == 2
+    assert stats.frames_received == sum(len(raw) for raw in blocks) == 2
     assert view.attrs("wire.StreamParser.feed") == [(len(chunk), 2, 2 + FRAME_SIZE)]
     metrics = {name: value(view) for name, _, value in tracer.LAYER_METRICS}
     assert metrics["wire.frames_decoded"] == 2
     assert metrics["wire.bytes_skipped"] == 2 + FRAME_SIZE
     assert metrics["wire.skip_ratio"] == (2 + FRAME_SIZE) / len(chunk)
     assert metrics["wire.feed_s"] > 0 and metrics["wire.frames_per_s"] > 0
+
+
+def test_bench_selfcheck_passes():
+    """Every workload runs at a tiny size, traced and untraced, and emits
+    every metric, so a renamed function that a tracer probe reads fails
+    here and not only in a traced benchmark run."""
+    result = subprocess.run([sys.executable, "bench/selfcheck.py"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -435,6 +435,30 @@ def test_non_positive_rate_is_data_error(workdir, monkeypatch, capsys, argv, val
     assert not (workdir / "out.txt").exists()
 
 
+@pytest.mark.parametrize("duration", ["0", "-1", "0.003", "0.0075"])
+def test_record_duration_under_two_rows_is_data_error(workdir, monkeypatch, capsys, duration):
+    (workdir / "stream.bin").write_bytes(fx.emulate_stream(11, 1.0))
+    monkeypatch.chdir(workdir)
+    assert main(["record", "--transport", "file:stream.bin", "--calibration", "calib.txt",
+                 f"--duration={duration}", "--output", "out.txt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duration * control_rate must give at least 2 samples\n"
+    assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.parametrize("frames", [0, 1])
+def test_record_of_under_two_frames_is_transport_error(workdir, monkeypatch, capsys, frames):
+    (workdir / "stream.bin").write_bytes(fx.emulate_stream(11, 1.0)[: frames * 13])
+    monkeypatch.chdir(workdir)
+    assert main(["record", "--transport", "file:stream.bin", "--calibration", "calib.txt",
+                 "--duration", "1", "--output", "out.txt"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"transport error: received {frames} frames, cannot build a trajectory\n")
+    assert not (workdir / "out.txt").exists()
+
+
 @st.composite
 def cli_input(draw):
     """An input format's short name and a mutated file of that format."""

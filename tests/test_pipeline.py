@@ -1,17 +1,21 @@
 import errno
 import io
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixture13 as fx
+import oracles
 from glovekit import model as model_module
 from glovekit import pipeline
-from glovekit.calibration import ForceFeedbackMap, identity_coupling_map
-from glovekit.errors import TransportError
+from glovekit.calibration import ExtremaBuilder, ForceFeedbackMap, identity_coupling_map
+from glovekit.emulator import sample_count
+from glovekit.errors import GlovekitError, TransportError
 from glovekit.model import (
     BasisConfig,
     Demonstration,
@@ -27,7 +31,6 @@ from glovekit.model import (
 from glovekit.pipeline import (
     evaluate,
     feedback_loop,
-    frames_to_demo,
     read_raw_frames,
     record,
     reproduce,
@@ -45,6 +48,19 @@ def recorded_demo(seed=11, duration=15.0, data=None):
         fx.STREAM_RATE,
         fx.CONTROL_RATE,
     )
+
+
+def collect(reader, duration):
+    """Run the reader loop with a sink that appends each read's frames;
+    returns all raw frames, their grid indices and the stream statistics."""
+    raws, indices = [np.empty((0, 5))], [np.empty(0, dtype=np.int64)]
+
+    def append(raw, index):
+        raws.append(raw)
+        indices.append(index)
+
+    stats = read_raw_frames(reader, duration, fx.STREAM_RATE, append)
+    return np.concatenate(raws), np.concatenate(indices), stats
 
 
 def flip_bytes(data, seed, fraction=0.01):
@@ -118,7 +134,7 @@ class TestRecord:
                 return super().read(size)
 
         spy = SpyReader(data)
-        raw, stats = read_raw_frames(spy, 10.0, fx.STREAM_RATE)
+        raw, _, stats = collect(spy, 10.0)
         assert spy.tell() == limit
         assert spy.sizes[0] == pipeline._READ_CHUNK and min(spy.sizes) < pipeline._READ_CHUNK
         assert stats.frames_received == raw.shape[0] < stats.nominal_frames
@@ -141,9 +157,8 @@ class TestRecord:
 PLACEMENT_STREAM = fx.emulate_stream(11, 5.0)
 
 
-def demo_of(raw, stats):
-    return frames_to_demo(raw, stats, fx.make_profile(), fx.make_coupling13(),
-                          fx.STREAM_RATE, fx.CONTROL_RATE, 5.0)
+def demo_of(data):
+    return recorded_demo(duration=5.0, data=data)[0]
 
 
 @given(st.lists(st.tuples(st.integers(0, len(PLACEMENT_STREAM) - 1), st.integers(1, 255)),
@@ -157,21 +172,129 @@ def test_flipped_bytes_move_no_intact_frame(flips):
     for pos, mask in flips:
         data[pos] ^= mask
     flipped = {pos for pos, _ in flips}
-    clean_raw, clean_stats = read_raw_frames(io.BytesIO(PLACEMENT_STREAM), 5.0, fx.STREAM_RATE)
-    raw, stats = read_raw_frames(io.BytesIO(bytes(data)), 5.0, fx.STREAM_RATE)
+    clean_raw, _, _ = collect(io.BytesIO(PLACEMENT_STREAM), 5.0)
+    raw, index, _ = collect(io.BytesIO(bytes(data)), 5.0)
     offsets = StreamParser().feed(bytes(data))["offset"]
-    assert stats.index.tolist() == (offsets // FRAME_SIZE).tolist()
-    assert np.all(np.diff(stats.index) > 0)
+    assert index.tolist() == (offsets // FRAME_SIZE).tolist()
+    assert np.all(np.diff(index) > 0)
     intact = set()
     for k, offset in enumerate(offsets.tolist()):
         if offset % FRAME_SIZE == 0 and flipped.isdisjoint(range(offset, offset + FRAME_SIZE)):
             i = offset // FRAME_SIZE
             assert raw[k].tolist() == clean_raw[i].tolist()
             intact.add(i)
-    demo, clean = demo_of(raw, stats), demo_of(clean_raw, clean_stats)
+    demo, clean = demo_of(bytes(data)), demo_of(PLACEMENT_STREAM)
     for j, position in enumerate(np.arange(demo.T) * (fx.STREAM_RATE / fx.CONTROL_RATE)):
         if math.floor(position) in intact and math.ceil(position) in intact:
             assert demo.values[j].tobytes() == clean.values[j].tobytes()
+
+
+ORACLE_STREAM = fx.emulate_stream(12, 1.0)
+
+
+class ShortReads(io.BytesIO):
+    """Returns at most the next of ``sizes`` bytes per read, cycling."""
+
+    def __init__(self, data, sizes):
+        super().__init__(data)
+        self.sizes = itertools.cycle(sizes)
+
+    def read(self, size=-1):
+        return super().read(min(size, next(self.sizes)))
+
+
+@given(st.lists(st.tuples(st.integers(0, len(ORACLE_STREAM) - 1), st.integers(1, 255)),
+                max_size=40),
+       st.lists(st.integers(1, 600), min_size=1, max_size=12),
+       st.integers(0, len(ORACLE_STREAM)),
+       st.sampled_from([fx.CONTROL_RATE, 175.0, 350.0, 1000.0, 33.0]))
+@example([], [1], 13, fx.CONTROL_RATE)
+@example([], [1], 26, fx.CONTROL_RATE)
+@example([], [13, 1, 25], len(ORACLE_STREAM), 175.0)
+@settings(max_examples=80, deadline=None)
+def test_streamed_record_equals_the_whole_stream_oracle(flips, sizes, end, control_rate):
+    """Reads of random length put block edges everywhere: reads of 0 or 1
+    frames, and grid positions on a read's last frame. The streamed rows
+    keep the bits of one interpolation over the whole stream."""
+    data = bytearray(ORACLE_STREAM[:end])
+    for pos, mask in flips:
+        if pos < end:
+            data[pos] ^= mask
+    data = bytes(data)
+    profile, coupling = fx.make_profile(), fx.make_coupling13()
+    frames = StreamParser().feed(data)
+    reader = ShortReads(data, sizes)
+    if len(frames) < 2:
+        with pytest.raises(TransportError, match=f"received {len(frames)} frames"):
+            record(reader, profile, coupling, 1.0, fx.STREAM_RATE, control_rate)
+        return
+    demo, stats = record(reader, profile, coupling, 1.0, fx.STREAM_RATE, control_rate)
+    expected = oracles.whole_stream_demo(frames["channels"].astype(float),
+                                         frames["offset"] // FRAME_SIZE, profile, coupling,
+                                         fx.STREAM_RATE, control_rate, 1.0)
+    assert demo.values.tobytes() == expected.tobytes()
+    assert stats.frames_received == len(frames)
+
+
+class CountingReader(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
+@pytest.mark.parametrize("duration,control_rate,message", [
+    (5.0, 0.0, "rate must be positive, got 0.0"),
+    (5.0, -350.0, "rate must be positive, got -350.0"),
+    (0.0, fx.CONTROL_RATE, "at least 2 samples"),
+    (-1.0, fx.CONTROL_RATE, "at least 2 samples"),
+    (0.003, fx.CONTROL_RATE, "at least 2 samples"),
+    (0.0075, fx.CONTROL_RATE, "at least 2 samples"),
+    (1e12, fx.CONTROL_RATE, "200000000000000 rows do not fit in memory"),
+])
+def test_argument_errors_come_before_any_read(duration, control_rate, message):
+    """A control rate or duration that gives no demo is a data error, raised
+    before the transport is read, not after the whole duration."""
+    reader = CountingReader(PLACEMENT_STREAM)
+    with pytest.raises(GlovekitError, match=message) as info:
+        record(reader, fx.make_profile(), fx.make_coupling13(), duration, fx.STREAM_RATE,
+               control_rate)
+    assert not isinstance(info.value, TransportError)
+    assert reader.bytes_read == 0
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_record_and_calibrate_hold_one_read_besides_the_output():
+    """Neither step builds an array of the whole stream: besides the demo,
+    what they hold stays under a fixed bound, and from 60 s to 300 s it grows
+    by no more than the one bool per demo value that Demonstration's
+    finiteness check holds for a moment."""
+    record_extra, mask_bytes, calibrate_peak = {}, {}, {}
+    for seconds in (60.0, 300.0):
+        data = fx.emulate_stream(11, seconds)
+        (demo, _), peak = traced_peak(lambda: recorded_demo(duration=seconds, data=data))
+        record_extra[seconds], mask_bytes[seconds] = peak - demo.values.nbytes, demo.values.size
+        builder, reader = ExtremaBuilder(), io.BytesIO(data)
+        stats, calibrate_peak[seconds] = traced_peak(lambda: read_raw_frames(
+            reader, seconds, fx.STREAM_RATE, lambda raw, index: builder.observe(raw)))
+        assert builder.frames_seen == stats.frames_received == sample_count(seconds, fx.STREAM_RATE)
+    assert record_extra[300.0] < 1.5e6
+    assert calibrate_peak[300.0] < 1e6
+    assert (record_extra[300.0] - record_extra[60.0]
+            < mask_bytes[300.0] - mask_bytes[60.0] + 32768)
+    assert calibrate_peak[300.0] < calibrate_peak[60.0] + 32768
 
 
 class TestFeedbackLoop:
