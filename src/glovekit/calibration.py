@@ -28,6 +28,8 @@ class CalibrationProfile:
         lengths = {len(self.raw_min), len(self.raw_max), len(self.joint_min), len(self.joint_max)}
         if lengths != {NUM_CHANNELS}:
             raise CalibrationError(f"profile must have {NUM_CHANNELS} entries per field")
+        if not np.isfinite([self.raw_min, self.raw_max, self.joint_min, self.joint_max]).all():
+            raise CalibrationError("profile values must be finite")
         for i in range(NUM_CHANNELS):
             if not self.raw_min[i] < self.raw_max[i]:
                 raise CalibrationError(f"channel {i + 1}: raw_min must be < raw_max")
@@ -51,11 +53,8 @@ class ExtremaBuilder:
             self.raw_max = [max(a, b) for a, b in zip(self.raw_max, raw.max(axis=0).tolist())]
         self.frames_seen += raw.shape[0]
 
-    def finalize(
-        self,
-        joint_min: tuple[float, ...] = (DEFAULT_JOINT_MIN,) * NUM_CHANNELS,
-        joint_max: tuple[float, ...] = (DEFAULT_JOINT_MAX,) * NUM_CHANNELS,
-    ) -> CalibrationProfile:
+    def finalize(self, joint_min: tuple[float, ...],
+                 joint_max: tuple[float, ...]) -> CalibrationProfile:
         for i in range(NUM_CHANNELS):
             if not self.raw_min[i] < self.raw_max[i]:
                 raise CalibrationError(
@@ -103,7 +102,11 @@ class CouplingMap:
 
 
 def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:
-    """Weighted combination of glove angles; accepts (5,) or (N, 5) input."""
+    """Weighted combination of glove angles; accepts (5,) or (N, 5) input.
+
+    One row can differ in the last bits from the same row inside a stack (BLAS
+    gemv and gemm sum in different orders): couple whole blocks, as ``record`` does.
+    """
     angles = np.asarray(glove_angles, dtype=float)
     if angles.shape[-1] != NUM_CHANNELS:
         raise ShapeMismatchError(
@@ -114,17 +117,6 @@ def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:
 
 def identity_coupling_map() -> CouplingMap:
     return CouplingMap(np.eye(NUM_CHANNELS))
-
-
-def default_coupling_map() -> CouplingMap:
-    """Thumb/index/middle pass-through, ring and little averaged into one joint."""
-    w = np.zeros((4, NUM_CHANNELS))
-    w[0, 0] = 1.0
-    w[1, 1] = 1.0
-    w[2, 2] = 1.0
-    w[3, 3] = 0.5
-    w[3, 4] = 0.5
-    return CouplingMap(w)
 
 
 @dataclass(frozen=True)

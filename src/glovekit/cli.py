@@ -170,7 +170,7 @@ def _cmd_train(args) -> int:
     demos = []
     dts = set()
     for path in args.demos:
-        demo, _ = formats.load_demo(path)
+        demo = formats.load_demo(path)
         demos.append(demo)
         dts.add(demo.dt)
     if len(dts) != 1:
@@ -193,7 +193,7 @@ def _cmd_reproduce(args) -> int:
     plant = PlantParams(args.inertia, args.damping, args.torque_limit)
     result = reproduce(model, args.duration, args.control_rate, gains, plant)
     formats.save_tracking_csv(
-        args.output, result.reference, result.tracking.executed, result.rate
+        args.output, result.reference, result.tracking.executed, args.control_rate
     )
     print("per-joint RMSE (rad): " + " ".join(f"{r:.6f}" for r in result.tracking.rmse))
     print("per-joint max error (rad): "
@@ -203,16 +203,14 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = formats.load_model(args.model)
-    demos = [formats.load_demo(path)[0] for path in args.demos]
+    demos = [formats.load_demo(path) for path in args.demos]
     report = evaluate(model, demos)
     times = np.arange(demos[0].T) * demos[0].dt
     formats.save_bands_csv(
         args.output, times, report.mean, report.std, [d.values for d in demos]
     )
-    for i, (ll, per_joint) in enumerate(
-        zip(report.log_likelihoods, report.per_joint_log_likelihoods)
-    ):
-        print(f"demo {i + 1}: log-likelihood {ll:.3f} (nats)")
+    for i, per_joint in enumerate(report.per_joint_log_likelihoods, start=1):
+        print(f"demo {i}: log-likelihood {float(per_joint.sum()):.3f} (nats)")
         print("  per-joint: " + " ".join(f"{v:.3f}" for v in per_joint))
     print("band coverage (+/- 2 std): "
           + " ".join(f"{c:.4f}" for c in report.band_coverage))
@@ -242,11 +240,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a float overflow or an invalid or divide-by-zero result means the
+        # input is out of range: one error line, never a warning and a file
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except GlovekitError as exc:
+    except (GlovekitError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

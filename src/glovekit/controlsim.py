@@ -43,32 +43,11 @@ class PlantParams:
             raise GlovekitError(f"torque limit must be positive, got {self.torque_limit}")
 
 
-@dataclass
-class PlantState:
-    theta: np.ndarray  # rad, per joint
-    omega: np.ndarray  # rad/s, per joint
-
-
 @dataclass(frozen=True)
 class TrackingResult:
     executed: np.ndarray  # (T, D) rad
     rmse: np.ndarray  # (D,) rad
     max_abs_error: np.ndarray  # (D,) rad
-
-
-def pd_torque(gains: Gains, theta_des, omega_des, theta, omega, torque_limit: float):
-    """Torque-limited PD law; works elementwise on arrays."""
-    tau = gains.kp * (np.asarray(theta_des) - theta) + gains.kd * (np.asarray(omega_des) - omega)
-    return np.clip(tau, -torque_limit, torque_limit)
-
-
-def step_plant(state: PlantState, torque, dt: float, params: PlantParams) -> PlantState:
-    """Semi-implicit Euler step of the inertia-damper plant."""
-    if dt <= 0:
-        raise GlovekitError(f"dt must be positive, got {dt}")
-    omega = state.omega + dt * (np.asarray(torque) - params.b * state.omega) / params.m
-    theta = state.theta + dt * omega
-    return PlantState(theta, omega)
 
 
 def simulate_tracking(
@@ -90,10 +69,10 @@ def simulate_tracking(
     omega_des = np.zeros_like(reference)
     omega_des[1:] = (reference[1:] - reference[:-1]) * rate
 
-    # pd_torque and step_plant over Python floats, one joint at a time: the
-    # same IEEE operations in the same order (neither side fuses multiply-add),
-    # without numpy calls per step; converting one joint at a time keeps the
-    # float lists small
+    # the torque-limited PD law and a semi-implicit Euler step of the plant,
+    # over Python floats, one joint at a time: the same IEEE operations in the
+    # same order as the numpy reference in the tests (neither side fuses
+    # multiply-add); converting one joint at a time keeps the float lists small
     kp, kd = gains.kp, gains.kd
     m, b, limit = params.m, params.b, params.torque_limit
     executed = np.empty_like(reference)

@@ -32,6 +32,8 @@ class ChannelWaveform:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.offset, self.amplitude, self.frequency, self.phase))):
+            raise GlovekitError(f"waveform values must be finite, got {self}")
         if not (0.0 <= self.offset - self.amplitude and self.offset + self.amplitude <= ADC_MAX):
             raise GlovekitError(
                 f"waveform range {self.offset}±{self.amplitude} exceeds [0, {ADC_MAX}]"
@@ -61,12 +63,11 @@ class GloveEmulator:
 
     def __init__(self, config: EmulatorConfig):
         self.config = config
-        self.t = 0.0
         self._rng = np.random.default_rng(config.seed)
         self._step = 0
 
     def block(self, n: int) -> np.ndarray:
-        """Emit the next n frames as an (n, 5) uint16 array; advance the clock by n/rate."""
+        """Emit the next n frames as an (n, 5) uint16 array."""
         cfg = self.config
         chans = cfg.channels
         frequency = np.array([ch.frequency for ch in chans])
@@ -83,8 +84,6 @@ class GloveEmulator:
             x = x + self._rng.normal(0.0, cfg.noise_std, (n, NUM_CHANNELS))
         rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
         self._step += n
-        # integer step count avoids drift over long runs
-        self.t = self._step / cfg.rate
         return np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
 
 
@@ -114,6 +113,11 @@ def run_emulator(config: EmulatorConfig, duration: float, transport, fast: bool 
         raise GlovekitError(f"duration must be positive, got {duration}")
     emulator = GloveEmulator(config)
     total = sample_count(duration, config.rate)
+    last = (total - 1) / config.rate  # the time of the last frame, as ``block`` computes it
+    for i, ch in enumerate(config.channels, start=1):
+        if not math.isfinite(last * (2.0 * math.pi * ch.frequency) + ch.phase):
+            raise GlovekitError(
+                f"channel {i}: no finite phase at {ch.frequency!r} Hz over {duration!r} s")
     block = _BLOCK_FRAMES if fast else 1
     start = time.monotonic()
     written = 0

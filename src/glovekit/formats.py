@@ -164,7 +164,7 @@ def save_demo(demo: Demonstration, path) -> None:
     _write_table(path, header, [np.arange(demo.T) * demo.dt, demo.values], " ")
 
 
-def load_demo(path) -> tuple[Demonstration, list[str]]:
+def load_demo(path) -> Demonstration:
     lines = _expect_header(_read_lines(path), "demo-v1", path)
     if len(lines) < 3:
         raise FormatError(f"{path}: truncated demo header")
@@ -175,8 +175,7 @@ def load_demo(path) -> tuple[Demonstration, list[str]]:
         raise FormatError(f"{path}: 'D' and 'dt' lines take one value each")
     d = _number(d_tokens[1], path, "D", int)
     dt = _number(dt_tokens[1], path, "dt")
-    labels = lines[2].split()[1:]
-    if len(labels) != d:
+    if len(lines[2].split()) - 1 != d:
         raise FormatError(f"{path}: joint label count != D")
     table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
                         lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
@@ -185,7 +184,7 @@ def load_demo(path) -> tuple[Demonstration, list[str]]:
     if np.any(np.diff(table[:, 0]) <= 0):
         raise FormatError(f"{path}: time column must be strictly increasing")
     # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
-    return Demonstration(table[:, 1:].copy(), dt), labels
+    return Demonstration(table[:, 1:].copy(), dt)
 
 
 # ---------------------------------------------------------------- promp-v1

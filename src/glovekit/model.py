@@ -39,8 +39,9 @@ class BasisConfig:
             raise GlovekitError(f"K must be >= 1, got {self.K}")
         if self.h is None:
             object.__setattr__(self, "h", 1.0 / (self.K - 1) if self.K > 1 else 1.0)
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise GlovekitError(f"h must be positive and finite, got {self.h}")
+        # the basis divides by 2*h*h, which must be a finite positive number
+        if not (self.h > 0 and 0.0 < 2.0 * self.h * self.h < math.inf):
+            raise GlovekitError(f"h must be positive with 2*h*h finite and nonzero, got {self.h}")
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise GlovekitError(f"lambda must be nonnegative and finite, got {self.lam}")
 

@@ -153,7 +153,6 @@ def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> np.ndarray:
 class ReproduceResult:
     reference: np.ndarray  # (T, D) mean trajectory used as tracking target
     tracking: TrackingResult
-    rate: float
 
 
 def reproduce(
@@ -169,13 +168,12 @@ def reproduce(
         raise GlovekitError("duration * control_rate must give at least 2 samples")
     reference = mean_trajectory(model, design_matrix(t_steps, model.basis))
     tracking = simulate_tracking(reference, gains, plant, control_rate)
-    return ReproduceResult(reference, tracking, control_rate)
+    return ReproduceResult(reference, tracking)
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    log_likelihoods: list[float]  # one per demo
-    per_joint_log_likelihoods: list[np.ndarray]  # one (D,) array per demo
+    per_joint_log_likelihoods: list[np.ndarray]  # (D,) per demo, summing to its log-likelihood
     band_coverage: np.ndarray  # (D,) fraction of all demo samples in +/- 2 std
     mean: np.ndarray  # (T, D) model mean at the demos' length
     std: np.ndarray  # (T, D) marginal std at the demos' length
@@ -197,11 +195,6 @@ def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
     phi = design_matrix(t_ref, model.basis)
     mean = mean_trajectory(model, phi)
     std = marginal_std(model, phi)
-    inside = np.zeros(model.D)
-    lls = []
-    per_joint = []
-    for demo in demos:
-        inside += (np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0)
-        per_joint.append(log_likelihood_per_joint(model, demo, mean))
-        lls.append(float(per_joint[-1].sum()))
-    return EvalReport(lls, per_joint, inside / (t_ref * len(demos)), mean, std)
+    per_joint = [log_likelihood_per_joint(model, demo, mean) for demo in demos]
+    inside = sum((np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0) for demo in demos)
+    return EvalReport(per_joint, inside / (t_ref * len(demos)), mean, std)

@@ -102,34 +102,13 @@ class StreamParser:
         return frames
 
 
-def _checked_duty(duty) -> tuple[int, ...]:
+def encode_pwm_command(duty) -> str:
+    """Format 5 duty cycles in [0, 255] as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``;
+    raises ProtocolError for another count or a value out of range."""
     duty = tuple(duty)
     if len(duty) != NUM_CHANNELS:
         raise ProtocolError(f"expected {NUM_CHANNELS} duty values, got {len(duty)}")
     for v in duty:
         if not (0 <= v <= PWM_MAX):
             raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
-    return duty
-
-
-def encode_pwm_command(duty) -> str:
-    """Format 5 duty cycles in [0, 255] as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``;
-    raises ProtocolError for another count or a value out of range."""
-    return "P " + " ".join(map(str, _checked_duty(duty))) + "\n"
-
-
-def parse_pwm_command(line: str) -> tuple[int, ...]:
-    """Parse a host PWM command line into its 5 duty cycles; raises
-    ProtocolError when malformed."""
-    tokens = line.strip().split(" ")
-    if len(tokens) != NUM_CHANNELS + 1:
-        raise ProtocolError(f"expected 6 fields, got {len(tokens)}: {line!r}")
-    if tokens[0] != "P":
-        raise ProtocolError(f"unknown command verb {tokens[0]!r}")
-    values = []
-    for tok in tokens[1:]:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ProtocolError(f"non-numeric PWM value {tok!r}") from None
-    return _checked_duty(values)
+    return "P " + " ".join(map(str, duty)) + "\n"

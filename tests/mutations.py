@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from glovekit import formats
-from glovekit.calibration import CalibrationProfile, default_coupling_map
+from glovekit.calibration import CalibrationProfile
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
 from glovekit.model import BasisConfig, Demonstration, train_model
+from oracles import default_coupling_map
 
 
 def _valid_samples() -> dict:

@@ -4,21 +4,23 @@ Deliberately naive: hand-rolled elimination and term-by-term summation, no
 shared code with the package's linear-algebra paths; a byte-by-byte stream
 parser and a frame-by-frame emulator, no shared code with the package's
 array paths; text writers that format one cell at a time, no shared code with
-the package's table writer; the tracking loop as one numpy step per control
-step, no shared code with the package's float loop; the tactile -> PWM map
-as round-then-clamp, where the package clamps the ratio before rounding; the
-record step over the whole stream in one array, where the package maps and
-interpolates one read at a time.
+the package's table writer; the tracking loop as one numpy PD-law and plant
+step per control step, no shared code with the package's float loop; the
+tactile -> PWM map as round-then-clamp, where the package clamps the ratio
+before rounding; a parser for the PWM command lines the package only writes;
+the record step over the whole stream in one array, where the package maps
+and interpolates one read at a time.
 """
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from glovekit.calibration import apply_coupling, raw_to_angle
-from glovekit.controlsim import PlantState, pd_torque, step_plant
+from glovekit.calibration import CouplingMap, apply_coupling, raw_to_angle
 from glovekit.emulator import sample_count
+from glovekit.errors import GlovekitError, ProtocolError
 
 _SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
 _PAYLOAD = struct.Struct("<5H")
@@ -141,6 +143,27 @@ class ScalarStreamParser:
         return all(v <= _ADC_MAX for v in _PAYLOAD.unpack_from(buf, pos + 1))
 
 
+@dataclass
+class PlantState:
+    theta: np.ndarray  # rad, per joint
+    omega: np.ndarray  # rad/s, per joint
+
+
+def pd_torque(gains, theta_des, omega_des, theta, omega, torque_limit):
+    """Torque-limited PD law; works elementwise on arrays."""
+    tau = gains.kp * (np.asarray(theta_des) - theta) + gains.kd * (np.asarray(omega_des) - omega)
+    return np.clip(tau, -torque_limit, torque_limit)
+
+
+def step_plant(state, torque, dt, params):
+    """Semi-implicit Euler step of the inertia-damper plant."""
+    if dt <= 0:
+        raise GlovekitError(f"dt must be positive, got {dt}")
+    omega = state.omega + dt * (np.asarray(torque) - params.b * state.omega) / params.m
+    theta = state.theta + dt * omega
+    return PlantState(theta, omega)
+
+
 def tracking_per_step(reference, gains, params, rate):
     """Track a (T, D) reference with one :func:`pd_torque` and one
     :func:`step_plant` call on the whole joint vector per control step.
@@ -177,6 +200,34 @@ def whole_stream_demo(raw, index, profile, coupling, stream_rate, control_rate, 
     return np.column_stack(
         [np.interp(grid, index, joints[:, d]) for d in range(joints.shape[1])]
     )
+
+
+def default_coupling_map():
+    """Thumb/index/middle pass-through, ring and little averaged into one joint."""
+    w = np.zeros((4, 5))
+    w[0, 0] = 1.0
+    w[1, 1] = 1.0
+    w[2, 2] = 1.0
+    w[3, 3] = 0.5
+    w[3, 4] = 0.5
+    return CouplingMap(w)
+
+
+def parse_pwm_command(line):
+    """The 5 duty cycles of a PWM command line ``"P v1 v2 v3 v4 v5\\n"``, as
+    the glove reads it; raises ProtocolError when malformed."""
+    tokens = line.strip().split(" ")
+    if len(tokens) != 6:
+        raise ProtocolError(f"expected 6 fields, got {len(tokens)}: {line!r}")
+    if tokens[0] != "P":
+        raise ProtocolError(f"unknown command verb {tokens[0]!r}")
+    try:
+        duty = tuple(int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise ProtocolError(f"non-numeric PWM value in {line!r}") from None
+    if not all(0 <= v <= 255 for v in duty):
+        raise ProtocolError(f"PWM value outside [0, 255] in {line!r}")
+    return duty
 
 
 def pwm_round_then_clamp(fmap, force):

@@ -258,7 +258,7 @@ def test_criterion_09_band_coverage(analog):
         root, _ = analog
         base = root / "run1"
         model = formats.load_model(base / "model.txt")
-        demos = [formats.load_demo(base / f"demo_{s}.txt")[0] for s in fx.DEMO_SEEDS]
+        demos = [formats.load_demo(base / f"demo_{s}.txt") for s in fx.DEMO_SEEDS]
         phi = design_matrix(demos[0].T, model.basis)
         mean = mean_trajectory(model, phi)
         std = marginal_std(model, phi)

@@ -11,13 +11,12 @@ from glovekit.calibration import (
     ExtremaBuilder,
     ForceFeedbackMap,
     apply_coupling,
-    default_coupling_map,
     identity_coupling_map,
     raw_to_angle,
     tactile_to_pwm,
 )
 from glovekit.errors import CalibrationError, ShapeMismatchError
-from oracles import pwm_round_then_clamp
+from oracles import default_coupling_map, pwm_round_then_clamp
 
 
 def make_profile(raw_min=100.0, raw_max=900.0, joint_min=0.0, joint_max=math.pi / 2):
@@ -26,12 +25,15 @@ def make_profile(raw_min=100.0, raw_max=900.0, joint_min=0.0, joint_max=math.pi 
     )
 
 
+JOINT_RANGE = ((0.0,) * 5, (math.pi / 2,) * 5)
+
+
 class TestExtremaBuilder:
     def test_tracks_min_and_max(self):
         builder = ExtremaBuilder()
         builder.observe((100, 300, 500, 700, 900))
         builder.observe((900, 700, 400, 300, 100))
-        profile = builder.finalize()
+        profile = builder.finalize(*JOINT_RANGE)
         assert profile.raw_min == (100.0, 300.0, 400.0, 300.0, 100.0)
         assert profile.raw_max == (900.0, 700.0, 500.0, 700.0, 900.0)
 
@@ -39,7 +41,7 @@ class TestExtremaBuilder:
         builder = ExtremaBuilder()
         builder.observe((500, 500, 500, 500, 500))
         with pytest.raises(CalibrationError):
-            builder.finalize()
+            builder.finalize(*JOINT_RANGE)
 
     def test_order_independence(self):
         rng = np.random.default_rng(0)
@@ -49,7 +51,7 @@ class TestExtremaBuilder:
         for f in frames:
             a.observe(f)
         b.observe(frames[::-1])
-        pa, pb = a.finalize(), b.finalize()
+        pa, pb = a.finalize(*JOINT_RANGE), b.finalize(*JOINT_RANGE)
         assert pa == pb
 
     def test_replay_idempotent(self):
@@ -60,7 +62,7 @@ class TestExtremaBuilder:
             once.observe(f)
         for f in frames + frames:
             twice.observe(f)
-        assert once.finalize() == twice.finalize()
+        assert once.finalize(*JOINT_RANGE) == twice.finalize(*JOINT_RANGE)
 
 
 class TestRawToAngle:
@@ -98,6 +100,12 @@ class TestRawToAngle:
             make_profile(raw_min=900.0, raw_max=900.0)
         with pytest.raises(CalibrationError):
             make_profile(joint_min=1.0, joint_max=0.0)
+
+    @pytest.mark.parametrize("field", ["raw_min", "raw_max", "joint_min", "joint_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_profile_values_must_be_finite(self, field, value):
+        with pytest.raises(CalibrationError, match="profile values must be finite"):
+            make_profile(**{field: value})
 
 
 class TestCoupling:

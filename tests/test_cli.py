@@ -6,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -47,7 +48,7 @@ def run_session(workdir, seed, demo_name, duration=2.0):
 def test_emulate_record_train_reproduce_eval(workdir, capsys):
     run_session(workdir, 11, "demo1.txt")
     run_session(workdir, 12, "demo2.txt")
-    demo, _ = formats.load_demo(workdir / "demo1.txt")
+    demo = formats.load_demo(workdir / "demo1.txt")
     assert demo.T == 400
     assert demo.D == 13
 
@@ -111,7 +112,7 @@ def test_tcp_transport_round_trip(workdir):
     writer.join(timeout=10)
     assert results["emulate"] == 0
     assert rc == 0
-    demo, _ = formats.load_demo(workdir / "demo_tcp.txt")
+    demo = formats.load_demo(workdir / "demo_tcp.txt")
     assert demo.T == 200
 
 
@@ -386,6 +387,21 @@ def test_non_finite_demo_dt_is_data_error(workdir, capsys, dt):
     assert not (workdir / "bands.csv").exists()
 
 
+def test_float_overflow_is_data_error(workdir, capsys):
+    """A demo step of 1e308 s is finite, but the bands CSV's time column is
+    not: the overflow ends ``eval`` in one error line, with no CSV written."""
+    formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
+    text = (workdir / "demo.txt").read_text().replace("\ndt 0.005\n", "\ndt 1e308\n", 1)
+    (workdir / "demo.txt").write_text(text)
+    model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
+    formats.save_model(model, workdir / "model.txt")
+    rc = main(["eval", str(workdir / "demo.txt"), "--model", str(workdir / "model.txt"),
+               "--output", str(workdir / "bands.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+    assert not (workdir / "bands.csv").exists()
+
+
 # a demo and a model of zero joints: both load as text, neither is a trajectory
 ZERO_JOINT_DEMO = "demo-v1\nD 0\ndt 0.005\njoints \n0.0\n0.005\n0.01\n"
 ZERO_JOINT_MODEL = ("promp-v1\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\n"
@@ -486,30 +502,74 @@ def _readers(d, file) -> dict:
     }
 
 
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    """The valid sample of every input format and a short stream to record."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    for name, text in SAMPLES.items():
+        (d / name).write_text(text)
+    (d / "stream.bin").write_bytes(fx.emulate_stream(11, 0.2))
+    return d
+
+
+def assert_documented_exit(argv):
+    """``main(argv)`` exits 0, 3 or 4, with one stderr line when it fails and
+    no warning; any other exception escapes and fails the caller."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            rc = main(argv)
+    err = stderr.getvalue()
+    assert rc in (0, 3, 4), (argv[0], err)
+    if rc:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
+
+
 @given(case=cli_input())
 @example(case=("demo", ZERO_JOINT_DEMO.encode()))
 @example(case=("model", ZERO_JOINT_MODEL.encode()))
+@example(case=("emu", b"emu-v1\nchannel1.frequency 1e400\n"))
+@example(case=("emu", b"emu-v1\nchannel1.phase nan\n"))
 @settings(max_examples=300, deadline=None)
-def test_any_input_file_ends_in_a_documented_exit_code(tmp_path_factory, case):
+def test_any_input_file_ends_in_a_documented_exit_code(inputs_dir, case):
     """Every subcommand that reads a mutated emu, calib, coupling, demo, model
-    or tactile file exits 0, 3 or 4, with one stderr line when it fails; any
-    other exception escapes ``main`` and fails the test."""
+    or tactile file ends in a documented exit code."""
     kind, content = case
-    d = tmp_path_factory.getbasetemp() / "cli_inputs"
-    if not d.exists():
-        d.mkdir()
-        for name, text in SAMPLES.items():
-            (d / name).write_text(text)
-        (d / "stream.bin").write_bytes(fx.emulate_stream(11, 0.2))
-    (d / "mutated").write_bytes(content)
-    for argv in _readers(d, d / "mutated")[kind]:
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            rc = main(argv)
-        err = stderr.getvalue()
-        assert rc in (0, 3, 4), (argv[0], err)
-        if rc:
-            assert err.endswith("\n") and err.count("\n") == 1, err
+    (inputs_dir / "mutated").write_bytes(content)
+    for argv in _readers(inputs_dir, inputs_dir / "mutated")[kind]:
+        assert_documented_exit(argv)
+
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "-1", "0", "1e-300"]
+
+
+def _numeric_tokens():
+    """(format, line, token) of every token of a valid sample that parses as a float."""
+    for kind, text in SAMPLES.items():
+        for i, line in enumerate(text.splitlines()):
+            for j, token in enumerate(line.split(" ")):
+                try:
+                    float(token)
+                except ValueError:
+                    continue
+                yield kind, i, j
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS)
+@pytest.mark.parametrize("kind,line,col", list(_numeric_tokens()))
+def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_path,
+                                                                 kind, line, col, value):
+    """Each numeric token of each format, replaced by an edge value, through
+    every subcommand that reads the format: the contract of the property
+    above, key by key and not by random draw."""
+    lines = [row.split(" ") for row in SAMPLES[kind].splitlines()]
+    lines[line][col] = value
+    bad = tmp_path / "bad"
+    bad.write_text("\n".join(" ".join(row) for row in lines) + "\n")
+    for argv in _readers(inputs_dir, bad)[kind]:
+        assert_documented_exit(argv)
 
 
 _HUGE = [

@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from glovekit.controlsim import (
-    Gains,
-    PlantParams,
-    PlantState,
-    pd_torque,
-    simulate_tracking,
-    step_plant,
-)
+from glovekit.controlsim import Gains, PlantParams, simulate_tracking
 from glovekit.errors import GlovekitError
-from oracles import tracking_per_step
+from oracles import PlantState, pd_torque, step_plant, tracking_per_step
 
 
 class TestPdTorque:

@@ -35,13 +35,6 @@ def test_sine_starts_at_offset():
     assert emu.block(1).tolist() == [[512] * 5]  # sin(0) = 0
 
 
-def test_clock_advances_by_inverse_rate():
-    emu = GloveEmulator(flat_config(rate=350.0))
-    emu.block(1)
-    emu.block(1)
-    assert emu.t == pytest.approx(2.0 / 350.0)
-
-
 def test_determinism_same_seed():
     a = GloveEmulator(sine_config(noise_std=5.0, seed=42))
     b = GloveEmulator(sine_config(noise_std=5.0, seed=42))
@@ -71,6 +64,25 @@ def test_waveform_range_validated():
         ChannelWaveform(offset=50.0, amplitude=100.0)
     with pytest.raises(GlovekitError):
         EmulatorConfig(rate=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["offset", "amplitude", "frequency", "phase"])
+def test_waveform_values_must_be_finite(field, value):
+    with pytest.raises(GlovekitError, match="waveform values must be finite"):
+        ChannelWaveform(**{field: value})
+
+
+def test_phase_must_stay_finite_over_the_duration():
+    """2*pi*1e307 Hz is finite, and so is the phase over 0.01 s; over 10 s it
+    is not, which ends the run before its first write."""
+    ch = ChannelWaveform(offset=512.0, amplitude=100.0, frequency=1e307)
+    cfg = EmulatorConfig(channels=(ch,) * 5)
+    assert run_emulator(cfg, 0.01, io.BytesIO()) == 3
+    sink = io.BytesIO()
+    with pytest.raises(GlovekitError, match="channel 1: no finite phase at 1e\\+307 Hz over 10.0 s"):
+        run_emulator(cfg, 10.0, sink)
+    assert sink.getvalue() == b""
 
 
 @pytest.mark.parametrize("duration,expected", [(1.0, 350), (0.01, 3)])
@@ -118,7 +130,6 @@ def test_blocks_of_any_sizes_continue_one_stream(sizes, seed):
     split, whole = GloveEmulator(cfg), GloveEmulator(cfg)
     blocks = [split.block(n) for n in sizes]
     assert np.array_equal(np.concatenate(blocks), whole.block(sum(sizes)))
-    assert split.t == whole.t == sum(sizes) / cfg.rate
 
 
 def test_half_counts_round_away_from_zero():

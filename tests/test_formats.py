@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from mutations import SAMPLES, mutated_file
 from glovekit import formats
-from glovekit.calibration import CalibrationProfile, CouplingMap, default_coupling_map
+from glovekit.calibration import CalibrationProfile, CouplingMap
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
 from glovekit.errors import FormatError, GlovekitError
 from glovekit.model import BasisConfig, Demonstration, TrajectoryModel, train_model
@@ -60,9 +60,9 @@ class TestProfileFormat:
 class TestCouplingFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "coupling.txt"
-        formats.save_coupling(default_coupling_map(), path)
+        formats.save_coupling(oracles.default_coupling_map(), path)
         loaded = formats.load_coupling(path)
-        assert np.array_equal(loaded.weights, default_coupling_map().weights)
+        assert np.array_equal(loaded.weights, oracles.default_coupling_map().weights)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "coupling.txt"
@@ -77,16 +77,16 @@ class TestDemoFormat:
         demo = Demonstration(rng.normal(0.5, 0.2, (40, 3)), 0.005)
         path = tmp_path / "demo.txt"
         formats.save_demo(demo, path)
-        loaded, labels = formats.load_demo(path)
+        loaded = formats.load_demo(path)
         assert np.array_equal(loaded.values, demo.values)
         assert loaded.dt == demo.dt
-        assert labels == ["j01", "j02", "j03"]
+        assert path.read_text().splitlines()[3] == "joints j01 j02 j03"
 
     def test_write_read_write_identical(self, tmp_path):
         demo = Demonstration(np.random.default_rng(0).normal(size=(25, 2)), 0.01)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         formats.save_demo(demo, p1)
-        formats.save_demo(formats.load_demo(p1)[0], p2)
+        formats.save_demo(formats.load_demo(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_nonincreasing_time(self, tmp_path):
@@ -291,7 +291,7 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n
     labels = [f"j{j + 1:02d}" for j in range(d)]
     formats.save_demo(demo, path)
     assert path.read_bytes() == oracles.demo_text(demo.values, dt, labels).encode()
-    loaded, _ = formats.load_demo(path)
+    loaded = formats.load_demo(path)
     assert loaded.values.tobytes() == oracles.float_rows(_body(path, 4))[:, 1:].tobytes()
 
     formats.save_tactile(values[:, 0], forces, path)
@@ -327,7 +327,7 @@ def test_load_demo_across_parse_blocks(tmp_path, extra):
     values = rng.normal(size=(rows, 13)) * 10.0 ** rng.integers(-8, 8, size=(rows, 13))
     path = tmp_path / "demo.txt"
     formats.save_demo(Demonstration(values, 0.005), path)
-    loaded, _ = formats.load_demo(path)
+    loaded = formats.load_demo(path)
     assert loaded.values.tobytes() == oracles.float_rows(_body(path, 4))[:, 1:].tobytes()
     assert loaded.values.tobytes() == values.tobytes()
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,11 @@ class TestBasis:
             BasisConfig(K=5, h=-0.1)
         with pytest.raises(GlovekitError):
             BasisConfig(K=5, lam=-1.0)
+
+    @pytest.mark.parametrize("h", [1e-300, 1e155, 1e308, math.inf, math.nan])
+    def test_width_whose_square_leaves_the_float_range_rejected(self, h):
+        with pytest.raises(GlovekitError, match="2\\*h\\*h finite and nonzero"):
+            BasisConfig(K=5, h=h)
 
 
 class TestFitWeights:

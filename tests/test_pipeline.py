@@ -35,7 +35,7 @@ from glovekit.pipeline import (
     record,
     reproduce,
 )
-from glovekit.wire import FRAME_SIZE, StreamParser, parse_pwm_command
+from glovekit.wire import FRAME_SIZE, StreamParser
 
 
 def recorded_demo(seed=11, duration=15.0, data=None):
@@ -320,7 +320,7 @@ class TestFeedbackLoop:
         sink = io.BytesIO()
         feedback_loop(ForceFeedbackMap(10.0), [[5.0] * 5, [10.0] * 5], sink)
         lines = sink.getvalue().decode().splitlines()
-        commands = [parse_pwm_command(line + "\n") for line in lines]
+        commands = [oracles.parse_pwm_command(line + "\n") for line in lines]
         assert commands[-1] == (255,) * 5
 
     def test_failed_transport_ends_cleanly(self):
@@ -377,7 +377,7 @@ class TestTrainReproduceEval:
         demos, model = two_demo_model
         report = evaluate(model, demos)
         assert np.all(report.band_coverage >= 0.95)
-        assert len(report.log_likelihoods) == 2
+        assert len(report.per_joint_log_likelihoods) == 2
 
     def test_inflated_noise_does_not_reduce_coverage(self, two_demo_model):
         from glovekit.model import TrajectoryModel

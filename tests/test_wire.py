@@ -15,9 +15,8 @@ from glovekit.wire import (
     StreamParser,
     encode_frames,
     encode_pwm_command,
-    parse_pwm_command,
 )
-from oracles import ScalarStreamParser, scalar_frame_bytes
+from oracles import ScalarStreamParser, parse_pwm_command, scalar_frame_bytes
 
 channels_st = st.tuples(*[st.integers(0, 1023)] * 5)
 duty_st = st.tuples(*[st.integers(0, 255)] * 5)
