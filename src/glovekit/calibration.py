@@ -80,7 +80,7 @@ def raw_to_angle(profile: CalibrationProfile, raw) -> np.ndarray:
     return jmin + frac * (jmax - jmin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMap:
     """Fixed linear map from the 5 glove channels onto robot finger joints.
 

@@ -8,6 +8,7 @@ tracks a reference trajectory at the control rate (default 200 Hz).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ class PlantParams:
             raise GlovekitError(f"torque limit must be positive, got {self.torque_limit}")
 
 
-@dataclass(frozen=True)
-class TrackingResult:
+class TrackingResult(NamedTuple):
     executed: np.ndarray  # (T, D) rad
     rmse: np.ndarray  # (D,) rad
     max_abs_error: np.ndarray  # (D,) rad

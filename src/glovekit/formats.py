@@ -233,6 +233,9 @@ def load_model(path) -> TrajectoryModel:
         sigma_y = _floats(fields["sigma_y"], path, "sigma_y")
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad model field: {exc}") from exc
+    # TrajectoryModel's own check, made before the sigma_w row count derived from D
+    if d < 1:
+        raise FormatError(f"model needs D >= 1 joints, got {d}")
     if len(sigma_w_lines) != k * d:
         raise FormatError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
     sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k * d,

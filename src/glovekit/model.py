@@ -52,7 +52,7 @@ class BasisConfig:
         return np.linspace(0.0, 1.0, self.K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Demonstration:
     """A (T, D) joint-angle trajectory sampled uniformly at dt seconds."""
 
@@ -156,7 +156,7 @@ def estimate_noise(
     return np.maximum(sq_sum / max(total - 1, 1), eps_reg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryModel:
     """Learned Gaussian distribution over trajectories."""
 

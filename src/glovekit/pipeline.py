@@ -6,7 +6,7 @@ paths and exit codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +44,11 @@ _READ_CHUNK = 16384
 _PARTIAL_FRACTION = 0.5
 
 
-@dataclass
-class RecordStats:
-    frames_received: int = 0
-    bytes_skipped: int = 0
-    nominal_frames: int = 0
-    partial: bool = False
+class RecordStats(NamedTuple):
+    frames_received: int
+    bytes_skipped: int
+    nominal_frames: int
+    partial: bool
 
 
 def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> RecordStats:
@@ -149,8 +148,7 @@ def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> np.ndarray:
     return duties
 
 
-@dataclass(frozen=True)
-class ReproduceResult:
+class ReproduceResult(NamedTuple):
     reference: np.ndarray  # (T, D) mean trajectory used as tracking target
     tracking: TrackingResult
 
@@ -171,8 +169,7 @@ def reproduce(
     return ReproduceResult(reference, tracking)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_joint_log_likelihoods: list[np.ndarray]  # (D,) per demo, summing to its log-likelihood
     band_coverage: np.ndarray  # (D,) fraction of all demo samples in +/- 2 std
     mean: np.ndarray  # (T, D) model mean at the demos' length

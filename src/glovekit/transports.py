@@ -11,12 +11,17 @@ Specs accepted on the command line:
 
 from __future__ import annotations
 
-import socket
 import sys
 import time
 from contextlib import ExitStack, contextmanager
+from typing import TYPE_CHECKING
 
 from .errors import TransportError
+
+# the tcp: helpers import socket themselves: only tcp: needs it, so file: and
+# pipe runs never pay its import
+if TYPE_CHECKING:
+    import socket
 
 _TCP_CONNECT_ATTEMPTS = 50
 _TCP_RETRY_DELAY = 0.1
@@ -86,6 +91,8 @@ def _open(spec: str, mode: str, closers: ExitStack):
 
 def _tcp_accept(port: int) -> socket.socket:
     """Listen on localhost and return the first client's connection."""
+    import socket
+
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         try:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -100,6 +107,8 @@ def _tcp_accept(port: int) -> socket.socket:
 
 
 def _tcp_connect(port: int) -> socket.socket:
+    import socket
+
     last_error = None
     for _ in range(_TCP_CONNECT_ATTEMPTS):
         try:

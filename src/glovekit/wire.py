@@ -10,8 +10,6 @@ Force-feedback commands travel host -> glove as ASCII lines
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ProtocolError
@@ -40,7 +38,6 @@ def encode_frames(values) -> bytes:
 _PAYLOAD_OFFSETS = np.arange(1, 11)
 
 
-@dataclass
 class StreamParser:
     """Incremental frame extractor tolerating garbage and split input.
 
@@ -53,9 +50,10 @@ class StreamParser:
     bytes arrive.
     """
 
-    buffer: bytearray = field(default_factory=bytearray)
-    frames_decoded: int = 0
-    bytes_skipped: int = 0
+    def __init__(self):
+        self.buffer = bytearray()
+        self.frames_decoded = 0
+        self.bytes_skipped = 0
 
     def feed(self, data: bytes) -> np.ndarray:
         """Consume a chunk; return its complete frames as a ``FRAME_DTYPE``

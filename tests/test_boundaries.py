@@ -1,6 +1,6 @@
 """Module boundaries: no glovekit module imports another one's private names,
-every method the benchmark's tracer patches exists, and the benchmark's
-self-check runs."""
+importing the CLI loads only what every command needs, every method the
+benchmark's tracer patches exists, and the benchmark's self-check runs."""
 
 import ast
 import io
@@ -37,6 +37,16 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def test_cli_import_leaves_socket_unloaded():
+    """Only tcp: needs socket, so a fresh interpreter's import of the CLI,
+    which every command pays, does not load it."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import glovekit.cli; "
+             "print('socket' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def load_tracer():

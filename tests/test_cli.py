@@ -512,9 +512,10 @@ def inputs_dir(tmp_path_factory):
     return d
 
 
-def assert_documented_exit(argv):
+def assert_documented_exit(argv) -> str:
     """``main(argv)`` exits 0, 3 or 4, with one stderr line when it fails and
-    no warning; any other exception escapes and fails the caller."""
+    no warning; any other exception escapes and fails the caller. Returns
+    the stderr text."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -525,6 +526,7 @@ def assert_documented_exit(argv):
     if rc:
         assert err.endswith("\n") and err.count("\n") == 1, err
     assert [str(w.message) for w in caught] == []
+    return err
 
 
 @given(case=cli_input())
@@ -568,8 +570,12 @@ def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_
     lines[line][col] = value
     bad = tmp_path / "bad"
     bad.write_text("\n".join(" ".join(row) for row in lines) + "\n")
+    # a model's D below 1 must be named, not the sigma_w row count it implies
+    names_d = kind == "model" and lines[line][0] == "D" and value in ("0", "-1")
     for argv in _readers(inputs_dir, bad)[kind]:
-        assert_documented_exit(argv)
+        err = assert_documented_exit(argv)
+        if names_d:
+            assert err == f"error: model needs D >= 1 joints, got {value}\n", argv[0]
 
 
 _HUGE = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glovekit.calibration import CouplingMap
 from glovekit.errors import GlovekitError, ShapeMismatchError, SingularSystemError
 from glovekit.model import (
     BasisConfig,
@@ -339,6 +340,24 @@ class TestDemonstration:
         cfg = BasisConfig(K=3)
         with pytest.raises(GlovekitError, match="model needs D >= 1 joints, got 0"):
             TrajectoryModel(cfg, np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
+
+    def test_array_holders_compare_by_identity(self):
+        """Demonstration, TrajectoryModel and CouplingMap hold arrays, so they
+        compare and hash by identity: field by field, == would ask an array
+        for its truth value and hash would hash an array."""
+        demo = sine_demo(D=2)
+        model = train_model([demo], BasisConfig(K=5))
+        coupling = CouplingMap(np.full((2, 5), 0.2))
+        pairs = [
+            (demo, Demonstration(demo.values.copy(), demo.dt)),
+            (model, TrajectoryModel(model.basis, model.mu_w.copy(), model.sigma_w.copy(),
+                                    model.sigma_y.copy(), model.D, model.eps_reg)),
+            (coupling, CouplingMap(coupling.weights.copy())),
+        ]
+        for value, twin in pairs:
+            assert value == value and value != twin
+            assert hash(value) == object.__hash__(value)
+            assert len({value, twin, value}) == 2
 
     def test_train_requires_matching_dims(self):
         with pytest.raises(ShapeMismatchError):
