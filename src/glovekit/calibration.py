@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ShapeMismatchError
+from .errors import GlovekitError
 from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX
 
 DEFAULT_JOINT_MIN = 0.0
@@ -27,14 +27,14 @@ class CalibrationProfile:
     def __post_init__(self):
         lengths = {len(self.raw_min), len(self.raw_max), len(self.joint_min), len(self.joint_max)}
         if lengths != {NUM_CHANNELS}:
-            raise CalibrationError(f"profile must have {NUM_CHANNELS} entries per field")
+            raise GlovekitError(f"profile must have {NUM_CHANNELS} entries per field")
         if not np.isfinite([self.raw_min, self.raw_max, self.joint_min, self.joint_max]).all():
-            raise CalibrationError("profile values must be finite")
+            raise GlovekitError("profile values must be finite")
         for i in range(NUM_CHANNELS):
             if not self.raw_min[i] < self.raw_max[i]:
-                raise CalibrationError(f"channel {i + 1}: raw_min must be < raw_max")
+                raise GlovekitError(f"channel {i + 1}: raw_min must be < raw_max")
             if not self.joint_min[i] <= self.joint_max[i]:
-                raise CalibrationError(f"channel {i + 1}: joint_min must be <= joint_max")
+                raise GlovekitError(f"channel {i + 1}: joint_min must be <= joint_max")
 
 
 class ExtremaBuilder:
@@ -43,7 +43,6 @@ class ExtremaBuilder:
     def __init__(self):
         self.raw_min = [float(ADC_MAX)] * NUM_CHANNELS
         self.raw_max = [0.0] * NUM_CHANNELS
-        self.frames_seen = 0
 
     def observe(self, raw) -> None:
         """Take in one frame's 5 raw counts or an (n, 5) array of raw frames."""
@@ -51,13 +50,12 @@ class ExtremaBuilder:
         if raw.shape[0]:
             self.raw_min = [min(a, b) for a, b in zip(self.raw_min, raw.min(axis=0).tolist())]
             self.raw_max = [max(a, b) for a, b in zip(self.raw_max, raw.max(axis=0).tolist())]
-        self.frames_seen += raw.shape[0]
 
     def finalize(self, joint_min: tuple[float, ...],
                  joint_max: tuple[float, ...]) -> CalibrationProfile:
         for i in range(NUM_CHANNELS):
             if not self.raw_min[i] < self.raw_max[i]:
-                raise CalibrationError(
+                raise GlovekitError(
                     f"incomplete calibration: channel {i + 1} has degenerate range "
                     f"[{self.raw_min[i]}, {self.raw_max[i]}]"
                 )
@@ -94,11 +92,11 @@ class CouplingMap:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[1] != NUM_CHANNELS:
-            raise CalibrationError(f"coupling weights must be (D, {NUM_CHANNELS})")
+            raise GlovekitError(f"coupling weights must be (D, {NUM_CHANNELS})")
         if np.any(w < 0):
-            raise CalibrationError("coupling weights must be nonnegative")
+            raise GlovekitError("coupling weights must be nonnegative")
         if not np.allclose(w.sum(axis=1), 1.0, atol=1e-9):
-            raise CalibrationError("coupling weights must sum to 1 per output")
+            raise GlovekitError("coupling weights must sum to 1 per output")
 
 
 def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:
@@ -109,7 +107,7 @@ def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:
     """
     angles = np.asarray(glove_angles, dtype=float)
     if angles.shape[-1] != NUM_CHANNELS:
-        raise ShapeMismatchError(
+        raise GlovekitError(
             f"expected {NUM_CHANNELS} glove angles, got {angles.shape[-1]}"
         )
     return angles @ coupling.weights.T
@@ -127,7 +125,7 @@ class ForceFeedbackMap:
 
     def __post_init__(self):
         if not (self.f_max > 0 and math.isfinite(self.f_max)):
-            raise CalibrationError(f"f_max must be positive and finite, got {self.f_max}")
+            raise GlovekitError(f"f_max must be positive and finite, got {self.f_max}")
 
 
 def tactile_to_pwm(fmap: ForceFeedbackMap, forces) -> np.ndarray:

@@ -158,11 +158,11 @@ def _cmd_record(args) -> int:
 def _cmd_calibrate(args) -> int:
     builder = ExtremaBuilder()
     with open_transport(args.transport, "rb") as reader:
-        read_raw_frames(reader, args.duration, args.stream_rate,
-                        lambda raw, index: builder.observe(raw))
+        stats = read_raw_frames(reader, args.duration, args.stream_rate,
+                                lambda raw, index: builder.observe(raw))
     profile = builder.finalize((args.joint_min,) * 5, (args.joint_max,) * 5)
     formats.save_profile(profile, args.output)
-    print(f"frames observed: {builder.frames_seen}, profile written: {args.output}")
+    print(f"frames observed: {stats.frames_received}, profile written: {args.output}")
     return EXIT_OK
 
 

@@ -1,29 +1,9 @@
-"""Exception hierarchy shared across the toolkit."""
+"""The two toolkit errors; ``glovekit.cli`` turns each into its exit code."""
 
 
 class GlovekitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ProtocolError(GlovekitError):
-    """Invalid frame/command content or malformed host command line."""
-
-
-class CalibrationError(GlovekitError):
-    """Calibration profile cannot be built or is inconsistent."""
-
-
-class ShapeMismatchError(GlovekitError):
-    """Inputs disagree on dimensionality (channels, joints, basis size)."""
-
-
-class SingularSystemError(GlovekitError):
-    """Unregularized least-squares system is numerically singular."""
-
-
-class FormatError(GlovekitError):
-    """A persisted file does not conform to its declared format."""
+    """Bad data, shape or value in an input, option or call: exit code 3."""
 
 
 class TransportError(GlovekitError):
-    """Byte transport failed or ended before the session completed."""
+    """Byte transport failed or ended before the session completed: exit code 4."""

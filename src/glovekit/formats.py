@@ -26,7 +26,7 @@ import numpy as np
 
 from .calibration import CalibrationProfile, CouplingMap
 from .emulator import ChannelWaveform, EmulatorConfig
-from .errors import FormatError
+from .errors import GlovekitError
 from .model import BasisConfig, Demonstration, TrajectoryModel
 from .wire import NUM_CHANNELS
 
@@ -65,13 +65,13 @@ def _read_lines(path) -> list[str]:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        raise GlovekitError(f"cannot read {path}: {exc}") from exc
     return [line for line in text.splitlines() if line.strip()]
 
 
 def _expect_header(lines: list[str], version: str, path) -> list[str]:
     if not lines or lines[0].strip() != version:
-        raise FormatError(f"{path}: missing '{version}' header")
+        raise GlovekitError(f"{path}: missing '{version}' header")
     return lines[1:]
 
 
@@ -80,7 +80,7 @@ def _floats(tokens, path, what) -> np.ndarray:
     try:
         return np.array(tokens, dtype=float)
     except ValueError as exc:
-        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+        raise GlovekitError(f"{path}: bad {what}: {exc}") from exc
 
 
 def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, what: str,
@@ -88,14 +88,14 @@ def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, w
     """Parse ``n_rows`` token lists of ``cols`` tokens each into a float64
     table, taking one block of rows from the iterator at a time, so only one
     block's tokens exist at once. A row of ``n != cols`` tokens raises
-    ``FormatError(bad_count(n))``."""
+    ``GlovekitError(bad_count(n))``."""
     block = max(1, _BLOCK_TOKENS // max(cols, 1))
     table = np.empty((n_rows, cols))
     for start in range(0, n_rows, block):
         rows = list(islice(token_rows, block))
         for tokens in rows:
             if len(tokens) != cols:
-                raise FormatError(bad_count(len(tokens)))
+                raise GlovekitError(bad_count(len(tokens)))
         table[start : start + len(rows)] = _floats(rows, path, what)
     return table
 
@@ -104,7 +104,7 @@ def _number(token: str, path, what, kind=float):
     try:
         return kind(token)
     except ValueError as exc:
-        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+        raise GlovekitError(f"{path}: bad {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- calib-v1
@@ -125,11 +125,11 @@ def load_profile(path) -> CalibrationProfile:
     for line in lines:
         tokens = line.split()
         if len(tokens) != 6 or tokens[0] != "channel":
-            raise FormatError(f"{path}: bad profile line {line!r}")
+            raise GlovekitError(f"{path}: bad profile line {line!r}")
         idx = _number(tokens[1], path, "channel number", int)
         rows[idx] = _floats(tokens[2:], path, "profile values").tolist()
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
-        raise FormatError(f"{path}: expected channels 1..{NUM_CHANNELS}")
+        raise GlovekitError(f"{path}: expected channels 1..{NUM_CHANNELS}")
     cols = [tuple(rows[i + 1][j] for i in range(NUM_CHANNELS)) for j in range(4)]
     return CalibrationProfile(*cols)
 
@@ -149,10 +149,10 @@ def load_coupling(path) -> CouplingMap:
     for line in lines:
         tokens = line.split()
         if tokens[0] != "row" or len(tokens) != NUM_CHANNELS + 1:
-            raise FormatError(f"{path}: bad coupling line {line!r}")
+            raise GlovekitError(f"{path}: bad coupling line {line!r}")
         rows.append(tokens[1:])
     if not rows:
-        raise FormatError(f"{path}: empty coupling map")
+        raise GlovekitError(f"{path}: empty coupling map")
     return CouplingMap(_floats(rows, path, "coupling weights"))
 
 
@@ -167,22 +167,22 @@ def save_demo(demo: Demonstration, path) -> None:
 def load_demo(path) -> Demonstration:
     lines = _expect_header(_read_lines(path), "demo-v1", path)
     if len(lines) < 3:
-        raise FormatError(f"{path}: truncated demo header")
+        raise GlovekitError(f"{path}: truncated demo header")
     if not lines[0].startswith("D ") or not lines[1].startswith("dt ") or not lines[2].startswith("joints "):
-        raise FormatError(f"{path}: demo header must be 'D', 'dt', 'joints' lines")
+        raise GlovekitError(f"{path}: demo header must be 'D', 'dt', 'joints' lines")
     d_tokens, dt_tokens = lines[0].split(), lines[1].split()
     if len(d_tokens) != 2 or len(dt_tokens) != 2:
-        raise FormatError(f"{path}: 'D' and 'dt' lines take one value each")
+        raise GlovekitError(f"{path}: 'D' and 'dt' lines take one value each")
     d = _number(d_tokens[1], path, "D", int)
     dt = _number(dt_tokens[1], path, "dt")
     if len(lines[2].split()) - 1 != d:
-        raise FormatError(f"{path}: joint label count != D")
+        raise GlovekitError(f"{path}: joint label count != D")
     table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
                         lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
     if len(table) < 2:
-        raise FormatError(f"{path}: demo needs at least 2 rows")
+        raise GlovekitError(f"{path}: demo needs at least 2 rows")
     if np.any(np.diff(table[:, 0]) <= 0):
-        raise FormatError(f"{path}: time column must be strictly increasing")
+        raise GlovekitError(f"{path}: time column must be strictly increasing")
     # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
     return Demonstration(table[:, 1:].copy(), dt)
 
@@ -198,7 +198,7 @@ def save_model(model: TrajectoryModel, path) -> None:
         f"h {_fmt(basis.h)}",
         f"lambda {_fmt(basis.lam)}",
         f"eps_reg {_fmt(model.eps_reg)}",
-        f"normalize {int(basis.normalize)}",
+        "normalize 1",
         "centers " + _fmt_row(basis.centers),
         "mu_w " + _fmt_row(model.mu_w),
     ]
@@ -222,22 +222,20 @@ def load_model(path) -> TrajectoryModel:
     try:
         k = int(fields["K"][0])
         d = int(fields["D"][0])
-        basis = BasisConfig(
-            K=k,
-            h=float(fields["h"][0]),
-            lam=float(fields["lambda"][0]),
-            normalize=bool(int(fields["normalize"][0])),
-        )
+        basis = BasisConfig(K=k, h=float(fields["h"][0]), lam=float(fields["lambda"][0]))
+        normalize = int(fields["normalize"][0])
         eps_reg = float(fields["eps_reg"][0])
         mu_w = _floats(fields["mu_w"], path, "mu_w")
         sigma_y = _floats(fields["sigma_y"], path, "sigma_y")
     except (KeyError, ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: bad model field: {exc}") from exc
+        raise GlovekitError(f"{path}: bad model field: {exc}") from exc
+    if normalize != 1:
+        raise GlovekitError(f"normalize must be 1, got {normalize}")
     # TrajectoryModel's own check, made before the sigma_w row count derived from D
     if d < 1:
-        raise FormatError(f"model needs D >= 1 joints, got {d}")
+        raise GlovekitError(f"model needs D >= 1 joints, got {d}")
     if len(sigma_w_lines) != k * d:
-        raise FormatError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
+        raise GlovekitError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
     sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k * d,
                           path, "sigma_w row",
                           lambda n: f"{path}: sigma_w must be {k * d} rows of {k * d} values")
@@ -249,7 +247,7 @@ def load_model(path) -> TrajectoryModel:
 def save_tactile(times, forces, path) -> None:
     forces = np.atleast_2d(np.asarray(forces, dtype=float))
     if forces.shape[1] != NUM_CHANNELS:
-        raise FormatError(f"tactile rows must have {NUM_CHANNELS} forces")
+        raise GlovekitError(f"tactile rows must have {NUM_CHANNELS} forces")
     rows = min(len(times), forces.shape[0])
     _write_table(path, ["tactile-v1"], [np.asarray(times)[:rows], forces[:rows]], " ")
 
@@ -259,9 +257,9 @@ def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
     table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, path, "tactile row",
                         lambda n: f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
     if not len(table):
-        raise FormatError(f"{path}: empty tactile profile")
+        raise GlovekitError(f"{path}: empty tactile profile")
     if not np.isfinite(table).all():
-        raise FormatError(f"{path}: tactile values must be finite")
+        raise GlovekitError(f"{path}: tactile values must be finite")
     return table[:, 0], table[:, 1:]
 
 
@@ -281,7 +279,7 @@ def save_tracking_csv(path, reference: np.ndarray, executed: np.ndarray, rate: f
     reference = np.atleast_2d(reference)
     executed = np.atleast_2d(executed)
     if reference.shape != executed.shape:
-        raise FormatError("reference and executed shapes differ")
+        raise GlovekitError("reference and executed shapes differ")
     columns = {"ref": reference, "exec": executed, "err": executed - reference}
     _write_joint_csv(path, np.arange(reference.shape[0]) / rate, columns)
 
@@ -292,7 +290,7 @@ def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[n
     std = np.atleast_2d(std)
     shape = (len(times), mean.shape[1])
     if any(np.shape(a) != shape for a in [mean, std, *demos]):
-        raise FormatError(f"mean, std and demos must all be {shape} arrays")
+        raise GlovekitError(f"mean, std and demos must all be {shape} arrays")
     demo_columns = {f"demo{n + 1}": demo for n, demo in enumerate(demos)}
     _write_joint_csv(path, times, {"mean": mean, "std": std, **demo_columns})
 
@@ -318,7 +316,7 @@ def load_emulator_config(path) -> EmulatorConfig:
     for line in lines:
         tokens = line.split()
         if len(tokens) != 2:
-            raise FormatError(f"{path}: expected 'key value' lines, got {line!r}")
+            raise GlovekitError(f"{path}: expected 'key value' lines, got {line!r}")
         kv[tokens[0]] = tokens[1]
     # only the keys present are passed, so the dataclasses' defaults apply
     try:
@@ -331,7 +329,7 @@ def load_emulator_config(path) -> EmulatorConfig:
                                                for f in fields(ChannelWaveform)
                                                if prefix + f.name in kv}))
     except ValueError as exc:
-        raise FormatError(f"{path}: bad emulator config value: {exc}") from exc
+        raise GlovekitError(f"{path}: bad emulator config value: {exc}") from exc
     if kv:
-        raise FormatError(f"{path}: unknown keys {sorted(kv)}")
+        raise GlovekitError(f"{path}: unknown keys {sorted(kv)}")
     return EmulatorConfig(channels=tuple(channels), **top)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GlovekitError, ShapeMismatchError, SingularSystemError
+from .errors import GlovekitError
 
 DEFAULT_K = 20
 DEFAULT_LAMBDA = 1e-6
@@ -32,7 +32,6 @@ class BasisConfig:
     K: int = DEFAULT_K
     h: float | None = None  # defaults to the neighbor-center spacing 1/(K-1)
     lam: float = DEFAULT_LAMBDA
-    normalize: bool = True
 
     def __post_init__(self):
         if self.K < 1:
@@ -83,8 +82,7 @@ class Demonstration:
 def _basis(phases: np.ndarray, config: BasisConfig) -> np.ndarray:
     """The K basis functions at each phase: shape ``phases.shape + (K,)``."""
     psi = np.exp(-((phases[..., None] - config.centers) ** 2) / (2.0 * config.h**2))
-    if config.normalize:
-        psi /= psi.sum(axis=-1, keepdims=True)
+    psi /= psi.sum(axis=-1, keepdims=True)
     return psi
 
 
@@ -108,7 +106,7 @@ def fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np
     if config.lam == 0.0:
         rcond = 1.0 / np.linalg.cond(gram)
         if not np.isfinite(rcond) or rcond < _RCOND_LIMIT:
-            raise SingularSystemError(
+            raise GlovekitError(
                 f"basis Gram matrix is numerically singular (rcond {rcond:.2e}); "
                 "use lambda > 0"
             )
@@ -132,7 +130,7 @@ def fit_distribution(
         raise GlovekitError("at least one weight matrix is required")
     shapes = {np.asarray(w).shape for w in weights}
     if len(shapes) != 1:
-        raise ShapeMismatchError(f"weight matrices disagree in shape: {sorted(shapes)}")
+        raise GlovekitError(f"weight matrices disagree in shape: {sorted(shapes)}")
     stacked = np.stack([stack_weights(w) for w in weights])  # (N, K*D)
     n, dim = stacked.shape
     mu = stacked.mean(axis=0)
@@ -178,7 +176,7 @@ class TrajectoryModel:
         object.__setattr__(self, "sigma_y", sy)
         kd = self.basis.K * self.D
         if mu.shape != (kd,) or sw.shape != (kd, kd) or sy.shape != (self.D,):
-            raise ShapeMismatchError("model parameter shapes inconsistent with K and D")
+            raise GlovekitError("model parameter shapes inconsistent with K and D")
         for name, values in (("mu_w", mu), ("sigma_w", sw), ("sigma_y", sy)):
             if not np.all(np.isfinite(values)):
                 raise GlovekitError(f"{name} must be finite")
@@ -198,7 +196,7 @@ def train_model(
         raise GlovekitError("at least one demonstration is required")
     dims = {demo.D for demo in demos}
     if len(dims) != 1:
-        raise ShapeMismatchError(f"demonstrations disagree in dimension: {sorted(dims)}")
+        raise GlovekitError(f"demonstrations disagree in dimension: {sorted(dims)}")
     phis = {T: design_matrix(T, config) for T in {demo.T for demo in demos}}
     weights = [fit_weights(demo, config, phis[demo.T]) for demo in demos]
     mu_w, sigma_w = fit_distribution(weights, eps_reg)
@@ -229,7 +227,7 @@ def log_likelihood_per_joint(
     """Per-joint log-probability (nats) of a demonstration around a (T, D) mean
     trajectory under the diagonal noise; its sum is the demo's log-likelihood."""
     if demo.D != model.D:
-        raise ShapeMismatchError(f"demo dimension {demo.D} != model dimension {model.D}")
+        raise GlovekitError(f"demo dimension {demo.D} != model dimension {model.D}")
     residual = demo.values - mean
     var = np.maximum(model.sigma_y, model.eps_reg)
     return -0.5 * (demo.T * np.log(2.0 * np.pi * var) + (residual**2).sum(axis=0) / var)

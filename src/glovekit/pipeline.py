@@ -26,7 +26,7 @@ from .controlsim import (
     simulate_tracking,
 )
 from .emulator import DEFAULT_RATE, sample_count
-from .errors import GlovekitError, ShapeMismatchError, TransportError
+from .errors import GlovekitError, TransportError
 from .model import (
     Demonstration,
     TrajectoryModel,
@@ -104,6 +104,8 @@ def record(
     rows = sample_count(duration, control_rate)
     if rows < 2:
         raise GlovekitError("duration * control_rate must give at least 2 samples")
+    if sample_count(duration, stream_rate) < 2:
+        raise GlovekitError("duration * stream_rate must give at least 2 frames")
     try:
         values = np.empty((rows, coupling.weights.shape[0]))
     except MemoryError:
@@ -186,9 +188,9 @@ def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
     t_ref = demos[0].T
     for i, demo in enumerate(demos, start=1):
         if demo.D != model.D:
-            raise ShapeMismatchError(f"demo {i} dimension {demo.D} != model dimension {model.D}")
+            raise GlovekitError(f"demo {i} dimension {demo.D} != model dimension {model.D}")
         if demo.T != t_ref:
-            raise ShapeMismatchError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
+            raise GlovekitError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
     phi = design_matrix(t_ref, model.basis)
     mean = mean_trajectory(model, phi)
     std = marginal_std(model, phi)

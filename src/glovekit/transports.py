@@ -4,8 +4,9 @@ Specs accepted on the command line:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
-    tcp:PORT    localhost TCP; writers listen and accept one client,
-                readers connect; a peer silent for 30 s fails the stream
+    tcp:PORT    localhost TCP, PORT in 1..65535; writers listen and accept
+                one client, readers connect; a peer silent for 30 s fails
+                the stream
     PATH        any other string is opened as a device/file path
 """
 
@@ -79,7 +80,10 @@ def _open(spec: str, mode: str, closers: ExitStack):
         try:
             port = int(spec[4:])
         except ValueError:
-            raise TransportError(f"bad TCP port in {spec!r}") from None
+            port = 0
+        # port 0 would listen where no reader can find it
+        if not 0 < port < 65536:
+            raise TransportError(f"bad TCP port in {spec!r}")
         conn = closers.enter_context(_tcp_accept(port) if mode == "wb" else _tcp_connect(port))
         return closers.enter_context(conn.makefile(mode))
     path = spec[5:] if spec.startswith("file:") else spec

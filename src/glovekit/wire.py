@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import GlovekitError
 
 SYNC_BYTE = 0xA5
 TERMINATOR = 0x0A
@@ -102,11 +102,11 @@ class StreamParser:
 
 def encode_pwm_command(duty) -> str:
     """Format 5 duty cycles in [0, 255] as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``;
-    raises ProtocolError for another count or a value out of range."""
+    raises GlovekitError for another count or a value out of range."""
     duty = tuple(duty)
     if len(duty) != NUM_CHANNELS:
-        raise ProtocolError(f"expected {NUM_CHANNELS} duty values, got {len(duty)}")
+        raise GlovekitError(f"expected {NUM_CHANNELS} duty values, got {len(duty)}")
     for v in duty:
         if not (0 <= v <= PWM_MAX):
-            raise ProtocolError(f"PWM value {v} outside [0, {PWM_MAX}]")
+            raise GlovekitError(f"PWM value {v} outside [0, {PWM_MAX}]")
     return "P " + " ".join(map(str, duty)) + "\n"

@@ -20,7 +20,7 @@ import numpy as np
 
 from glovekit.calibration import CouplingMap, apply_coupling, raw_to_angle
 from glovekit.emulator import sample_count
-from glovekit.errors import GlovekitError, ProtocolError
+from glovekit.errors import GlovekitError
 
 _SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
 _PAYLOAD = struct.Struct("<5H")
@@ -215,18 +215,18 @@ def default_coupling_map():
 
 def parse_pwm_command(line):
     """The 5 duty cycles of a PWM command line ``"P v1 v2 v3 v4 v5\\n"``, as
-    the glove reads it; raises ProtocolError when malformed."""
+    the glove reads it; raises GlovekitError when malformed."""
     tokens = line.strip().split(" ")
     if len(tokens) != 6:
-        raise ProtocolError(f"expected 6 fields, got {len(tokens)}: {line!r}")
+        raise GlovekitError(f"expected 6 fields, got {len(tokens)}: {line!r}")
     if tokens[0] != "P":
-        raise ProtocolError(f"unknown command verb {tokens[0]!r}")
+        raise GlovekitError(f"unknown command verb {tokens[0]!r}")
     try:
         duty = tuple(int(tok) for tok in tokens[1:])
     except ValueError:
-        raise ProtocolError(f"non-numeric PWM value in {line!r}") from None
+        raise GlovekitError(f"non-numeric PWM value in {line!r}") from None
     if not all(0 <= v <= 255 for v in duty):
-        raise ProtocolError(f"PWM value outside [0, 255] in {line!r}")
+        raise GlovekitError(f"PWM value outside [0, 255] in {line!r}")
     return duty
 
 
@@ -304,7 +304,7 @@ def model_text(model):
         f"h {_cell(basis.h)}",
         f"lambda {_cell(basis.lam)}",
         f"eps_reg {_cell(model.eps_reg)}",
-        f"normalize {int(basis.normalize)}",
+        "normalize 1",
         "centers " + _cells(basis.centers),
         "mu_w " + _cells(model.mu_w),
     ]

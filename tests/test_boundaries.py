@@ -1,6 +1,7 @@
 """Module boundaries: no glovekit module imports another one's private names,
-importing the CLI loads only what every command needs, every method the
-benchmark's tracer patches exists, and the benchmark's self-check runs."""
+every raise is one of the two toolkit errors, importing the CLI loads only
+what every command needs, every method the benchmark's tracer patches exists,
+and the benchmark's self-check runs."""
 
 import ast
 import io
@@ -37,6 +38,35 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def raises(node, function="<module>"):
+    """(enclosing function, raised expression) for every raise under ``node``;
+    a bare re-raise raises None."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield function, exc and ast.unparse(exc)
+        yield from raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+# the two raises that are not toolkit errors, each by where it is
+ALLOWED_RAISES = {
+    # argparse turns it into a usage error, exit 2
+    ("cli._finite_float", "argparse.ArgumentTypeError"),
+    # a bad mode is the calling code's mistake, which no input reaches
+    ("transports.open_transport", "ValueError"),
+}
+
+
+def test_every_raise_is_a_toolkit_error():
+    """cli.main maps TransportError to exit 4 and any other GlovekitError to
+    exit 3; any other exception would end a command in a traceback."""
+    found = {(f"{path.stem}.{function}", exc) for path in sorted(PACKAGE.glob("*.py"))
+             for function, exc in raises(ast.parse(path.read_text()))}
+    assert ALLOWED_RAISES <= found
+    toolkit = {None, "GlovekitError", "TransportError"}
+    assert sorted(r for r in found - ALLOWED_RAISES if r[1] not in toolkit) == []
 
 
 def test_cli_import_leaves_socket_unloaded():

@@ -329,7 +329,7 @@ def test_non_finite_float_option_is_usage_error(capsys, command, option, value):
 @pytest.mark.parametrize("key,value", [
     ("h", "nan"), ("h", "inf"), ("lambda", "nan"), ("eps_reg", "nan"), ("eps_reg", "inf"),
     ("eps_reg", "-1.0"), ("mu_w", "nan"), ("mu_w", "inf"), ("sigma_w", "nan"),
-    ("sigma_w", "inf"), ("sigma_y", "nan"), ("sigma_y", "inf"),
+    ("sigma_w", "inf"), ("sigma_y", "nan"), ("sigma_y", "inf"), ("normalize", "0"),
 ])
 def test_non_finite_model_parameter_is_data_error(workdir, capsys, key, value):
     model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
@@ -733,3 +733,19 @@ def test_tcp_reader_of_a_silent_peer_times_out(workdir, monkeypatch, capsys, com
     assert captured.out == ""
     assert captured.err == "transport error: read timed out: timed out\n"
     assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.parametrize("spec", ["tcp:65536", "tcp:-1", "tcp:0"])
+@pytest.mark.parametrize("command", ["glove-emulate", "calibrate"])
+def test_tcp_port_outside_1_to_65535_is_transport_error(workdir, capsys, command, spec):
+    """A bad port fails before any socket is made: a writer does not listen
+    where no reader can find it, a reader does not retry."""
+    args = {"glove-emulate": ["--config", str(workdir / "emu.txt"), "--duration", "1", "--fast"],
+            "calibrate": ["--duration", "1", "--output", str(workdir / "out.txt")]}[command]
+    start = time.monotonic()
+    rc = main([command, *args, "--transport", spec])
+    assert time.monotonic() - start < 1.0
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"transport error: bad TCP port in {spec!r}\n"

@@ -11,7 +11,7 @@ from mutations import SAMPLES, mutated_file
 from glovekit import formats
 from glovekit.calibration import CalibrationProfile, CouplingMap
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
-from glovekit.errors import FormatError, GlovekitError
+from glovekit.errors import GlovekitError
 from glovekit.model import BasisConfig, Demonstration, TrajectoryModel, train_model
 
 
@@ -45,7 +45,7 @@ class TestProfileFormat:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("channel 1 0 1 0 1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="missing 'calib-v1' header"):
             formats.load_profile(path)
 
     def test_missing_channel(self, tmp_path, profile):
@@ -53,7 +53,7 @@ class TestProfileFormat:
         formats.save_profile(profile, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="expected channels 1..5"):
             formats.load_profile(path)
 
 
@@ -67,7 +67,7 @@ class TestCouplingFormat:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "coupling.txt"
         path.write_text("coupling-v1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="empty coupling map"):
             formats.load_coupling(path)
 
 
@@ -92,19 +92,19 @@ class TestDemoFormat:
     def test_rejects_nonincreasing_time(self, tmp_path):
         path = tmp_path / "demo.txt"
         path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n0.0 1.0\n0.0 2.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="time column must be strictly increasing"):
             formats.load_demo(path)
 
     def test_rejects_short_file(self, tmp_path):
         path = tmp_path / "demo.txt"
         path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n0.0 1.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="demo needs at least 2 rows"):
             formats.load_demo(path)
 
     def test_rejects_wrong_field_count(self, tmp_path):
         path = tmp_path / "demo.txt"
         path.write_text("demo-v1\nD 2\ndt 0.01\njoints j01 j02\n0.0 1.0\n0.01 1.0 2.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="demo row has 2 fields, expected 3"):
             formats.load_demo(path)
 
 
@@ -144,7 +144,7 @@ class TestModelFormat:
         formats.save_model(model, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n" + lines[-1] + "\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="sigma_w must be 14 rows of 14 values"):
             formats.load_model(path)
 
 
@@ -161,7 +161,7 @@ class TestTactileFormat:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "tactile.txt"
         path.write_text("tactile-v1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="empty tactile profile"):
             formats.load_tactile(path)
 
 
@@ -191,7 +191,7 @@ class TestEmulatorConfigFormat:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "emu.txt"
         path.write_text("emu-v1\nbogus 1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="unknown keys"):
             formats.load_emulator_config(path)
 
 
@@ -221,7 +221,7 @@ class TestResultCsvs:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_bands_csv_rejects_demo_of_other_length(self, tmp_path, rows):
         mean = np.array([[0.5], [0.6]])
-        with pytest.raises(FormatError):
+        with pytest.raises(GlovekitError, match="mean, std and demos must all be"):
             formats.save_bands_csv(tmp_path / "bands.csv", [0.0, 0.01], mean, mean,
                                    [mean, np.zeros((rows, 1))])
 

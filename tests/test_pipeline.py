@@ -247,21 +247,33 @@ class CountingReader(io.BytesIO):
         return data
 
 
-@pytest.mark.parametrize("duration,control_rate,message", [
-    (5.0, 0.0, "rate must be positive, got 0.0"),
-    (5.0, -350.0, "rate must be positive, got -350.0"),
-    (0.0, fx.CONTROL_RATE, "at least 2 samples"),
-    (-1.0, fx.CONTROL_RATE, "at least 2 samples"),
-    (0.003, fx.CONTROL_RATE, "at least 2 samples"),
-    (0.0075, fx.CONTROL_RATE, "at least 2 samples"),
-    (1e12, fx.CONTROL_RATE, "200000000000000 rows do not fit in memory"),
+def argument_case(duration, control_rate, message, stream_rate=fx.STREAM_RATE):
+    """A case of the test below; its id names the stream rate only where it
+    is not the default, so the cases at the default keep their ids."""
+    shown = (duration, control_rate, message)
+    if stream_rate != fx.STREAM_RATE:
+        shown = (duration, stream_rate, control_rate, message)
+    return pytest.param(duration, stream_rate, control_rate, message,
+                        id="-".join(map(str, shown)))
+
+
+@pytest.mark.parametrize("duration,stream_rate,control_rate,message", [
+    argument_case(5.0, 0.0, "rate must be positive, got 0.0"),
+    argument_case(5.0, -350.0, "rate must be positive, got -350.0"),
+    argument_case(0.0, fx.CONTROL_RATE, "at least 2 samples"),
+    argument_case(-1.0, fx.CONTROL_RATE, "at least 2 samples"),
+    argument_case(0.003, fx.CONTROL_RATE, "at least 2 samples"),
+    argument_case(0.0075, fx.CONTROL_RATE, "at least 2 samples"),
+    argument_case(1e12, fx.CONTROL_RATE, "200000000000000 rows do not fit in memory"),
+    argument_case(15.0, fx.CONTROL_RATE, "stream_rate must give at least 2 frames", 0.1),
+    argument_case(15.0, fx.CONTROL_RATE, "stream_rate must give at least 2 frames", 0.01),
 ])
-def test_argument_errors_come_before_any_read(duration, control_rate, message):
-    """A control rate or duration that gives no demo is a data error, raised
-    before the transport is read, not after the whole duration."""
+def test_argument_errors_come_before_any_read(duration, stream_rate, control_rate, message):
+    """A rate or duration that gives no demo is a data error, raised before
+    the transport is read, not after the whole duration."""
     reader = CountingReader(PLACEMENT_STREAM)
     with pytest.raises(GlovekitError, match=message) as info:
-        record(reader, fx.make_profile(), fx.make_coupling13(), duration, fx.STREAM_RATE,
+        record(reader, fx.make_profile(), fx.make_coupling13(), duration, stream_rate,
                control_rate)
     assert not isinstance(info.value, TransportError)
     assert reader.bytes_read == 0
@@ -289,7 +301,7 @@ def test_record_and_calibrate_hold_one_read_besides_the_output():
         builder, reader = ExtremaBuilder(), io.BytesIO(data)
         stats, calibrate_peak[seconds] = traced_peak(lambda: read_raw_frames(
             reader, seconds, fx.STREAM_RATE, lambda raw, index: builder.observe(raw)))
-        assert builder.frames_seen == stats.frames_received == sample_count(seconds, fx.STREAM_RATE)
+        assert stats.frames_received == sample_count(seconds, fx.STREAM_RATE)
     assert record_extra[300.0] < 1.5e6
     assert calibrate_peak[300.0] < 1e6
     assert (record_extra[300.0] - record_extra[60.0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit.emulator import run_emulator
-from glovekit.errors import ProtocolError
+from glovekit.errors import GlovekitError
 from glovekit.wire import (
     FRAME_DTYPE,
     FRAME_SIZE,
@@ -229,11 +229,11 @@ def test_encode_pwm_mixed():
 
 
 def test_pwm_rejects_out_of_range():
-    with pytest.raises(ProtocolError, match="outside"):
+    with pytest.raises(GlovekitError, match="PWM value 256 outside"):
         encode_pwm_command((256, 0, 0, 0, 0))
-    with pytest.raises(ProtocolError, match="outside"):
+    with pytest.raises(GlovekitError, match="PWM value -1 outside"):
         encode_pwm_command((-1, 0, 0, 0, 0))
-    with pytest.raises(ProtocolError, match="expected 5 duty values, got 4"):
+    with pytest.raises(GlovekitError, match="expected 5 duty values, got 4"):
         encode_pwm_command((0, 0, 0, 0))
 
 
@@ -241,12 +241,20 @@ def test_parse_pwm_basic():
     assert parse_pwm_command("P 10 20 30 40 50\n") == (10, 20, 30, 40, 50)
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["P 300 0 0 0 0\n", "Q 1 2 3 4 5\n", "P 1 2 3 4\n", "P 1 2 3 4 5 6\n", "P a 2 3 4 5\n", ""],
-)
+# each malformed line and the message that names what is wrong with it
+PWM_MALFORMED = {
+    "P 300 0 0 0 0\n": "PWM value outside",
+    "Q 1 2 3 4 5\n": "unknown command verb 'Q'",
+    "P 1 2 3 4\n": "expected 6 fields, got 5",
+    "P 1 2 3 4 5 6\n": "expected 6 fields, got 7",
+    "P a 2 3 4 5\n": "non-numeric PWM value",
+    "": "expected 6 fields, got 1",
+}
+
+
+@pytest.mark.parametrize("line", list(PWM_MALFORMED))
 def test_parse_pwm_malformed(line):
-    with pytest.raises(ProtocolError):
+    with pytest.raises(GlovekitError, match=PWM_MALFORMED[line]):
         parse_pwm_command(line)
 
 
