@@ -1,11 +1,16 @@
 """Versioned text file formats used by the pipeline.
 
-All formats are line-oriented, space-separated, and diff-able. Floats are
-written with ``repr`` (shortest exact decimal), so write -> read -> write is
+All formats are line-oriented, space-separated, and diff-able: a version
+header line, then the file's non-blank lines. Floats are written with
+``repr`` (shortest exact decimal), so write -> read -> write is
 byte-identical. Float tables (demo, tactile, ``sigma_w`` and result CSV rows)
 are written and parsed one block of rows at a time, so the memory a file costs
 stays small and does not grow with its length; the bytes are those of one
 ``repr`` per cell, and rows are read back with ``float`` semantics.
+
+Keyed lines (emu-v1, promp-v1 but ``sigma_w``, the demo-v1 header) are
+``key value...``: each key once, one value per scalar key, no unknown key.
+promp-v1 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel once.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights
@@ -18,7 +23,7 @@ stays small and does not grow with its length; the bytes are those of one
 from __future__ import annotations
 
 from dataclasses import fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -45,31 +50,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_row(values) -> str:
-    return " ".join(map(repr, values.tolist()))
+def _table(columns: list[np.ndarray], sep: str = " ", prefix: str = "") -> Iterator[str]:
+    """The lines of the float64 table whose columns are the given (T,) and (T, k)
+    arrays side by side, each after ``prefix``, one string per block of rows.
+    Each block is stacked from the arrays on its own; the whole table never is."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+        rows = block.astype(float, copy=False).tolist()
+        yield "".join(prefix + sep.join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_table(path, header_lines: list[str], columns: list[np.ndarray], sep: str) -> None:
-    """Write the header lines, then one line per row of the float64 table whose
-    columns are the given (T,) and (T, k) arrays side by side. Each block of
-    rows is stacked from the arrays on its own; the whole table never is."""
+def _write(path, header_lines: list[str], *tables: Iterator[str]) -> None:
+    """Write the header lines, then each table's blocks."""
     with open(path, "w") as f:
         f.write("".join(line + "\n" for line in header_lines))
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-            rows = block.astype(float, copy=False).tolist()
-            f.write("".join(sep.join(map(repr, row)) + "\n" for row in rows))
+        f.writelines(chain.from_iterable(tables))
 
 
-def _read_lines(path) -> list[str]:
+def _read(path, version: str) -> list[str]:
+    """The non-blank lines of the file after its ``version`` header line."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise GlovekitError(f"cannot read {path}: {exc}") from exc
-    return [line for line in text.splitlines() if line.strip()]
-
-
-def _expect_header(lines: list[str], version: str, path) -> list[str]:
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != version:
         raise GlovekitError(f"{path}: missing '{version}' header")
     return lines[1:]
@@ -107,26 +111,42 @@ def _number(token: str, path, what, kind=float):
         raise GlovekitError(f"{path}: bad {what}: {exc}") from exc
 
 
+def _fields(lines, path, what: str) -> dict[str, list[str]]:
+    """``{key: value tokens}`` of ``key value...`` lines, each key once."""
+    found = {}
+    for line in lines:
+        key, *values = line.split()
+        if key in found:
+            raise GlovekitError(f"{path}: {what} key '{key}' repeated")
+        found[key] = values
+    return found
+
+
+def _scalar(found: dict[str, list[str]], key: str, path, kind=float):
+    """Pop ``key``, which must carry exactly one value, parsed as ``kind``."""
+    values = found.pop(key)
+    if len(values) != 1:
+        raise GlovekitError(f"{path}: '{key}' takes one value, got {len(values)}")
+    return _number(values[0], path, key, kind)
+
+
 # ---------------------------------------------------------------- calib-v1
 
 def save_profile(profile: CalibrationProfile, path) -> None:
-    lines = ["calib-v1"]
-    for i in range(NUM_CHANNELS):
-        lines.append(
-            f"channel {i + 1} {_fmt(profile.raw_min[i])} {_fmt(profile.raw_max[i])} "
-            f"{_fmt(profile.joint_min[i])} {_fmt(profile.joint_max[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(profile.raw_min, profile.raw_max, profile.joint_min, profile.joint_max)
+    _write(path, ["calib-v1"] + [f"channel {i} " + " ".join(map(_fmt, row))
+                                 for i, row in enumerate(rows, start=1)])
 
 
 def load_profile(path) -> CalibrationProfile:
-    lines = _expect_header(_read_lines(path), "calib-v1", path)
     rows = {}
-    for line in lines:
+    for line in _read(path, "calib-v1"):
         tokens = line.split()
         if len(tokens) != 6 or tokens[0] != "channel":
             raise GlovekitError(f"{path}: bad profile line {line!r}")
         idx = _number(tokens[1], path, "channel number", int)
+        if idx in rows:
+            raise GlovekitError(f"{path}: channel {idx} repeated")
         rows[idx] = _floats(tokens[2:], path, "profile values").tolist()
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
         raise GlovekitError(f"{path}: expected channels 1..{NUM_CHANNELS}")
@@ -137,16 +157,12 @@ def load_profile(path) -> CalibrationProfile:
 # ------------------------------------------------------------- coupling-v1
 
 def save_coupling(coupling: CouplingMap, path) -> None:
-    lines = ["coupling-v1"]
-    for row in coupling.weights:
-        lines.append("row " + _fmt_row(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, ["coupling-v1"], _table([coupling.weights], prefix="row "))
 
 
 def load_coupling(path) -> CouplingMap:
-    lines = _expect_header(_read_lines(path), "coupling-v1", path)
     rows = []
-    for line in lines:
+    for line in _read(path, "coupling-v1"):
         tokens = line.split()
         if tokens[0] != "row" or len(tokens) != NUM_CHANNELS + 1:
             raise GlovekitError(f"{path}: bad coupling line {line!r}")
@@ -161,21 +177,16 @@ def load_coupling(path) -> CouplingMap:
 def save_demo(demo: Demonstration, path) -> None:
     labels = " ".join(f"j{d + 1:02d}" for d in range(demo.D))
     header = ["demo-v1", f"D {demo.D}", f"dt {_fmt(demo.dt)}", "joints " + labels]
-    _write_table(path, header, [np.arange(demo.T) * demo.dt, demo.values], " ")
+    _write(path, header, _table([np.arange(demo.T) * demo.dt, demo.values]))
 
 
 def load_demo(path) -> Demonstration:
-    lines = _expect_header(_read_lines(path), "demo-v1", path)
-    if len(lines) < 3:
-        raise GlovekitError(f"{path}: truncated demo header")
-    if not lines[0].startswith("D ") or not lines[1].startswith("dt ") or not lines[2].startswith("joints "):
+    lines = _read(path, "demo-v1")
+    header = _fields(lines[:3], path, "demo")
+    if list(header) != ["D", "dt", "joints"]:
         raise GlovekitError(f"{path}: demo header must be 'D', 'dt', 'joints' lines")
-    d_tokens, dt_tokens = lines[0].split(), lines[1].split()
-    if len(d_tokens) != 2 or len(dt_tokens) != 2:
-        raise GlovekitError(f"{path}: 'D' and 'dt' lines take one value each")
-    d = _number(d_tokens[1], path, "D", int)
-    dt = _number(dt_tokens[1], path, "dt")
-    if len(lines[2].split()) - 1 != d:
+    d, dt = _scalar(header, "D", path, int), _scalar(header, "dt", path)
+    if len(header["joints"]) != d:
         raise GlovekitError(f"{path}: joint label count != D")
     table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
                         lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
@@ -191,44 +202,31 @@ def load_demo(path) -> Demonstration:
 
 def save_model(model: TrajectoryModel, path) -> None:
     basis = model.basis
-    lines = [
-        "promp-v1",
-        f"K {basis.K}",
-        f"D {model.D}",
-        f"h {_fmt(basis.h)}",
-        f"lambda {_fmt(basis.lam)}",
-        f"eps_reg {_fmt(model.eps_reg)}",
-        "normalize 1",
-        "centers " + _fmt_row(basis.centers),
-        "mu_w " + _fmt_row(model.mu_w),
-    ]
-    with open(path, "w") as f:
-        f.write("".join(line + "\n" for line in lines))
-        for row in model.sigma_w:
-            f.write("sigma_w " + _fmt_row(row) + "\n")
-        f.write("sigma_y " + _fmt_row(model.sigma_y) + "\n")
+    header = ["promp-v1", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
+              f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}", "normalize 1"]
+    # one string per sigma_w row: 128 rows of K*D values would hold megabytes at once
+    sigma_w = chain.from_iterable(_table([row[None]], prefix="sigma_w ") for row in model.sigma_w)
+    _write(path, header, _table([basis.centers[None]], prefix="centers "),
+           _table([model.mu_w[None]], prefix="mu_w "), sigma_w,
+           _table([model.sigma_y[None]], prefix="sigma_y "))
 
 
 def load_model(path) -> TrajectoryModel:
-    lines = _expect_header(_read_lines(path), "promp-v1", path)
-    fields: dict[str, list[str]] = {}
-    sigma_w_lines = []
-    for line in lines:
-        key = line.split(None, 1)[0]
-        if key == "sigma_w":
-            sigma_w_lines.append(line)
-        else:
-            fields[key] = line.split()[1:]
-    try:
-        k = int(fields["K"][0])
-        d = int(fields["D"][0])
-        basis = BasisConfig(K=k, h=float(fields["h"][0]), lam=float(fields["lambda"][0]))
-        normalize = int(fields["normalize"][0])
-        eps_reg = float(fields["eps_reg"][0])
-        mu_w = _floats(fields["mu_w"], path, "mu_w")
-        sigma_y = _floats(fields["sigma_y"], path, "sigma_y")
-    except (KeyError, ValueError, IndexError) as exc:
-        raise GlovekitError(f"{path}: bad model field: {exc}") from exc
+    keyed, sigma_w_lines = [], []
+    for line in _read(path, "promp-v1"):
+        (sigma_w_lines if line.split(None, 1)[0] == "sigma_w" else keyed).append(line)
+    found = _fields(keyed, path, "model")
+    keys = ("K", "D", "h", "lambda", "eps_reg", "normalize", "centers", "mu_w", "sigma_y")
+    if missing := [key for key in keys if key not in found]:
+        raise GlovekitError(f"{path}: missing keys {missing}")
+    k, d = _scalar(found, "K", path, int), _scalar(found, "D", path, int)
+    basis = BasisConfig(K=k, h=_scalar(found, "h", path), lam=_scalar(found, "lambda", path))
+    normalize, eps_reg = _scalar(found, "normalize", path, int), _scalar(found, "eps_reg", path)
+    del found["centers"]  # required, but not read: K fixes the centers
+    mu_w = _floats(found.pop("mu_w"), path, "mu_w")
+    sigma_y = _floats(found.pop("sigma_y"), path, "sigma_y")
+    if found:
+        raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
     if normalize != 1:
         raise GlovekitError(f"normalize must be 1, got {normalize}")
     # TrajectoryModel's own check, made before the sigma_w row count derived from D
@@ -248,12 +246,13 @@ def save_tactile(times, forces, path) -> None:
     forces = np.atleast_2d(np.asarray(forces, dtype=float))
     if forces.shape[1] != NUM_CHANNELS:
         raise GlovekitError(f"tactile rows must have {NUM_CHANNELS} forces")
-    rows = min(len(times), forces.shape[0])
-    _write_table(path, ["tactile-v1"], [np.asarray(times)[:rows], forces[:rows]], " ")
+    if len(times) != len(forces):
+        raise GlovekitError(f"{len(times)} times for {len(forces)} rows of forces")
+    _write(path, ["tactile-v1"], _table([times, forces]))
 
 
 def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = _expect_header(_read_lines(path), "tactile-v1", path)
+    lines = _read(path, "tactile-v1")
     table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, path, "tactile row",
                         lambda n: f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
     if not len(table):
@@ -271,7 +270,7 @@ def _write_joint_csv(path, times, columns: dict[str, np.ndarray]) -> None:
     d = next(iter(columns.values())).shape[1]
     header = ["time"] + [f"j{j + 1:02d}_{name}" for j in range(d) for name in columns]
     per_joint = [values[:, j] for j in range(d) for values in columns.values()]
-    _write_table(path, [",".join(header)], [np.asarray(times), *per_joint], ",")
+    _write(path, [",".join(header)], _table([np.asarray(times), *per_joint], sep=","))
 
 
 def save_tracking_csv(path, reference: np.ndarray, executed: np.ndarray, rate: float) -> None:
@@ -298,38 +297,24 @@ def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[n
 # ------------------------------------------------------------------ emu-v1
 
 def save_emulator_config(config: EmulatorConfig, path) -> None:
-    lines = [
-        "emu-v1",
-        f"rate {_fmt(config.rate)}",
-        f"noise_std {_fmt(config.noise_std)}",
-        f"seed {config.seed}",
-    ]
-    for i, ch in enumerate(config.channels):
-        for f in fields(ChannelWaveform):
-            lines.append(f"channel{i + 1}.{f.name} {_fmt(getattr(ch, f.name))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = ["emu-v1", f"rate {_fmt(config.rate)}", f"noise_std {_fmt(config.noise_std)}",
+             f"seed {config.seed}"]
+    lines += [f"channel{i + 1}.{f.name} {_fmt(getattr(ch, f.name))}"
+              for i, ch in enumerate(config.channels) for f in fields(ChannelWaveform)]
+    _write(path, lines)
 
 
 def load_emulator_config(path) -> EmulatorConfig:
-    lines = _expect_header(_read_lines(path), "emu-v1", path)
-    kv: dict[str, str] = {}
-    for line in lines:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise GlovekitError(f"{path}: expected 'key value' lines, got {line!r}")
-        kv[tokens[0]] = tokens[1]
+    found = _fields(_read(path, "emu-v1"), path, "emulator config")
     # only the keys present are passed, so the dataclasses' defaults apply
-    try:
-        top = {key: kind(kv.pop(key))
-               for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in kv}
-        channels = []
-        for i in range(NUM_CHANNELS):
-            prefix = f"channel{i + 1}."
-            channels.append(ChannelWaveform(**{f.name: float(kv.pop(prefix + f.name))
-                                               for f in fields(ChannelWaveform)
-                                               if prefix + f.name in kv}))
-    except ValueError as exc:
-        raise GlovekitError(f"{path}: bad emulator config value: {exc}") from exc
-    if kv:
-        raise GlovekitError(f"{path}: unknown keys {sorted(kv)}")
+    top = {key: _scalar(found, key, path, kind)
+           for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in found}
+    channels = []
+    for i in range(NUM_CHANNELS):
+        prefix = f"channel{i + 1}."
+        channels.append(ChannelWaveform(**{f.name: _scalar(found, prefix + f.name, path)
+                                           for f in fields(ChannelWaveform)
+                                           if prefix + f.name in found}))
+    if found:
+        raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
     return EmulatorConfig(channels=tuple(channels), **top)

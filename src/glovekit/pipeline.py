@@ -61,9 +61,12 @@ def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> Record
     failed read ends the stream as EOF does. The frames of each read go to
     ``sink(raw, index)`` as they arrive: ``raw`` is their (n, 5) float array
     of raw counts, ``index`` each one's place on the nominal grid, its stream
-    offset // 13. Returns the stream statistics.
+    offset // 13. Returns the stream statistics. A duration and rate that give
+    fewer than 2 nominal frames raise GlovekitError before the first read.
     """
     nominal = sample_count(duration, stream_rate)
+    if nominal < 2:
+        raise GlovekitError("duration * stream_rate must give at least 2 frames")
     parser = StreamParser()
     left = nominal * FRAME_SIZE
     while left > 0:
@@ -104,8 +107,6 @@ def record(
     rows = sample_count(duration, control_rate)
     if rows < 2:
         raise GlovekitError("duration * control_rate must give at least 2 samples")
-    if sample_count(duration, stream_rate) < 2:
-        raise GlovekitError("duration * stream_rate must give at least 2 frames")
     try:
         values = np.empty((rows, coupling.weights.shape[0]))
     except MemoryError:

@@ -1,12 +1,13 @@
 """Module boundaries: no glovekit module imports another one's private names,
 every raise is one of the two toolkit errors, importing the CLI loads only
-what every command needs, every method the benchmark's tracer patches exists,
-and the benchmark's self-check runs."""
+what every command needs, every method and format function the benchmark's
+tracer times exists, and the benchmark's self-check runs."""
 
 import ast
 import io
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import glovekit
-from glovekit import pipeline
+from glovekit import formats, pipeline
 from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +100,16 @@ def test_tracer_patches_a_method_the_class_defines(layer, cls, method):
     module = importlib.import_module(f"glovekit.{layer}")
     assert method in vars(getattr(module, cls))
 
+
+def test_tracer_times_the_savers_and_loaders_formats_defines():
+    """The tracer times each name in ``FORMATS_CALLED`` and wraps every public
+    function of ``formats``: a renamed saver would read 0, and a public
+    helper would add spans to ``formats.self_s``."""
+    public = {name for name, fn in vars(formats).items()
+              if inspect.isfunction(fn) and fn.__module__ == formats.__name__
+              and not name.startswith("_")}
+    assert set(tracer.FORMATS_CALLED) <= public
+    assert sorted(name for name in public if not name.startswith(("save_", "load_"))) == []
 
 
 def test_tracer_feed_probe_reads_the_reader_loop():

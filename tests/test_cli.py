@@ -90,6 +90,20 @@ def test_calibrate_subcommand(workdir):
         assert profile.raw_min[i] < profile.raw_max[i]
 
 
+@pytest.mark.parametrize("duration,rate", [("15", "0.1"), ("0.001", "350")])
+def test_calibrate_under_two_frames_is_argument_error(workdir, capsys, duration, rate):
+    """A duration and stream rate that give under 2 frames name the
+    arguments, not a degenerate channel range, and write no profile."""
+    stream = workdir / "stream.bin"
+    stream.write_bytes(fx.emulate_stream(11, 2.0))
+    rc = main(["calibrate", "--transport", f"file:{stream}", "--duration", duration,
+               "--stream-rate", rate, "--output", str(workdir / "cal_out.txt")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: duration * stream_rate must give at least 2 frames\n")
+    assert not (workdir / "cal_out.txt").exists()
+
+
 def test_tcp_transport_round_trip(workdir):
     port = 47653
     stream_args = [
@@ -576,6 +590,50 @@ def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_
         err = assert_documented_exit(argv)
         if names_d:
             assert err == f"error: model needs D >= 1 joints, got {value}\n", argv[0]
+
+
+def _copy_line(start):
+    return lambda lines: lines + [next(line for line in lines if line.startswith(start))]
+
+
+def _edit_line(start, edit):
+    return lambda lines: [edit(line) if line.startswith(start) else line for line in lines]
+
+
+# (format, edit of its valid sample's lines, what the error line must say)
+KEY_RULE_CASES = {
+    "model-copied-h": ("model", _copy_line("h "), "model key 'h' repeated"),
+    "model-copied-mu_w": ("model", _copy_line("mu_w "), "model key 'mu_w' repeated"),
+    "model-K-extra-token": ("model", _edit_line("K ", lambda line: line + " junk"),
+                            "'K' takes one value, got 2"),
+    "model-unknown-key": ("model", lambda lines: lines + ["colour blue"],
+                          "unknown keys ['colour']"),
+    "model-missing-centers": ("model", lambda lines: [line for line in lines
+                                                      if not line.startswith("centers ")],
+                              "missing keys ['centers']"),
+    "emu-copied-rate": ("emu", _copy_line("rate "), "emulator config key 'rate' repeated"),
+    "demo-D-extra-token": ("demo", _edit_line("D ", lambda line: line + " 2"),
+                           "'D' takes one value, got 2"),
+    "calib-copied-channel": ("calib", _copy_line("channel 3 "), "channel 3 repeated"),
+}
+
+
+@pytest.mark.parametrize("case", KEY_RULE_CASES)
+def test_key_rule_violation_is_data_error(inputs_dir, tmp_path, capsys, case):
+    """A repeated key, a scalar key with other than one value, an unknown key
+    and a missing model key end in exit 3 with one line naming the key,
+    through every subcommand that reads the format, and write no output."""
+    kind, edit, message = KEY_RULE_CASES[case]
+    for name, text in SAMPLES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "stream.bin").write_bytes((inputs_dir / "stream.bin").read_bytes())
+    bad = tmp_path / "bad"
+    bad.write_text("\n".join(edit(SAMPLES[kind].splitlines())) + "\n")
+    for argv in _readers(tmp_path, bad)[kind]:
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "out.txt").exists()
 
 
 _HUGE = [

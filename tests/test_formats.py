@@ -164,6 +164,13 @@ class TestTactileFormat:
         with pytest.raises(GlovekitError, match="empty tactile profile"):
             formats.load_tactile(path)
 
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.1, 0.2]])
+    def test_mismatched_lengths_rejected_before_writing(self, tmp_path, times):
+        path = tmp_path / "tactile.txt"
+        with pytest.raises(GlovekitError, match=f"{len(times)} times for 2 rows of forces"):
+            formats.save_tactile(times, np.ones((2, 5)), path)
+        assert not path.exists()
+
 
 class TestEmulatorConfigFormat:
     def test_round_trip(self, tmp_path):

@@ -279,6 +279,20 @@ def test_argument_errors_come_before_any_read(duration, stream_rate, control_rat
     assert reader.bytes_read == 0
 
 
+@pytest.mark.parametrize("duration,stream_rate", [(15.0, 0.1), (0.001, fx.STREAM_RATE)])
+def test_reader_loop_rejects_under_two_frames_before_any_read(duration, stream_rate):
+    """``calibrate`` shares the reader loop with ``record``, so a duration and
+    stream rate that give under 2 frames fail there, not as a degenerate
+    range of the glove's channels after the read."""
+    reader = CountingReader(PLACEMENT_STREAM)
+    blocks = []
+    with pytest.raises(GlovekitError, match="stream_rate must give at least 2 frames") as info:
+        read_raw_frames(reader, duration, stream_rate, lambda raw, index: blocks.append(raw))
+    assert not isinstance(info.value, TransportError)
+    assert reader.bytes_read == 0
+    assert blocks == []
+
+
 def traced_peak(run):
     """``run()``'s result and the peak of the memory traced while it ran."""
     tracemalloc.start()
