@@ -23,10 +23,10 @@ class Gains:
     kd: float = 0.2  # N*m*s/rad
 
     def __post_init__(self):
-        if not self.kp > 0:
-            raise GlovekitError(f"Kp must be positive, got {self.kp}")
-        if not self.kd >= 0:
-            raise GlovekitError(f"Kd must be nonnegative, got {self.kd}")
+        if not 0 < self.kp < np.inf:
+            raise GlovekitError(f"Kp must be positive and finite, got {self.kp}")
+        if not 0 <= self.kd < np.inf:
+            raise GlovekitError(f"Kd must be nonnegative and finite, got {self.kd}")
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,13 @@ class PlantParams:
     torque_limit: float = 2.0  # N*m
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise GlovekitError(f"inertia must be positive, got {self.m}")
-        if not self.b >= 0:
-            raise GlovekitError(f"damping must be nonnegative, got {self.b}")
-        if not self.torque_limit > 0:
-            raise GlovekitError(f"torque limit must be positive, got {self.torque_limit}")
+        if not 0 < self.m < np.inf:
+            raise GlovekitError(f"inertia must be positive and finite, got {self.m}")
+        if not 0 <= self.b < np.inf:
+            raise GlovekitError(f"damping must be nonnegative and finite, got {self.b}")
+        if not 0 < self.torque_limit < np.inf:
+            raise GlovekitError(
+                f"torque limit must be positive and finite, got {self.torque_limit}")
 
 
 class TrackingResult(NamedTuple):
@@ -60,11 +61,11 @@ def simulate_tracking(
 
     Desired velocities come from backward finite differences of the reference.
     """
-    reference = np.atleast_2d(np.asarray(reference, dtype=float))
-    if not np.all(np.isfinite(reference)):
-        raise GlovekitError("reference contains non-finite entries")
-    if rate <= 0:
-        raise GlovekitError(f"rate must be positive, got {rate}")
+    reference = np.asarray(reference, dtype=float)
+    if reference.ndim != 2 or not len(reference) or not np.isfinite(reference).all():
+        raise GlovekitError("reference must be a finite (T, D) array with T >= 1")
+    if not 0 < rate < np.inf:
+        raise GlovekitError(f"rate must be positive and finite, got {rate}")
     dt = 1.0 / rate
     omega_des = np.zeros_like(reference)
     omega_des[1:] = (reference[1:] - reference[:-1]) * rate
@@ -73,8 +74,7 @@ def simulate_tracking(
     # over Python floats, one joint at a time: the same IEEE operations in the
     # same order as the numpy reference in the tests (neither side fuses
     # multiply-add); converting one joint at a time keeps the float lists small
-    kp, kd = gains.kp, gains.kd
-    m, b, limit = params.m, params.b, params.torque_limit
+    kp, kd, m, b, limit = gains.kp, gains.kd, params.m, params.b, params.torque_limit
     executed = np.empty_like(reference)
     for j in range(reference.shape[1]):
         ref = reference[:, j].tolist()

@@ -1,7 +1,6 @@
 """Virtual glove device: deterministic sinusoidal flex channels.
 
-Lets the whole pipeline run and be tested without hardware. One emulator
-instance is single-owner.
+Lets the whole pipeline run and be tested without hardware.
 """
 
 from __future__ import annotations
@@ -9,6 +8,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -58,33 +58,37 @@ class EmulatorConfig:
             raise GlovekitError(f"seed must be nonnegative, got {self.seed}")
 
 
-class GloveEmulator:
-    """Produces the 350 Hz sensor stream."""
+def frame_blocks(config: EmulatorConfig, total: int, size: int) -> Iterator[np.ndarray]:
+    """Yield the first ``total`` frames as (n, 5) uint16 blocks of ``size``
+    frames, the last one shorter. A channel whose phase is not finite at the
+    last frame raises GlovekitError before the first block."""
+    chans = config.channels
+    omega = np.array([2.0 * math.pi * ch.frequency for ch in chans])
+    phase, offset, amplitude = np.array([(c.phase, c.offset, c.amplitude) for c in chans]).T
 
-    def __init__(self, config: EmulatorConfig):
-        self.config = config
-        self._rng = np.random.default_rng(config.seed)
-        self._step = 0
+    def phases(first: int, n: int) -> np.ndarray:
+        """The (n, 5) phases of frames first ... first + n - 1."""
+        t = np.arange(first, first + n) / config.rate
+        return t[:, None] * omega + phase
 
-    def block(self, n: int) -> np.ndarray:
-        """Emit the next n frames as an (n, 5) uint16 array."""
-        cfg = self.config
-        chans = cfg.channels
-        frequency = np.array([ch.frequency for ch in chans])
-        phase = np.array([ch.phase for ch in chans])
-        offset = np.array([ch.offset for ch in chans])
-        amplitude = np.array([ch.amplitude for ch in chans])
-        t = np.arange(self._step, self._step + n) / cfg.rate
-        arg = t[:, None] * (2.0 * math.pi * frequency) + phase
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = phases(total - 1, 1)[0].tolist()
+    for i, (ch, arg) in enumerate(zip(chans, last), start=1):
+        if not math.isfinite(arg):
+            raise GlovekitError(f"channel {i}: no finite phase at {ch.frequency!r} Hz "
+                                f"over {total / config.rate!r} s")
+    rng = np.random.default_rng(config.seed)
+    for first in range(0, total, size):
+        n = min(size, total - first)
+        arg = phases(first, n)
         # math.sin, not np.sin: the two may differ in the last bit, which can
         # flip a rounding at .5 and change the stream
         sin = np.fromiter(map(math.sin, arg.ravel().tolist()), float, arg.size)
         x = offset + amplitude * sin.reshape(n, NUM_CHANNELS)
-        if cfg.noise_std > 0:
-            x = x + self._rng.normal(0.0, cfg.noise_std, (n, NUM_CHANNELS))
+        if config.noise_std > 0:
+            x = x + rng.normal(0.0, config.noise_std, (n, NUM_CHANNELS))
         rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-        self._step += n
-        return np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
+        yield np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
 
 
 def sample_count(duration: float, rate: float) -> int:
@@ -111,21 +115,13 @@ def run_emulator(config: EmulatorConfig, duration: float, transport, fast: bool 
     """
     if duration <= 0:
         raise GlovekitError(f"duration must be positive, got {duration}")
-    emulator = GloveEmulator(config)
     total = sample_count(duration, config.rate)
-    last = (total - 1) / config.rate  # the time of the last frame, as ``block`` computes it
-    for i, ch in enumerate(config.channels, start=1):
-        if not math.isfinite(last * (2.0 * math.pi * ch.frequency) + ch.phase):
-            raise GlovekitError(
-                f"channel {i}: no finite phase at {ch.frequency!r} Hz over {duration!r} s")
-    block = _BLOCK_FRAMES if fast else 1
     start = time.monotonic()
     written = 0
-    while written < total:
-        n = min(block, total - written)
-        if not send(transport, encode_frames(emulator.block(n))):
+    for frames in frame_blocks(config, total, _BLOCK_FRAMES if fast else 1):
+        if not send(transport, encode_frames(frames)):
             return written
-        written += n
+        written += len(frames)
         if not fast:
             delay = start + written / config.rate - time.monotonic()
             if delay > 0:

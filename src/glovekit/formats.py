@@ -61,10 +61,13 @@ def _table(columns: list[np.ndarray], sep: str = " ", prefix: str = "") -> Itera
 
 
 def _write(path, header_lines: list[str], *tables: Iterator[str]) -> None:
-    """Write the header lines, then each table's blocks."""
-    with open(path, "w") as f:
-        f.write("".join(line + "\n" for line in header_lines))
-        f.writelines(chain.from_iterable(tables))
+    """Write the header lines, then each table's blocks; any OSError raises GlovekitError."""
+    try:
+        with open(path, "w") as f:
+            f.write("".join(line + "\n" for line in header_lines))
+            f.writelines(chain.from_iterable(tables))
+    except OSError as exc:
+        raise GlovekitError(f"cannot write {path}: {exc}") from exc
 
 
 def _read(path, version: str) -> list[str]:

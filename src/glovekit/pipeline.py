@@ -35,7 +35,7 @@ from .model import (
     marginal_std,
     mean_trajectory,
 )
-from .transports import send
+from .transports import PEER_GONE, send
 from .wire import FRAME_SIZE, NUM_CHANNELS, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 16384
@@ -57,12 +57,12 @@ def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> Record
     Reading stops at EOF or after the bytes of the nominal frame count: each
     read asks for at most 16 KiB and at most the bytes left, so a longer
     stream gives the same frames as its first ``duration`` and no byte beyond
-    it is waited for. A read that times out raises TransportError; any other
-    failed read ends the stream as EOF does. The frames of each read go to
-    ``sink(raw, index)`` as they arrive: ``raw`` is their (n, 5) float array
-    of raw counts, ``index`` each one's place on the nominal grid, its stream
-    offset // 13. Returns the stream statistics. A duration and rate that give
-    fewer than 2 nominal frames raise GlovekitError before the first read.
+    it is waited for. A read that finds the writer gone ends the stream as EOF
+    does; any other failed read raises TransportError. The frames of each
+    read go to ``sink(raw, index)`` as they arrive: ``raw`` is their (n, 5)
+    float array of raw counts, ``index`` each one's place on the nominal grid,
+    its stream offset // 13. Returns the stream statistics. Under 2 nominal
+    frames raise GlovekitError before the first read.
     """
     nominal = sample_count(duration, stream_rate)
     if nominal < 2:
@@ -72,10 +72,10 @@ def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> Record
     while left > 0:
         try:
             data = reader.read(min(_READ_CHUNK, left))
-        except TimeoutError as exc:
-            raise TransportError(f"read timed out: {exc}") from exc
-        except (OSError, ValueError):
+        except PEER_GONE:
             break
+        except OSError as exc:
+            raise TransportError(f"read failed: {exc}") from exc
         if not data:
             break
         left -= len(data)

@@ -1,6 +1,8 @@
 """Byte transports: ordered, lossy-tolerant streams the pipeline reads/writes.
 
-Specs accepted on the command line:
+A read or write that finds the other end gone (``PEER_GONE``) ends the
+stream cleanly; any other failure raises TransportError. Specs accepted on
+the command line:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
@@ -31,18 +33,17 @@ _TCP_RETRY_DELAY = 0.1
 # every 1.8 s at 350 Hz, so a live stream is never silent this long
 _TCP_TIMEOUT = 30.0
 
-# What a writer raises once its reader has gone away (a closed pipe or socket,
-# or a file object closed under it): the stream then ends cleanly
-READER_GONE = (ConnectionError, ValueError)
+# What a read or write raises once the other end has gone away (a closed pipe
+# or socket, or a file object closed under it): the stream then ends cleanly
+PEER_GONE = (ConnectionError, ValueError)
 
 
 @contextmanager
 def open_transport(spec: str, mode: str):
     """Yield a binary file-like object for the given transport spec.
 
-    ``mode`` is ``"rb"`` for readers or ``"wb"`` for writers. Every writer is
-    buffered, so it is flushed on exit: bytes left for a reader that has gone
-    away are dropped, any other failure raises TransportError.
+    ``mode`` is ``"rb"`` or ``"wb"``. A writer is flushed on exit: bytes for
+    a peer gone are dropped, any other failure raises TransportError.
     """
     if mode not in ("rb", "wb"):
         raise ValueError(f"mode must be 'rb' or 'wb', got {mode!r}")
@@ -52,7 +53,7 @@ def open_transport(spec: str, mode: str):
     finally:
         try:
             closers.close()
-        except READER_GONE:
+        except PEER_GONE:
             pass
         except OSError as exc:
             raise TransportError(f"closing {spec} failed: {exc}") from exc
@@ -62,7 +63,7 @@ def send(writer, data: bytes) -> bool:
     """Write ``data``; False if the reader has gone away, TransportError on any other OSError."""
     try:
         writer.write(data)
-    except READER_GONE:
+    except PEER_GONE:
         return False
     except OSError as exc:
         raise TransportError(f"write failed: {exc}") from exc

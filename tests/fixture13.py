@@ -66,6 +66,20 @@ def emulate_stream(seed: int, duration: float = DURATION, noise_std: float = NOI
     return sink.getvalue()
 
 
+class FailingReader(io.BytesIO):
+    """Serves its bytes up to ``fail_at``, then raises ``error`` on every read."""
+
+    def __init__(self, data, fail_at, error):
+        super().__init__(data)
+        self.fail_at = fail_at
+        self.error = error
+
+    def read(self, size=-1):
+        if self.tell() >= self.fail_at:
+            raise self.error
+        return super().read(min(size, self.fail_at - self.tell()))
+
+
 def clean_reference(t_steps: int, control_rate: float = CONTROL_RATE) -> np.ndarray:
     """Noise-free 13-joint trajectory at the control-rate sample times."""
     times = np.arange(t_steps) / control_rate

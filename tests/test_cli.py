@@ -693,6 +693,59 @@ def test_full_device_is_transport_error(workdir, monkeypatch, capsys, argv, fail
     assert captured.err.count("\n") == 1
 
 
+# each file-writing command, up to its --output
+OUTPUT_WRITERS = {
+    "calibrate": ["calibrate", "--transport", "file:stream.bin", "--duration", "1"],
+    "record": ["record", "--transport", "file:stream.bin", "--calibration", "calib.txt",
+               "--duration", "1"],
+    "train": ["train", "demo1.txt", "demo2.txt"],
+    "reproduce": ["reproduce", "--model", "model.txt", "--duration", "1"],
+    "eval": ["eval", "demo1.txt", "demo2.txt", "--model", "model.txt"],
+}
+
+
+@pytest.mark.parametrize("target", [
+    "missing/out.txt",
+    "adir",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                       reason="needs /dev/full")),
+], ids=["missing-directory", "directory", "dev-full"])
+@pytest.mark.parametrize("command", list(OUTPUT_WRITERS))
+def test_unwritable_output_is_data_error(workdir, monkeypatch, capsys, command, target):
+    """An --output that cannot be opened, written or closed ends in one error
+    line, not a traceback."""
+    (workdir / "stream.bin").write_bytes(fx.emulate_stream(11, 1.0))
+    rng = np.random.default_rng(3)
+    demos = [Demonstration(rng.normal(size=(40, 2)), 0.005) for _ in range(2)]
+    for i, demo in enumerate(demos, start=1):
+        formats.save_demo(demo, workdir / f"demo{i}.txt")
+    formats.save_model(train_model(demos, BasisConfig(K=4)), workdir / "model.txt")
+    (workdir / "adir").mkdir()
+    monkeypatch.chdir(workdir)
+    assert main([*OUTPUT_WRITERS[command], "--output", target]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_failed_read_is_transport_error(workdir, monkeypatch, capsys, command):
+    """A read that fails partway, other than with the writer gone, ends the
+    command with no output file rather than a recording cut short."""
+    data = fx.emulate_stream(11, 2.0)
+    stdin = fx.FailingReader(data, len(data) * 3 // 5, OSError(errno.EIO, "Input/output error"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    extra = {"record": ["--calibration", str(workdir / "calib.txt")], "calibrate": []}[command]
+    rc = main([command, "--transport", "pipe", "--duration", "2", *extra,
+               "--output", str(workdir / "out.txt")])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "transport error: read failed: [Errno 5] Input/output error\n"
+    assert not (workdir / "out.txt").exists()
+
+
 def test_tcp_reader_leaving_early_ends_paced_writer_cleanly(workdir, capsys):
     """A reader takes the first frame of a paced 2.5 s stream and closes with
     the rest of the first flushed buffer unread, which resets the connection;
@@ -789,7 +842,7 @@ def test_tcp_reader_of_a_silent_peer_times_out(workdir, monkeypatch, capsys, com
     assert rc == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "transport error: read timed out: timed out\n"
+    assert captured.err == "transport error: read failed: timed out\n"
     assert not (workdir / "out.txt").exists()
 
 

@@ -132,3 +132,24 @@ class TestSimulateTracking:
     def test_rejects_non_finite_reference(self):
         with pytest.raises(GlovekitError):
             simulate_tracking(np.array([[0.0], [np.inf]]))
+
+    @pytest.mark.parametrize("reference", [
+        np.linspace(0, 1, 50), np.zeros((0, 3)), np.float64(0.5), np.zeros((4, 2, 1)),
+    ], ids=["1-D", "no-rows", "0-D", "3-D"])
+    def test_rejects_reference_that_is_not_t_by_d(self, reference):
+        """A 1-D reference is not read as one step of 50 joints."""
+        with pytest.raises(GlovekitError, match=r"reference must be a finite \(T, D\) array"):
+            simulate_tracking(reference)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -200.0])
+    def test_rejects_rate_that_is_not_positive_and_finite(self, rate):
+        with pytest.raises(GlovekitError, match=f"rate must be positive and finite, got {rate}"):
+            simulate_tracking(np.zeros((10, 2)), rate=rate)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("make,field", [(Gains, "kp"), (Gains, "kd"), (PlantParams, "m"),
+                                        (PlantParams, "b"), (PlantParams, "torque_limit")])
+def test_gains_and_plant_reject_infinite_values(make, field, value):
+    with pytest.raises(GlovekitError, match="finite"):
+        make(**{field: value})

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixture13 as fx
-from glovekit.emulator import ChannelWaveform, EmulatorConfig, GloveEmulator, run_emulator
+from glovekit.emulator import ChannelWaveform, EmulatorConfig, frame_blocks, run_emulator
 from glovekit.errors import GlovekitError, TransportError
 from glovekit.wire import StreamParser
 from oracles import scalar_emulator_frames, scalar_frame_bytes
@@ -25,26 +25,29 @@ def sine_config(**kwargs):
     return EmulatorConfig(channels=(ch,) * 5, **kwargs)
 
 
+def first_frames(cfg, n):
+    """The stream's first n frames, as one block."""
+    return next(frame_blocks(cfg, n, n))
+
+
 def test_constant_waveform():
-    emu = GloveEmulator(flat_config())
-    assert emu.block(10).tolist() == [[512, 512, 512, 512, 512]] * 10
+    assert first_frames(flat_config(), 10).tolist() == [[512, 512, 512, 512, 512]] * 10
 
 
 def test_sine_starts_at_offset():
-    emu = GloveEmulator(sine_config())
-    assert emu.block(1).tolist() == [[512] * 5]  # sin(0) = 0
+    assert first_frames(sine_config(), 1).tolist() == [[512] * 5]  # sin(0) = 0
 
 
 def test_determinism_same_seed():
-    a = GloveEmulator(sine_config(noise_std=5.0, seed=42))
-    b = GloveEmulator(sine_config(noise_std=5.0, seed=42))
-    assert np.array_equal(a.block(200), b.block(200))
+    a = first_frames(sine_config(noise_std=5.0, seed=42), 200)
+    b = first_frames(sine_config(noise_std=5.0, seed=42), 200)
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    a = GloveEmulator(flat_config(noise_std=5.0, seed=1))
-    b = GloveEmulator(flat_config(noise_std=5.0, seed=2))
-    assert not np.array_equal(a.block(50), b.block(50))
+    a = first_frames(flat_config(noise_std=5.0, seed=1), 50)
+    b = first_frames(flat_config(noise_std=5.0, seed=2), 50)
+    assert not np.array_equal(a, b)
 
 
 def test_noise_clamps_into_adc_range():
@@ -53,7 +56,7 @@ def test_noise_clamps_into_adc_range():
         noise_std=200.0,
         seed=3,
     )
-    block = GloveEmulator(cfg).block(500)
+    block = first_frames(cfg, 500)
     assert ((block >= 0) & (block <= 1023)).all()
 
 
@@ -127,15 +130,18 @@ def test_stream_matches_frame_by_frame_reference(noise_std, duration):
 @settings(max_examples=25, deadline=None)
 def test_blocks_of_any_sizes_continue_one_stream(sizes, seed):
     cfg = fx.emulator_config(seed=seed, noise_std=3.0)
-    split, whole = GloveEmulator(cfg), GloveEmulator(cfg)
-    blocks = [split.block(n) for n in sizes]
-    assert np.array_equal(np.concatenate(blocks), whole.block(sum(sizes)))
+    total = sum(sizes)
+    whole = first_frames(cfg, total)
+    for size in sizes:
+        blocks = list(frame_blocks(cfg, total, size))
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 def test_half_counts_round_away_from_zero():
     offsets = (0.5, 1.5, 2.5, 511.5, 1022.5)
     cfg = EmulatorConfig(channels=tuple(ChannelWaveform(offset=v) for v in offsets))
-    assert GloveEmulator(cfg).block(1).tolist() == [[1, 2, 3, 512, 1023]]
+    assert first_frames(cfg, 1).tolist() == [[1, 2, 3, 512, 1023]]
 
 
 class _ClosingSink:

@@ -293,6 +293,41 @@ def test_reader_loop_rejects_under_two_frames_before_any_read(duration, stream_r
     assert blocks == []
 
 
+@pytest.mark.parametrize("error", [
+    OSError(errno.EIO, "Input/output error"),
+    OSError(errno.ENXIO, "No such device or address"),
+    TimeoutError("timed out"),
+], ids=["EIO", "ENXIO", "timeout"])
+def test_failed_read_is_transport_error(error):
+    """A read that fails for any reason but the writer going away fails the
+    stream: taking it as EOF would hold the rest of a recording at the last
+    frame's value."""
+    data = fx.emulate_stream(11, 2.0)
+    reader = fx.FailingReader(data, len(data) * 3 // 5, error)
+    blocks = []
+    with pytest.raises(TransportError) as info:
+        read_raw_frames(reader, 2.0, fx.STREAM_RATE, lambda raw, index: blocks.append(raw))
+    assert str(info.value) == f"read failed: {error}"
+    assert 0 < sum(len(raw) for raw in blocks) < 700
+
+
+@pytest.mark.parametrize("error", [
+    ConnectionResetError(errno.ECONNRESET, "Connection reset by peer"),
+    ValueError("I/O operation on closed file"),
+], ids=["reset", "closed"])
+def test_writer_gone_ends_the_stream_as_eof_does(error):
+    data = fx.emulate_stream(11, 2.0)
+    cut = len(data) * 3 // 5
+    gone = collect(fx.FailingReader(data, cut, error), 2.0)
+    eof = collect(io.BytesIO(data[:cut]), 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(gone[:2], eof[:2]))
+    assert gone[2] == eof[2] == (cut // FRAME_SIZE, 0, 700, False)
+    demo, stats = recorded_demo(duration=2.0, data=data[:cut])
+    gone_demo, gone_stats = record(fx.FailingReader(data, cut, error), fx.make_profile(),
+                                   fx.make_coupling13(), 2.0, fx.STREAM_RATE, fx.CONTROL_RATE)
+    assert gone_demo.values.tobytes() == demo.values.tobytes() and gone_stats == stats
+
+
 def traced_peak(run):
     """``run()``'s result and the peak of the memory traced while it ran."""
     tracemalloc.start()
