@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GlovekitError
+from .errors import GlovekitError, require_positive
 from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX
 
 DEFAULT_JOINT_MIN = 0.0
@@ -124,8 +124,7 @@ class ForceFeedbackMap:
     f_max: float
 
     def __post_init__(self):
-        if not (self.f_max > 0 and math.isfinite(self.f_max)):
-            raise GlovekitError(f"f_max must be positive and finite, got {self.f_max}")
+        require_positive("f_max", self.f_max)
 
 
 def tactile_to_pwm(fmap: ForceFeedbackMap, forces) -> np.ndarray:

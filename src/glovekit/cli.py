@@ -17,6 +17,7 @@ from . import formats
 from .calibration import (
     DEFAULT_JOINT_MAX,
     DEFAULT_JOINT_MIN,
+    CalibrationProfile,
     ExtremaBuilder,
     ForceFeedbackMap,
     identity_coupling_map,
@@ -44,16 +45,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_emulate(sub):
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="glovekit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
     p = sub.add_parser("glove-emulate", help="stream a virtual glove to a transport")
+    p.set_defaults(run=_cmd_emulate)
     p.add_argument("--config", required=True, help="emu-v1 config file")
     p.add_argument("--duration", type=_finite_float, required=True, help="seconds to stream")
     p.add_argument("--fast", action="store_true", help="write without real-time pacing")
     p.add_argument("--transport", required=True, help="pipe | tcp:PORT | file:PATH")
 
-
-def _add_record(sub):
     p = sub.add_parser("record", help="record a demonstration from a transport")
+    p.set_defaults(run=_cmd_record)
     p.add_argument("--transport", required=True)
     p.add_argument("--calibration", required=True, help="calib-v1 profile file")
     p.add_argument("--coupling", help="coupling-v1 map file (default: identity)")
@@ -62,9 +66,8 @@ def _add_record(sub):
     p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
     p.add_argument("--output", required=True, help="demo-v1 output file")
 
-
-def _add_calibrate(sub):
     p = sub.add_parser("calibrate", help="capture per-channel extrema into a profile")
+    p.set_defaults(run=_cmd_calibrate)
     p.add_argument("--transport", required=True)
     p.add_argument("--duration", type=_finite_float, default=5.0)
     p.add_argument("--stream-rate", type=_finite_float, default=DEFAULT_RATE)
@@ -72,9 +75,8 @@ def _add_calibrate(sub):
     p.add_argument("--joint-max", type=_finite_float, default=DEFAULT_JOINT_MAX)
     p.add_argument("--output", required=True, help="calib-v1 output file")
 
-
-def _add_train(sub):
     p = sub.add_parser("train", help="fit the trajectory model from demo files")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--basis-count", type=int, default=BasisConfig().K)
     p.add_argument("--basis-width", type=_finite_float, default=None)
@@ -82,9 +84,8 @@ def _add_train(sub):
     p.add_argument("--eps-reg", type=_finite_float, default=DEFAULT_EPS_REG)
     p.add_argument("--output", required=True, help="promp-v1 output file")
 
-
-def _add_reproduce(sub):
     p = sub.add_parser("reproduce", help="track the model mean on the simulated plant")
+    p.set_defaults(run=_cmd_reproduce)
     p.add_argument("--model", required=True, help="promp-v1 file")
     p.add_argument("--duration", type=_finite_float, default=15.0)
     p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
@@ -95,31 +96,17 @@ def _add_reproduce(sub):
     p.add_argument("--torque-limit", type=_finite_float, default=PlantParams().torque_limit)
     p.add_argument("--output", required=True, help="tracking CSV output")
 
-
-def _add_eval(sub):
     p = sub.add_parser("eval", help="likelihood and band-coverage diagnostics")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--model", required=True, help="promp-v1 file")
     p.add_argument("--output", required=True, help="plot-ready bands CSV")
 
-
-def _add_feedback(sub):
     p = sub.add_parser("feedback", help="send a scripted tactile profile as PWM commands")
+    p.set_defaults(run=_cmd_feedback)
     p.add_argument("--tactile", required=True, help="tactile-v1 file")
     p.add_argument("--f-max", type=_finite_float, required=True, help="tactile full-scale")
     p.add_argument("--transport", required=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="glovekit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_emulate(sub)
-    _add_record(sub)
-    _add_calibrate(sub)
-    _add_train(sub)
-    _add_reproduce(sub)
-    _add_eval(sub)
-    _add_feedback(sub)
     return parser
 
 
@@ -156,6 +143,8 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # the profile's joint-range check before the first read; any raw range will do
+    CalibrationProfile((0.0,) * 5, (1.0,) * 5, (args.joint_min,) * 5, (args.joint_max,) * 5)
     builder = ExtremaBuilder()
     with open_transport(args.transport, "rb") as reader:
         stats = read_raw_frames(reader, args.duration, args.stream_rate,
@@ -167,12 +156,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    demos = []
-    dts = set()
-    for path in args.demos:
-        demo = formats.load_demo(path)
-        demos.append(demo)
-        dts.add(demo.dt)
+    demos = [formats.load_demo(path) for path in args.demos]
+    dts = {demo.dt for demo in demos}
     if len(dts) != 1:
         raise GlovekitError(f"demo files disagree on dt: {sorted(dts)}")
     config = BasisConfig(K=args.basis_count, h=args.basis_width, lam=args.ridge)
@@ -226,29 +211,18 @@ def _cmd_feedback(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "glove-emulate": _cmd_emulate,
-    "record": _cmd_record,
-    "calibrate": _cmd_calibrate,
-    "train": _cmd_train,
-    "reproduce": _cmd_reproduce,
-    "eval": _cmd_eval,
-    "feedback": _cmd_feedback,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a float overflow or an invalid or divide-by-zero result means the
-        # input is out of range: one error line, never a warning and a file
+        # a float overflow, an invalid or divide-by-zero result or a memory shortfall
+        # means the input is out of range: one error line, never a warning and a file
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (GlovekitError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GlovekitError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

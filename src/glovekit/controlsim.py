@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GlovekitError
+from .errors import GlovekitError, require_nonnegative, require_positive
 
 DEFAULT_CONTROL_RATE = 200.0
 
@@ -23,10 +23,8 @@ class Gains:
     kd: float = 0.2  # N*m*s/rad
 
     def __post_init__(self):
-        if not 0 < self.kp < np.inf:
-            raise GlovekitError(f"Kp must be positive and finite, got {self.kp}")
-        if not 0 <= self.kd < np.inf:
-            raise GlovekitError(f"Kd must be nonnegative and finite, got {self.kd}")
+        require_positive("Kp", self.kp)
+        require_nonnegative("Kd", self.kd)
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,9 @@ class PlantParams:
     torque_limit: float = 2.0  # N*m
 
     def __post_init__(self):
-        if not 0 < self.m < np.inf:
-            raise GlovekitError(f"inertia must be positive and finite, got {self.m}")
-        if not 0 <= self.b < np.inf:
-            raise GlovekitError(f"damping must be nonnegative and finite, got {self.b}")
-        if not 0 < self.torque_limit < np.inf:
-            raise GlovekitError(
-                f"torque limit must be positive and finite, got {self.torque_limit}")
+        require_positive("inertia", self.m)
+        require_nonnegative("damping", self.b)
+        require_positive("torque limit", self.torque_limit)
 
 
 class TrackingResult(NamedTuple):
@@ -64,8 +58,7 @@ def simulate_tracking(
     reference = np.asarray(reference, dtype=float)
     if reference.ndim != 2 or not len(reference) or not np.isfinite(reference).all():
         raise GlovekitError("reference must be a finite (T, D) array with T >= 1")
-    if not 0 < rate < np.inf:
-        raise GlovekitError(f"rate must be positive and finite, got {rate}")
+    require_positive("rate", rate)
     dt = 1.0 / rate
     omega_des = np.zeros_like(reference)
     omega_des[1:] = (reference[1:] - reference[:-1]) * rate

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GlovekitError
+from .errors import GlovekitError, require_nonnegative, require_positive
 from .transports import send
 from .wire import ADC_MAX, NUM_CHANNELS, encode_frames
 
@@ -48,12 +48,10 @@ class EmulatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise GlovekitError(f"rate must be positive and finite, got {self.rate}")
+        require_positive("rate", self.rate)
         if len(self.channels) != NUM_CHANNELS:
             raise GlovekitError(f"expected {NUM_CHANNELS} channel waveforms")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise GlovekitError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
+        require_nonnegative("noise_std", self.noise_std)
         if self.seed < 0:
             raise GlovekitError(f"seed must be nonnegative, got {self.seed}")
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GlovekitError
+from .errors import GlovekitError, require_nonnegative, require_positive
 
 DEFAULT_K = 20
 DEFAULT_LAMBDA = 1e-6
@@ -39,10 +39,9 @@ class BasisConfig:
         if self.h is None:
             object.__setattr__(self, "h", 1.0 / (self.K - 1) if self.K > 1 else 1.0)
         # the basis divides by 2*h*h, which must be a finite positive number
-        if not (self.h > 0 and 0.0 < 2.0 * self.h * self.h < math.inf):
+        if not (self.h > 0 and (width := 2.0 * self.h * self.h) > 0 and math.isfinite(width)):
             raise GlovekitError(f"h must be positive with 2*h*h finite and nonzero, got {self.h}")
-        if not (self.lam >= 0 and math.isfinite(self.lam)):
-            raise GlovekitError(f"lambda must be nonnegative and finite, got {self.lam}")
+        require_nonnegative("lambda", self.lam)
 
     @property
     def centers(self) -> np.ndarray:
@@ -67,8 +66,7 @@ class Demonstration:
             raise GlovekitError(f"demonstration needs D >= 1 joints, got {v.shape[1]}")
         if not np.all(np.isfinite(v)):
             raise GlovekitError("demonstration contains non-finite values")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise GlovekitError(f"dt must be positive and finite, got {self.dt}")
+        require_positive("dt", self.dt)
 
     @property
     def T(self) -> int:
@@ -182,8 +180,7 @@ class TrajectoryModel:
                 raise GlovekitError(f"{name} must be finite")
         if np.any(sy < 0):
             raise GlovekitError("sigma_y entries must be nonnegative")
-        if not (self.eps_reg >= 0 and math.isfinite(self.eps_reg)):
-            raise GlovekitError(f"eps_reg must be nonnegative and finite, got {self.eps_reg}")
+        require_nonnegative("eps_reg", self.eps_reg)
 
 
 def train_model(

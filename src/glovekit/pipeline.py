@@ -35,7 +35,7 @@ from .model import (
     marginal_std,
     mean_trajectory,
 )
-from .transports import PEER_GONE, send
+from .transports import PEER_GONE, receive, send
 from .wire import FRAME_SIZE, NUM_CHANNELS, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 16384
@@ -51,6 +51,13 @@ class RecordStats(NamedTuple):
     partial: bool
 
 
+def _at_least_2(duration: float, rate: float, rate_name: str, unit: str) -> int:
+    count = sample_count(duration, rate)
+    if count < 2:
+        raise GlovekitError(f"duration * {rate_name} must give at least 2 {unit}")
+    return count
+
+
 def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> RecordStats:
     """Decode the first ``duration`` of a byte transport, one read at a time.
 
@@ -58,20 +65,19 @@ def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> Record
     read asks for at most 16 KiB and at most the bytes left, so a longer
     stream gives the same frames as its first ``duration`` and no byte beyond
     it is waited for. A read that finds the writer gone ends the stream as EOF
-    does; any other failed read raises TransportError. The frames of each
-    read go to ``sink(raw, index)`` as they arrive: ``raw`` is their (n, 5)
-    float array of raw counts, ``index`` each one's place on the nominal grid,
-    its stream offset // 13. Returns the stream statistics. Under 2 nominal
-    frames raise GlovekitError before the first read.
+    does; any other failed read, or 30 s of silence on a reader that is not a
+    regular file, raises TransportError. Each read's frames go to ``sink(raw,
+    index)``: ``raw`` is their (n, 5) float array of raw counts, ``index`` each
+    one's place on the nominal grid, its stream offset // 13. Returns the
+    stream statistics. Under 2 nominal frames raise GlovekitError before the
+    first read.
     """
-    nominal = sample_count(duration, stream_rate)
-    if nominal < 2:
-        raise GlovekitError("duration * stream_rate must give at least 2 frames")
+    nominal = _at_least_2(duration, stream_rate, "stream_rate", "frames")
     parser = StreamParser()
     left = nominal * FRAME_SIZE
     while left > 0:
         try:
-            data = reader.read(min(_READ_CHUNK, left))
+            data = receive(reader, min(_READ_CHUNK, left))
         except PEER_GONE:
             break
         except OSError as exc:
@@ -104,9 +110,7 @@ def record(
     only on duration and control rate. Each read's frames are mapped, and the
     rows below its last frame written, as they arrive.
     """
-    rows = sample_count(duration, control_rate)
-    if rows < 2:
-        raise GlovekitError("duration * control_rate must give at least 2 samples")
+    rows = _at_least_2(duration, control_rate, "control_rate", "samples")
     try:
         values = np.empty((rows, coupling.weights.shape[0]))
     except MemoryError:
@@ -164,9 +168,7 @@ def reproduce(
     plant: PlantParams = PlantParams(),
 ) -> ReproduceResult:
     """Track the model's mean trajectory on the simulated plant."""
-    t_steps = sample_count(duration, control_rate)
-    if t_steps < 2:
-        raise GlovekitError("duration * control_rate must give at least 2 samples")
+    t_steps = _at_least_2(duration, control_rate, "control_rate", "samples")
     reference = mean_trajectory(model, design_matrix(t_steps, model.basis))
     tracking = simulate_tracking(reference, gains, plant, control_rate)
     return ReproduceResult(reference, tracking)

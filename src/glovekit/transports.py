@@ -1,19 +1,20 @@
 """Byte transports: ordered, lossy-tolerant streams the pipeline reads/writes.
 
 A read or write that finds the other end gone (``PEER_GONE``) ends the
-stream cleanly; any other failure raises TransportError. Specs accepted on
-the command line:
+stream cleanly; any other failure, or a peer silent for 30 s (see
+``receive``), raises TransportError. Specs accepted on the command line:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
     tcp:PORT    localhost TCP, PORT in 1..65535; writers listen and accept
-                one client, readers connect; a peer silent for 30 s fails
-                the stream
+                one client, readers connect
     PATH        any other string is opened as a device/file path
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -21,17 +22,17 @@ from typing import TYPE_CHECKING
 
 from .errors import TransportError
 
-# the tcp: helpers import socket themselves: only tcp: needs it, so file: and
-# pipe runs never pay its import
+# the tcp: helpers import socket and ``receive`` imports select themselves:
+# file: runs need neither, so they never pay their import
 if TYPE_CHECKING:
     import socket
 
 _TCP_CONNECT_ATTEMPTS = 50
 _TCP_RETRY_DELAY = 0.1
-# seconds a tcp: accept, read or write waits for its peer before the stream
-# fails with TransportError. A paced writer flushes its 8 KiB buffer about
-# every 1.8 s at 350 Hz, so a live stream is never silent this long
-_TCP_TIMEOUT = 30.0
+# seconds a read, or a tcp: accept or write, waits for its peer before the
+# stream fails. A paced writer flushes its 8 KiB buffer about every 1.8 s at
+# 350 Hz, so a live stream is never silent this long
+_STALL_TIMEOUT = 30.0
 
 # What a read or write raises once the other end has gone away (a closed pipe
 # or socket, or a file object closed under it): the stream then ends cleanly
@@ -70,6 +71,23 @@ def send(writer, data: bytes) -> bool:
     return True
 
 
+def receive(reader, size: int) -> bytes:
+    """Read up to ``size`` bytes, b"" at EOF. A reader that is not a regular
+    file is waited on for at most 30 s, then gives what has arrived;
+    TimeoutError if nothing has."""
+    try:
+        regular = stat.S_ISREG(os.fstat(reader.fileno()).st_mode)
+    except (AttributeError, OSError, ValueError):  # no descriptor: read it as it is
+        regular = True
+    if regular:
+        return reader.read(size)
+    import select
+
+    if not select.select([reader], [], [], _STALL_TIMEOUT)[0]:
+        raise TimeoutError("timed out")
+    return reader.read1(size)
+
+
 def _open(spec: str, mode: str, closers: ExitStack):
     """Open the stream for ``spec``; push what flushes and closes it on exit."""
     if spec == "pipe":
@@ -101,11 +119,11 @@ def _tcp_accept(port: int) -> socket.socket:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         try:
             server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.settimeout(_TCP_TIMEOUT)
+            server.settimeout(_STALL_TIMEOUT)
             server.bind(("127.0.0.1", port))
             server.listen(1)
             conn = server.accept()[0]
-            conn.settimeout(_TCP_TIMEOUT)
+            conn.settimeout(_STALL_TIMEOUT)
             return conn
         except OSError as exc:
             raise TransportError(f"TCP listen on port {port} failed: {exc}") from exc
@@ -117,7 +135,7 @@ def _tcp_connect(port: int) -> socket.socket:
     last_error = None
     for _ in range(_TCP_CONNECT_ATTEMPTS):
         try:
-            return socket.create_connection(("127.0.0.1", port), timeout=_TCP_TIMEOUT)
+            return socket.create_connection(("127.0.0.1", port), timeout=_STALL_TIMEOUT)
         except OSError as exc:
             last_error = exc
             time.sleep(_TCP_RETRY_DELAY)

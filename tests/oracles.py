@@ -9,7 +9,8 @@ step per control step, no shared code with the package's float loop; the
 tactile -> PWM map as round-then-clamp, where the package clamps the ratio
 before rounding; a parser for the PWM command lines the package only writes;
 the record step over the whole stream in one array, where the package maps
-and interpolates one read at a time.
+and interpolates one read at a time; the range check of each scalar parameter
+as its site wrote it, where the package states one rule in ``errors``.
 """
 
 import math
@@ -357,3 +358,30 @@ def bands_csv_text(times, mean, std, demos):
 def float_rows(lines):
     """Each line's space-separated tokens through ``float``, one at a time."""
     return np.array([[float(token) for token in line.split()] for line in lines])
+
+
+# Each scalar parameter's range check as its own site wrote it before one rule
+# in ``errors`` stated them all, in its three spellings: the predicate a
+# value had to pass and the message format of the GlovekitError otherwise
+OLD_SCALAR_CHECKS = {
+    "Gains.kp": (lambda x: 0 < x < np.inf, "Kp must be positive and finite, got {}"),
+    "Gains.kd": (lambda x: 0 <= x < np.inf, "Kd must be nonnegative and finite, got {}"),
+    "PlantParams.m": (lambda x: 0 < x < np.inf, "inertia must be positive and finite, got {}"),
+    "PlantParams.b": (lambda x: 0 <= x < np.inf, "damping must be nonnegative and finite, got {}"),
+    "PlantParams.torque_limit": (lambda x: 0 < x < np.inf,
+                                 "torque limit must be positive and finite, got {}"),
+    "simulate_tracking.rate": (lambda x: 0 < x < np.inf,
+                               "rate must be positive and finite, got {}"),
+    "ForceFeedbackMap.f_max": (lambda x: x > 0 and math.isfinite(x),
+                               "f_max must be positive and finite, got {}"),
+    "BasisConfig.lam": (lambda x: x >= 0 and math.isfinite(x),
+                        "lambda must be nonnegative and finite, got {}"),
+    "TrajectoryModel.eps_reg": (lambda x: x >= 0 and math.isfinite(x),
+                                "eps_reg must be nonnegative and finite, got {}"),
+    "EmulatorConfig.rate": (lambda x: math.isfinite(x) and x > 0,
+                            "rate must be positive and finite, got {}"),
+    "EmulatorConfig.noise_std": (lambda x: math.isfinite(x) and x >= 0,
+                                 "noise_std must be nonnegative and finite, got {}"),
+    "Demonstration.dt": (lambda x: math.isfinite(x) and x > 0,
+                         "dt must be positive and finite, got {}"),
+}

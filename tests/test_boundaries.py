@@ -51,12 +51,15 @@ def raises(node, function="<module>"):
         yield from raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
 
-# the two raises that are not toolkit errors, each by where it is
+# the three raises that are not toolkit errors, each by where it is
 ALLOWED_RAISES = {
     # argparse turns it into a usage error, exit 2
     ("cli._finite_float", "argparse.ArgumentTypeError"),
     # a bad mode is the calling code's mistake, which no input reaches
     ("transports.open_transport", "ValueError"),
+    # a stalled read: read_raw_frames turns it, as any failed read, into a
+    # TransportError, exit 4
+    ("transports.receive", "TimeoutError"),
 }
 
 
@@ -71,13 +74,36 @@ def test_every_raise_is_a_toolkit_error():
 
 
 def test_cli_import_leaves_socket_unloaded():
-    """Only tcp: needs socket, so a fresh interpreter's import of the CLI,
-    which every command pays, does not load it."""
+    """Only tcp: needs socket and only a reader that is not a regular file
+    needs select, so a fresh interpreter's import of the CLI, which every
+    command pays, loads neither."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import glovekit.cli; "
-             "print('socket' in sys.modules)")
+             "print('socket' in sys.modules, 'select' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
                             capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False False\n", "")
+
+
+def infinity_comparisons(node, function="<module>"):
+    """The enclosing function of every comparison with ``np.inf`` or ``math.inf``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Compare):
+            operands = [child.left, *child.comparators]
+            if any(isinstance(op, ast.Attribute) and op.attr == "inf" for op in operands):
+                yield function
+        yield from infinity_comparisons(
+            child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def test_scalar_range_rule_is_written_once():
+    """"Positive (or nonnegative) and finite" is one rule, stated in
+    ``errors``: no other module words its message or compares with infinity."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: text.count("and finite, got") for name, text in sources.items()
+            if "and finite, got" in text} == {"errors": 1}
+    compared = {f"{name}.{function}" for name, text in sources.items()
+                for function in infinity_comparisons(ast.parse(text))}
+    assert compared <= {"errors._require"}
 
 
 def load_tracer():

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixture13 as fx
-from glovekit import formats, transports
+from glovekit import formats, pipeline, transports
+from glovekit import model as model_module
 from glovekit.cli import main
 from glovekit.errors import GlovekitError
 from glovekit.model import BasisConfig, Demonstration, train_model
@@ -816,7 +817,7 @@ def test_pipe_writer_with_its_reader_gone_ends_cleanly(workdir, monkeypatch, cap
 
 
 def test_tcp_writer_without_client_times_out(workdir, monkeypatch, capsys):
-    monkeypatch.setattr(transports, "_TCP_TIMEOUT", 0.2)
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.2)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -832,7 +833,7 @@ def test_tcp_writer_without_client_times_out(workdir, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["record", "calibrate"])
 def test_tcp_reader_of_a_silent_peer_times_out(workdir, monkeypatch, capsys, command):
     """The peer accepts the connection (in the listen backlog) and never sends."""
-    monkeypatch.setattr(transports, "_TCP_TIMEOUT", 0.2)
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.2)
     extra = {"record": ["--calibration", str(workdir / "calib.txt")], "calibrate": []}[command]
     with socket.socket() as peer:
         peer.bind(("127.0.0.1", 0))
@@ -843,6 +844,92 @@ def test_tcp_reader_of_a_silent_peer_times_out(workdir, monkeypatch, capsys, com
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "transport error: read failed: timed out\n"
+    assert not (workdir / "out.txt").exists()
+
+
+def _run_reader(workdir, command, transport):
+    """Run ``command`` for 1 s of stream on ``transport``; its exit code and
+    how long it took."""
+    extra = {"record": ["--calibration", str(workdir / "calib.txt")], "calibrate": []}[command]
+    start = time.monotonic()
+    rc = main([command, "--transport", transport, "--duration", "1", *extra,
+               "--output", str(workdir / "out.txt")])
+    return rc, time.monotonic() - start
+
+
+@pytest.mark.parametrize("sent", [0, 20 * 13 + 5], ids=["silent", "silent-after-20-frames"])
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_silent_pipe_writer_times_out(workdir, monkeypatch, capsys, command, sent):
+    """As ``(sleep 5) | glovekit record --transport pipe ...``: the writer holds
+    the pipe open and sends nothing, or nothing more."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.3)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, fx.emulate_stream(11, 1.0)[:sent])
+    stdin = io.TextIOWrapper(os.fdopen(read_fd, "rb"))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    try:
+        rc, took = _run_reader(workdir, command, "pipe")
+    finally:
+        os.close(write_fd)
+        stdin.close()
+    assert (rc, capsys.readouterr()) == (4, ("", "transport error: read failed: timed out\n"))
+    assert 0.3 <= took < 5
+    assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_fifo_held_open_by_a_silent_writer_times_out(workdir, monkeypatch, capsys, command):
+    """A FIFO stands for a glove's serial device: one that stays open and
+    silent fails the stream rather than hanging."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.3)
+    fifo = workdir / "glove.fifo"
+    os.mkfifo(fifo)
+    # read-write holds the FIFO open as a writer without waiting for a reader
+    writer = os.open(fifo, os.O_RDWR)
+    try:
+        rc, took = _run_reader(workdir, command, f"file:{fifo}")
+    finally:
+        os.close(writer)
+    assert (rc, capsys.readouterr()) == (4, ("", "transport error: read failed: timed out\n"))
+    assert 0.3 <= took < 5
+    assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError("Unable to allocate 29.8 GiB for an array with shape (200000001, 20)"),
+     "error: Unable to allocate 29.8 GiB for an array with shape (200000001, 20)\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["train", "reproduce"])
+def test_out_of_memory_is_data_error(workdir, monkeypatch, capsys, command, error, line):
+    """``reproduce --duration 1e6`` and ``train --basis-count 100000000`` ask
+    the design matrix for tens of GiB; the failed allocation ends in one error
+    line, never a traceback."""
+    demo = Demonstration(np.zeros((40, 2)), 0.005)
+    formats.save_demo(demo, workdir / "demo.txt")
+    formats.save_model(train_model([demo], BasisConfig(K=4)), workdir / "model.txt")
+
+    def out_of_memory(*args):
+        raise error
+
+    owner = {"train": model_module, "reproduce": pipeline}[command]
+    monkeypatch.setattr(owner, "design_matrix", out_of_memory)
+    argv = {"train": ["train", str(workdir / "demo.txt")],
+            "reproduce": ["reproduce", "--model", str(workdir / "model.txt")]}[command]
+    assert main([*argv, "--output", str(workdir / "out.txt")]) == 3
+    assert capsys.readouterr() == ("", line)
+    assert not (workdir / "out.txt").exists()
+
+
+def test_calibrate_checks_the_joint_range_before_the_first_read(workdir, monkeypatch, capsys):
+    stdin = io.BytesIO(fx.emulate_stream(11, 2.0))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    rc = main(["calibrate", "--transport", "pipe", "--duration", "2", "--joint-min", "2",
+               "--joint-max", "1", "--output", str(workdir / "out.txt")])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "error: channel 1: joint_min must be <= joint_max\n")
+    assert stdin.tell() == 0
     assert not (workdir / "out.txt").exists()
 
 

@@ -2,6 +2,9 @@ import errno
 import io
 import itertools
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -326,6 +329,63 @@ def test_writer_gone_ends_the_stream_as_eof_does(error):
     gone_demo, gone_stats = record(fx.FailingReader(data, cut, error), fx.make_profile(),
                                    fx.make_coupling13(), 2.0, fx.STREAM_RATE, fx.CONTROL_RATE)
     assert gone_demo.values.tobytes() == demo.values.tobytes() and gone_stats == stats
+
+
+def test_live_pipe_records_the_bytes_of_a_file():
+    """A pipe is waited on and read as its bytes arrive, in pieces of any size
+    at any pace; the demo is the one the whole stream gives at once."""
+    data = fx.emulate_stream(11, 2.0)
+    read_fd, write_fd = os.pipe()
+
+    def paced_writer():
+        rng = np.random.default_rng(5)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pos = 0
+            while pos < len(data):
+                step = int(rng.integers(1, 3000))
+                pipe.write(data[pos : pos + step])
+                pipe.flush()
+                pos += step
+                time.sleep(0.002)
+
+    writer = threading.Thread(target=paced_writer)
+    writer.start()
+    with os.fdopen(read_fd, "rb") as reader:
+        demo, stats = record(reader, fx.make_profile(), fx.make_coupling13(), 2.0,
+                             fx.STREAM_RATE, fx.CONTROL_RATE)
+    writer.join(timeout=10)
+    expected, expected_stats = recorded_demo(duration=2.0, data=data)
+    assert demo.values.tobytes() == expected.values.tobytes()
+    assert stats == expected_stats
+
+
+class ReadOnlyFile:
+    """A reader with a descriptor and ``read`` alone, like the benchmark's
+    timing proxy around a ``file:`` stream."""
+
+    def __init__(self, path):
+        self.file = open(path, "rb")
+        self.reads = 0
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def read(self, size):
+        self.reads += 1
+        return self.file.read(size)
+
+
+def test_regular_file_is_read_with_read_alone(tmp_path):
+    """A regular file is never waited on: every read goes through ``read``."""
+    path = tmp_path / "stream.bin"
+    path.write_bytes(PLACEMENT_STREAM)
+    reader = ReadOnlyFile(path)
+    with reader.file:
+        raw, index, stats = collect(reader, 5.0)
+    expected = collect(io.BytesIO(PLACEMENT_STREAM), 5.0)
+    assert np.array_equal(raw, expected[0]) and np.array_equal(index, expected[1])
+    assert stats == expected[2]
+    assert reader.reads == math.ceil(len(PLACEMENT_STREAM) / 16384)
 
 
 def traced_peak(run):
