@@ -8,14 +8,18 @@ are written and parsed one block of rows at a time, so the memory a file costs
 stays small and does not grow with its length; the bytes are those of one
 ``repr`` per cell, and rows are read back with ``float`` semantics.
 
-Keyed lines (emu-v1, promp-v1 but ``sigma_w``, the demo-v1 header) are
+Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
 ``key value...``: each key once, one value per scalar key, no unknown key.
-promp-v1 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel once.
+promp-v2 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel once.
+promp-v2 holds only the K x K diagonal blocks of the weight covariance, the
+ones queries read: block d is ``sigma_w`` lines d*K .. (d+1)*K - 1, K values
+each. A promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header;
+re-run ``train``.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights
     demo-v1      recorded joint-angle trajectory
-    promp-v1     learned trajectory model
+    promp-v2     learned trajectory model
     tactile-v1   scripted tactile force profile
     emu-v1       emulator configuration (flat key-value)
 """
@@ -41,8 +45,8 @@ from .wire import NUM_CHANNELS
 # 131 columns of an eight-demo bands CSV
 _BLOCK_ROWS = 128
 # values parsed per block: a token costs a str object plus numpy's text copy of
-# it, so blocks are counted in values, whether a row holds the 14 of a demo or
-# the 260 of a 13-joint, 20-basis sigma_w row
+# it, so blocks are counted in values, whether a row holds the 14 of a 13-joint
+# demo or the 20 of a 20-basis sigma_w row
 _BLOCK_TOKENS = 2048
 
 
@@ -201,22 +205,21 @@ def load_demo(path) -> Demonstration:
     return Demonstration(table[:, 1:].copy(), dt)
 
 
-# ---------------------------------------------------------------- promp-v1
+# ---------------------------------------------------------------- promp-v2
 
 def save_model(model: TrajectoryModel, path) -> None:
     basis = model.basis
-    header = ["promp-v1", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
+    header = ["promp-v2", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
               f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}", "normalize 1"]
-    # one string per sigma_w row: 128 rows of K*D values would hold megabytes at once
-    sigma_w = chain.from_iterable(_table([row[None]], prefix="sigma_w ") for row in model.sigma_w)
     _write(path, header, _table([basis.centers[None]], prefix="centers "),
-           _table([model.mu_w[None]], prefix="mu_w "), sigma_w,
+           _table([model.mu_w[None]], prefix="mu_w "),
+           _table([model.sigma_w.reshape(-1, basis.K)], prefix="sigma_w "),
            _table([model.sigma_y[None]], prefix="sigma_y "))
 
 
 def load_model(path) -> TrajectoryModel:
     keyed, sigma_w_lines = [], []
-    for line in _read(path, "promp-v1"):
+    for line in _read(path, "promp-v2"):
         (sigma_w_lines if line.split(None, 1)[0] == "sigma_w" else keyed).append(line)
     found = _fields(keyed, path, "model")
     keys = ("K", "D", "h", "lambda", "eps_reg", "normalize", "centers", "mu_w", "sigma_y")
@@ -235,12 +238,12 @@ def load_model(path) -> TrajectoryModel:
     # TrajectoryModel's own check, made before the sigma_w row count derived from D
     if d < 1:
         raise GlovekitError(f"model needs D >= 1 joints, got {d}")
+    bad_shape = f"{path}: sigma_w must be {k * d} rows of {k} values"
     if len(sigma_w_lines) != k * d:
-        raise GlovekitError(f"{path}: sigma_w must be {k * d} rows of {k * d} values")
-    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k * d,
-                          path, "sigma_w row",
-                          lambda n: f"{path}: sigma_w must be {k * d} rows of {k * d} values")
-    return TrajectoryModel(basis, mu_w, sigma_w, sigma_y, d, eps_reg)
+        raise GlovekitError(bad_shape)
+    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k,
+                          path, "sigma_w row", lambda n: bad_shape)
+    return TrajectoryModel(basis, mu_w, sigma_w.reshape(d, k, k), sigma_y, d, eps_reg)
 
 
 # -------------------------------------------------------------- tactile-v1

@@ -158,7 +158,7 @@ class TrajectoryModel:
 
     basis: BasisConfig
     mu_w: np.ndarray  # (K*D,)
-    sigma_w: np.ndarray  # (K*D, K*D)
+    sigma_w: np.ndarray  # (D, K, K): joint d's diagonal block of the weight covariance
     sigma_y: np.ndarray  # (D,) diagonal observation-noise variances
     D: int
     eps_reg: float = DEFAULT_EPS_REG
@@ -172,8 +172,8 @@ class TrajectoryModel:
         object.__setattr__(self, "mu_w", mu)
         object.__setattr__(self, "sigma_w", sw)
         object.__setattr__(self, "sigma_y", sy)
-        kd = self.basis.K * self.D
-        if mu.shape != (kd,) or sw.shape != (kd, kd) or sy.shape != (self.D,):
+        k = self.basis.K
+        if mu.shape != (k * self.D,) or sw.shape != (self.D, k, k) or sy.shape != (self.D,):
             raise GlovekitError("model parameter shapes inconsistent with K and D")
         for name, values in (("mu_w", mu), ("sigma_w", sw), ("sigma_y", sy)):
             if not np.all(np.isfinite(values)):
@@ -188,7 +188,9 @@ def train_model(
     config: BasisConfig,
     eps_reg: float = DEFAULT_EPS_REG,
 ) -> TrajectoryModel:
-    """Fit per-demo weights, the weight distribution, and the noise model."""
+    """Fit per-demo weights, the weight distribution, and the noise model.
+    Of the weight covariance only the per-joint diagonal blocks are kept:
+    no query reads the cross-joint ones."""
     if not demos:
         raise GlovekitError("at least one demonstration is required")
     dims = {demo.D for demo in demos}
@@ -196,7 +198,9 @@ def train_model(
         raise GlovekitError(f"demonstrations disagree in dimension: {sorted(dims)}")
     phis = {T: design_matrix(T, config) for T in {demo.T for demo in demos}}
     weights = [fit_weights(demo, config, phis[demo.T]) for demo in demos]
-    mu_w, sigma_w = fit_distribution(weights, eps_reg)
+    mu_w, full = fit_distribution(weights, eps_reg)
+    k = config.K
+    sigma_w = np.stack([full[d * k : (d + 1) * k, d * k : (d + 1) * k] for d in range(demos[0].D)])
     residuals = (demo.values - phis[demo.T] @ w for demo, w in zip(demos, weights))
     sigma_y = estimate_noise(residuals, eps_reg)
     return TrajectoryModel(config, mu_w, sigma_w, sigma_y, demos[0].D, eps_reg)
@@ -209,11 +213,9 @@ def mean_trajectory(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
 
 def marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     """(T, D) pointwise standard deviation including observation noise at ``phi``'s phases."""
-    k = model.basis.K
     std = np.empty((phi.shape[0], model.D))
     for d in range(model.D):
-        block = model.sigma_w[d * k : (d + 1) * k, d * k : (d + 1) * k]
-        var = np.einsum("tk,kl,tl->t", phi, block, phi) + model.sigma_y[d]
+        var = np.einsum("tk,kl,tl->t", phi, model.sigma_w[d], phi) + model.sigma_y[d]
         std[:, d] = np.sqrt(np.maximum(var, 0.0))
     return std
 

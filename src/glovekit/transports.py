@@ -107,7 +107,14 @@ def _open(spec: str, mode: str, closers: ExitStack):
         return closers.enter_context(conn.makefile(mode))
     path = spec[5:] if spec.startswith("file:") else spec
     try:
-        return closers.enter_context(open(path, mode))
+        if mode == "wb":
+            return closers.enter_context(open(path, mode))
+        # a blocking open of a FIFO waits for a writer with no bound, before
+        # receive's stall bound can apply: open without waiting, read blocking
+        stream = closers.enter_context(
+            open(path, mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)))
+        os.set_blocking(stream.fileno(), True)
+        return stream
     except OSError as exc:
         raise TransportError(f"cannot open {path}: {exc}") from exc
 

@@ -19,10 +19,13 @@ from oracles import default_coupling_map
 
 def _valid_samples() -> dict:
     """One valid file per input format, as text, keyed by the format's short name."""
+    # six basis functions: each sigma_w line then holds as many values as each
+    # of the (K*D, K*D) matrix's rows did at K = 3, D = 2, and every line and
+    # column of the bad-number sweep is still a number
     model = train_model(
         [Demonstration(np.column_stack([np.linspace(0, 1, 6), np.ones(6) * s]), 0.01)
          for s in (0.1, 0.2)],
-        BasisConfig(K=3),
+        BasisConfig(K=6),
     )
     profile = CalibrationProfile((100.0,) * 5, (900.0,) * 5, (0.0,) * 5, (1.5,) * 5)
     writers = {

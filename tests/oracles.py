@@ -10,7 +10,9 @@ tactile -> PWM map as round-then-clamp, where the package clamps the ratio
 before rounding; a parser for the PWM command lines the package only writes;
 the record step over the whole stream in one array, where the package maps
 and interpolates one read at a time; the range check of each scalar parameter
-as its site wrote it, where the package states one rule in ``errors``.
+as its site wrote it, where the package states one rule in ``errors``; the
+marginal std read from the whole weight covariance, where the package keeps
+only its per-joint blocks.
 """
 
 import math
@@ -83,6 +85,18 @@ def covariance_term_by_term(vectors):
             for j in range(dim):
                 cov[i, j] += (v[i] - mean[i]) * (v[j] - mean[j]) / (n - 1)
     return mean, cov
+
+
+def marginal_std_full(sigma_w_full, sigma_y, phi):
+    """(T, D) marginal std with each joint's block sliced from the whole
+    (K*D, K*D) weight covariance ``fit_distribution`` returns."""
+    k = phi.shape[1]
+    std = np.empty((phi.shape[0], len(sigma_y)))
+    for d in range(len(sigma_y)):
+        block = sigma_w_full[d * k : (d + 1) * k, d * k : (d + 1) * k]
+        var = np.einsum("tk,kl,tl->t", phi, block, phi) + sigma_y[d]
+        std[:, d] = np.sqrt(np.maximum(var, 0.0))
+    return std
 
 
 def gaussian_logpdf_sum(values, means, variance):
@@ -296,10 +310,11 @@ def tactile_text(times, forces):
 
 
 def model_text(model):
-    """promp-v1 file text of a trajectory model, cell by cell."""
+    """promp-v2 file text of a trajectory model, cell by cell: joint d's
+    sigma_w block is rows d*K .. (d+1)*K - 1."""
     basis = model.basis
     lines = [
-        "promp-v1",
+        "promp-v2",
         f"K {basis.K}",
         f"D {model.D}",
         f"h {_cell(basis.h)}",
@@ -309,8 +324,9 @@ def model_text(model):
         "centers " + _cells(basis.centers),
         "mu_w " + _cells(model.mu_w),
     ]
-    for row in model.sigma_w:
-        lines.append("sigma_w " + _cells(row))
+    for block in model.sigma_w:
+        for row in block:
+            lines.append("sigma_w " + _cells(row))
     lines.append("sigma_y " + _cells(model.sigma_y))
     return "\n".join(lines) + "\n"
 

@@ -177,7 +177,9 @@ def test_criterion_07_variance_sanity():
         std = marginal_std(model, phi)
         assert np.all(std >= np.sqrt(eps) - 1e-15)
 
-        draws = rng.multivariate_normal(model.mu_w, model.sigma_w, size=100_000)
+        # the whole covariance of the same weights, cross-joint blocks included
+        _, sigma_w_full = fit_distribution([fit_weights(d, cfg, phi) for d in demos], eps)
+        draws = rng.multivariate_normal(model.mu_w, sigma_w_full, size=100_000)
         for d in range(2):
             samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
             mc = np.sqrt(samples.var(axis=0, ddof=1) + model.sigma_y[d])

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixture13 as fx
+import oracles
 from glovekit import formats, pipeline, transports
 from glovekit import model as model_module
 from glovekit.cli import main
@@ -419,7 +420,7 @@ def test_float_overflow_is_data_error(workdir, capsys):
 
 # a demo and a model of zero joints: both load as text, neither is a trajectory
 ZERO_JOINT_DEMO = "demo-v1\nD 0\ndt 0.005\njoints \n0.0\n0.005\n0.01\n"
-ZERO_JOINT_MODEL = ("promp-v1\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\n"
+ZERO_JOINT_MODEL = ("promp-v2\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\n"
                     "centers 0.0 0.5 1.0\nmu_w \nsigma_y \n")
 
 
@@ -441,6 +442,28 @@ def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
     monkeypatch.chdir(workdir)
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: model needs D >= 1 joints, got 0\n"
+    assert not (workdir / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "demo.txt", "--model", "model.txt", "--output", "bands.csv"],
+    ["reproduce", "--model", "model.txt", "--output", "bands.csv"],
+], ids=lambda argv: argv[0])
+def test_promp_v1_model_is_data_error(workdir, monkeypatch, capsys, argv):
+    """A promp-v1 file, which held the whole (K*D) x (K*D) weight covariance,
+    is not read: one error line, exit 3, and ``train`` makes a promp-v2 one."""
+    demo = Demonstration(np.cumsum(np.ones((40, 2)), 0), 0.005)
+    formats.save_demo(demo, workdir / "demo.txt")
+    model = train_model([demo], BasisConfig(K=3))
+    v1 = ["promp-v1" if line == "promp-v2" else line
+          for line in oracles.model_text(model).splitlines() if not line.startswith("sigma_w ")]
+    v1[-1:-1] = ["sigma_w " + " ".join(map(repr, row)) for row in 1e-08 * np.eye(6)]
+    (workdir / "model.txt").write_text("\n".join(v1) + "\n")
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model.txt: missing 'promp-v2' header\n"
     assert not (workdir / "bands.csv").exists()
 
 
@@ -891,6 +914,34 @@ def test_fifo_held_open_by_a_silent_writer_times_out(workdir, monkeypatch, capsy
         rc, took = _run_reader(workdir, command, f"file:{fifo}")
     finally:
         os.close(writer)
+    assert (rc, capsys.readouterr()) == (4, ("", "transport error: read failed: timed out\n"))
+    assert 0.3 <= took < 5
+    assert not (workdir / "out.txt").exists()
+
+
+def _open_and_close_as_writer(fifo):
+    try:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    except OSError:  # no reader waits on it
+        pass
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_fifo_with_no_writer_times_out(workdir, monkeypatch, capsys, command):
+    """A FIFO no writer has opened, as a glove's device node before the glove
+    is up: opening it does not wait, so the stall bound applies to it."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.3)
+    fifo = workdir / "glove.fifo"
+    os.mkfifo(fifo)
+    # should the open wait for a writer, this one ends the wait after 5 s, so
+    # the test fails on its time rather than hanging
+    rescue = threading.Timer(5.0, _open_and_close_as_writer, [fifo])
+    rescue.start()
+    try:
+        rc, took = _run_reader(workdir, command, f"file:{fifo}")
+    finally:
+        rescue.cancel()
     assert (rc, capsys.readouterr()) == (4, ("", "transport error: read failed: timed out\n"))
     assert 0.3 <= took < 5
     assert not (workdir / "out.txt").exists()

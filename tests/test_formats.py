@@ -139,12 +139,35 @@ class TestModelFormat:
         formats.save_model(formats.load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_sigma_w_is_one_block_of_k_rows_per_joint(self, tmp_path, model):
+        path = tmp_path / "model.txt"
+        formats.save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "promp-v2"
+        rows = [line.split()[1:] for line in lines if line.startswith("sigma_w ")]
+        assert [len(row) for row in rows] == [7] * 14
+        for d in range(2):
+            assert oracles.float_rows([" ".join(row) for row in rows[d * 7 : (d + 1) * 7]]
+                                      ).tobytes() == model.sigma_w[d].tobytes()
+
+    def test_thirteen_joint_model_write_read_write_identical(self, tmp_path):
+        rng = np.random.default_rng(13)
+        demos = [Demonstration(np.cumsum(rng.normal(size=(300, 13)), 0), 0.005) for _ in range(3)]
+        model = train_model(demos, BasisConfig(K=20))
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        formats.save_model(model, p1)
+        loaded = formats.load_model(p1)
+        assert loaded.sigma_w.tobytes() == model.sigma_w.tobytes()
+        formats.save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes() == oracles.model_text(model).encode()
+
     def test_truncated_covariance_rejected(self, tmp_path, model):
         path = tmp_path / "model.txt"
         formats.save_model(model, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n" + lines[-1] + "\n")
-        with pytest.raises(GlovekitError, match="sigma_w must be 14 rows of 14 values"):
+        with pytest.raises(GlovekitError, match="sigma_w must be 14 rows of 7 values"):
             formats.load_model(path)
 
 
@@ -318,7 +341,8 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n
 
     kd = k * d
     weights = data.draw(float_tables((kd + 2, kd)))
-    model = TrajectoryModel(BasisConfig(K=k), weights[0], weights[2:], np.abs(weights[1, :d]), d)
+    model = TrajectoryModel(BasisConfig(K=k), weights[0], weights[2:, :k].reshape(d, k, k),
+                            np.abs(weights[1, :d]), d)
     formats.save_model(model, path)
     assert path.read_bytes() == oracles.model_text(model).encode()
     sigma_w = [line.split(None, 1)[1] for line in _body(path, 0) if line.startswith("sigma_w ")]

@@ -22,7 +22,12 @@ from glovekit.model import (
     stack_weights,
     train_model,
 )
-from oracles import covariance_term_by_term, gaussian_logpdf_sum, ridge_weights_oracle
+from oracles import (
+    covariance_term_by_term,
+    gaussian_logpdf_sum,
+    marginal_std_full,
+    ridge_weights_oracle,
+)
 
 
 def sine_demo(T=200, D=2, dt=0.005, noise=0.0, seed=0):
@@ -231,9 +236,10 @@ class TestModelQueries:
         rng = np.random.default_rng(8)
         w1, w2 = rng.normal(size=(2, 12))
         sy = np.array([1e-4, 1e-4])
-        m1 = TrajectoryModel(cfg, w1, 1e-8 * np.eye(12), sy, 2)
-        m2 = TrajectoryModel(cfg, w2, 1e-8 * np.eye(12), sy, 2)
-        mavg = TrajectoryModel(cfg, (w1 + w2) / 2, 1e-8 * np.eye(12), sy, 2)
+        sw = 1e-8 * np.stack([np.eye(6)] * 2)
+        m1 = TrajectoryModel(cfg, w1, sw, sy, 2)
+        m2 = TrajectoryModel(cfg, w2, sw, sy, 2)
+        mavg = TrajectoryModel(cfg, (w1 + w2) / 2, sw, sy, 2)
         phi = design_matrix(40, cfg)
         avg = (mean_trajectory(m1, phi) + mean_trajectory(m2, phi)) / 2
         assert np.max(np.abs(mean_trajectory(mavg, phi) - avg)) < 1e-12
@@ -248,7 +254,7 @@ class TestModelQueries:
     def test_std_with_zero_weight_covariance(self):
         cfg = BasisConfig(K=5)
         model = TrajectoryModel(
-            cfg, np.zeros(10), np.zeros((10, 10)), np.array([0.04, 0.04]), 2
+            cfg, np.zeros(10), np.zeros((2, 5, 5)), np.array([0.04, 0.04]), 2
         )
         assert marginal_std(model, design_matrix(30, cfg)) == pytest.approx(np.full((30, 2), 0.2))
 
@@ -272,7 +278,9 @@ class TestModelQueries:
         phi = design_matrix(60, model.basis)
         std = marginal_std(model, phi)
         rng = np.random.default_rng(99)
-        draws = rng.multivariate_normal(model.mu_w, model.sigma_w, size=100_000)
+        # the whole covariance of the same weights, cross-joint blocks included
+        _, sigma_w_full = fit_distribution([fit_weights(d, model.basis, phi) for d in (d1, d2)])
+        draws = rng.multivariate_normal(model.mu_w, sigma_w_full, size=100_000)
         mc = np.empty_like(std)
         for d in range(2):
             samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
@@ -280,12 +288,41 @@ class TestModelQueries:
         assert np.max(np.abs(mc / std - 1.0)) < 0.02
 
 
+class TestPerJointBlocks:
+    """The model keeps of ``fit_distribution``'s (K*D, K*D) covariance only
+    its diagonal K x K blocks, with their bits, and the std they give is the
+    std of the whole matrix, bit for bit."""
+
+    @pytest.mark.parametrize("n,d,k", [(1, 1, 1), (2, 2, 8), (3, 4, 3), (2, 13, 20), (8, 13, 20)])
+    def test_blocks_are_the_diagonal_blocks_of_the_whole_covariance(self, n, d, k):
+        rng = np.random.default_rng(100 * n + d)
+        cfg = BasisConfig(K=k)
+        demos = [Demonstration(np.cumsum(rng.normal(size=(int(rng.integers(40, 120)), d)), 0),
+                               0.005) for _ in range(n)]
+        model = train_model(demos, cfg)
+        weights = [fit_weights(demo, cfg, design_matrix(demo.T, cfg)) for demo in demos]
+        _, full = fit_distribution(weights)
+        assert model.sigma_w.shape == (d, k, k)
+        for j in range(d):
+            assert model.sigma_w[j].tobytes() == full[j * k : (j + 1) * k,
+                                                      j * k : (j + 1) * k].tobytes()
+        for t_steps in (2, 75, 3000):
+            phi = design_matrix(t_steps, cfg)
+            expected = marginal_std_full(full, model.sigma_y, phi)
+            assert marginal_std(model, phi).tobytes() == expected.tobytes()
+
+    def test_model_rejects_a_whole_covariance(self):
+        cfg = BasisConfig(K=3)
+        with pytest.raises(GlovekitError, match="shapes inconsistent"):
+            TrajectoryModel(cfg, np.zeros(6), np.eye(6), np.ones(2), 2)
+
+
 class TestLogLikelihood:
     def test_zero_residual_closed_form(self):
         t_steps = 40
         cfg = BasisConfig(K=5)
         mu = np.zeros(5)
-        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5), np.array([1.0]), 1)
+        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5)[None], np.array([1.0]), 1)
         demo = Demonstration(np.zeros((t_steps, 1)), 0.01)
         mean = mean_trajectory(model, design_matrix(t_steps, cfg))
         ll = log_likelihood_per_joint(model, demo, mean).sum()
@@ -297,7 +334,8 @@ class TestLogLikelihood:
         mean = np.zeros((30, 1))
         lls = [
             log_likelihood_per_joint(
-                TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5), np.array([s]), 1), demo, mean
+                TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5)[None], np.array([s]), 1), demo,
+                mean
             ).sum()
             for s in [1.0, 2.0, 10.0]
         ]
@@ -307,7 +345,7 @@ class TestLogLikelihood:
         cfg = BasisConfig(K=3)
         mu = np.array([0.2, -0.1, 0.4])
         var = 0.09
-        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(3), np.array([var]), 1)
+        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(3)[None], np.array([var]), 1)
         demo = Demonstration(np.array([[0.1], [0.0], [0.3]]), 0.01)
         mean = mean_trajectory(model, design_matrix(3, cfg))
         expected = gaussian_logpdf_sum(demo.values[:, 0], mean[:, 0], var)
@@ -335,7 +373,7 @@ class TestDemonstration:
             Demonstration(np.ones((5, 0)), 0.01)
         cfg = BasisConfig(K=3)
         with pytest.raises(GlovekitError, match="model needs D >= 1 joints, got 0"):
-            TrajectoryModel(cfg, np.zeros(0), np.zeros((0, 0)), np.zeros(0), 0)
+            TrajectoryModel(cfg, np.zeros(0), np.zeros((0, 3, 3)), np.zeros(0), 0)
 
     def test_array_holders_compare_by_identity(self):
         """Demonstration, TrajectoryModel and CouplingMap hold arrays, so they
