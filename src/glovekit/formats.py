@@ -1,12 +1,15 @@
 """Versioned text file formats used by the pipeline.
 
 All formats are line-oriented, space-separated, and diff-able: a version
-header line, then the file's non-blank lines. Floats are written with
-``repr`` (shortest exact decimal), so write -> read -> write is
-byte-identical. Float tables (demo, tactile, ``sigma_w`` and result CSV rows)
-are written and parsed one block of rows at a time, so the memory a file costs
-stays small and does not grow with its length; the bytes are those of one
-``repr`` per cell, and rows are read back with ``float`` semantics.
+header line, then the file's non-blank lines. glovekit writes calib-v1,
+demo-v1, promp-v2 and the result CSVs; it reads coupling-v1, tactile-v1 and
+emu-v1, inputs the user writes, and never writes them. Floats are written with
+``repr`` (shortest exact decimal), so write -> read -> write of calib-v1,
+demo-v1 and promp-v2 is byte-identical. Float tables (demo, tactile, ``sigma_w``
+and result CSV rows) are written or parsed one block of rows at a time, so the
+memory a file costs stays small and does not grow with its length; the bytes
+are those of one ``repr`` per cell, and rows are read back with ``float``
+semantics.
 
 Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
 ``key value...``: each key once, one value per scalar key, no unknown key.
@@ -17,11 +20,11 @@ each. A promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header;
 re-run ``train``.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
-    coupling-v1  glove -> robot joint coupling weights
+    coupling-v1  glove -> robot joint coupling weights (read only)
     demo-v1      recorded joint-angle trajectory
     promp-v2     learned trajectory model
-    tactile-v1   scripted tactile force profile
-    emu-v1       emulator configuration (flat key-value)
+    tactile-v1   scripted tactile force profile (read only)
+    emu-v1       emulator configuration, flat key-value (read only)
 """
 
 from __future__ import annotations
@@ -163,10 +166,6 @@ def load_profile(path) -> CalibrationProfile:
 
 # ------------------------------------------------------------- coupling-v1
 
-def save_coupling(coupling: CouplingMap, path) -> None:
-    _write(path, ["coupling-v1"], _table([coupling.weights], prefix="row "))
-
-
 def load_coupling(path) -> CouplingMap:
     rows = []
     for line in _read(path, "coupling-v1"):
@@ -248,15 +247,6 @@ def load_model(path) -> TrajectoryModel:
 
 # -------------------------------------------------------------- tactile-v1
 
-def save_tactile(times, forces, path) -> None:
-    forces = np.atleast_2d(np.asarray(forces, dtype=float))
-    if forces.shape[1] != NUM_CHANNELS:
-        raise GlovekitError(f"tactile rows must have {NUM_CHANNELS} forces")
-    if len(times) != len(forces):
-        raise GlovekitError(f"{len(times)} times for {len(forces)} rows of forces")
-    _write(path, ["tactile-v1"], _table([times, forces]))
-
-
 def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
     lines = _read(path, "tactile-v1")
     table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, path, "tactile row",
@@ -301,14 +291,6 @@ def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[n
 
 
 # ------------------------------------------------------------------ emu-v1
-
-def save_emulator_config(config: EmulatorConfig, path) -> None:
-    lines = ["emu-v1", f"rate {_fmt(config.rate)}", f"noise_std {_fmt(config.noise_std)}",
-             f"seed {config.seed}"]
-    lines += [f"channel{i + 1}.{f.name} {_fmt(getattr(ch, f.name))}"
-              for i, ch in enumerate(config.channels) for f in fields(ChannelWaveform)]
-    _write(path, lines)
-
 
 def load_emulator_config(path) -> EmulatorConfig:
     found = _fields(_read(path, "emu-v1"), path, "emulator config")

@@ -47,7 +47,10 @@ class BasisConfig:
     def centers(self) -> np.ndarray:
         if self.K == 1:
             return np.array([0.5])
-        return np.linspace(0.0, 1.0, self.K)
+        try:
+            return np.linspace(0.0, 1.0, self.K)
+        except ValueError:  # more bytes than can be addressed
+            raise GlovekitError(f"{self.K} basis functions do not fit in memory") from None
 
 
 @dataclass(frozen=True, eq=False)

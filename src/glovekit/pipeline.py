@@ -113,7 +113,7 @@ def record(
     rows = _at_least_2(duration, control_rate, "control_rate", "samples")
     try:
         values = np.empty((rows, coupling.weights.shape[0]))
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: more bytes than can be addressed
         raise GlovekitError(f"{rows} rows do not fit in memory") from None
     ratio = stream_rate / control_rate
     done, last = 0, None

@@ -1,8 +1,8 @@
 """Byte transports: ordered, lossy-tolerant streams the pipeline reads/writes.
 
 A read or write that finds the other end gone (``PEER_GONE``) ends the
-stream cleanly; any other failure, or a peer silent for 30 s (see
-``receive``), raises TransportError. Specs accepted on the command line:
+stream cleanly; any other failure, or a peer silent (see ``receive``) or
+absent for 30 s, raises TransportError. Specs accepted on the command line:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
@@ -27,11 +27,11 @@ from .errors import TransportError
 if TYPE_CHECKING:
     import socket
 
-_TCP_CONNECT_ATTEMPTS = 50
 _TCP_RETRY_DELAY = 0.1
-# seconds a read, or a tcp: accept or write, waits for its peer before the
-# stream fails. A paced writer flushes its 8 KiB buffer about every 1.8 s at
-# 350 Hz, so a live stream is never silent this long
+# seconds a read, a tcp: connect (retried until then), or a tcp: accept or
+# write waits for its peer before the stream fails. A paced writer flushes its
+# 8 KiB buffer about every 1.8 s at 350 Hz, so a live stream is never silent
+# this long
 _STALL_TIMEOUT = 30.0
 
 # What a read or write raises once the other end has gone away (a closed pipe
@@ -137,13 +137,14 @@ def _tcp_accept(port: int) -> socket.socket:
 
 
 def _tcp_connect(port: int) -> socket.socket:
+    """Connect to localhost, retrying until a writer listens or the stall bound passes."""
     import socket
 
-    last_error = None
-    for _ in range(_TCP_CONNECT_ATTEMPTS):
+    deadline = time.monotonic() + _STALL_TIMEOUT
+    while True:
         try:
             return socket.create_connection(("127.0.0.1", port), timeout=_STALL_TIMEOUT)
         except OSError as exc:
-            last_error = exc
-            time.sleep(_TCP_RETRY_DELAY)
-    raise TransportError(f"cannot connect to TCP port {port}: {last_error}")
+            if time.monotonic() >= deadline:
+                raise TransportError(f"cannot connect to TCP port {port}: {exc}") from exc
+        time.sleep(_TCP_RETRY_DELAY)

@@ -14,7 +14,7 @@ from glovekit import formats
 from glovekit.calibration import CalibrationProfile
 from glovekit.emulator import ChannelWaveform, EmulatorConfig
 from glovekit.model import BasisConfig, Demonstration, train_model
-from oracles import default_coupling_map
+from oracles import coupling_text, default_coupling_map, emu_text, tactile_text
 
 
 def _valid_samples() -> dict:
@@ -28,22 +28,22 @@ def _valid_samples() -> dict:
         BasisConfig(K=6),
     )
     profile = CalibrationProfile((100.0,) * 5, (900.0,) * 5, (0.0,) * 5, (1.5,) * 5)
-    writers = {
-        "calib": lambda p: formats.save_profile(profile, p),
-        "coupling": lambda p: formats.save_coupling(default_coupling_map(), p),
-        "demo": lambda p: formats.save_demo(Demonstration(np.arange(6.0).reshape(3, 2), 0.005), p),
-        "model": lambda p: formats.save_model(model, p),
-        "tactile": lambda p: formats.save_tactile([0.0, 0.1], np.eye(2, 5), p),
-        "emu": lambda p: formats.save_emulator_config(
-            EmulatorConfig(channels=(ChannelWaveform(500.0, 100.0, 0.5, 1.0),) * 5, seed=3), p),
-    }
-    samples = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sample.txt"
-        for kind, write in writers.items():
-            write(path)
-            samples[kind] = path.read_text()
-    return samples
+
+        def written(save, *args):
+            save(*args, path)
+            return path.read_text()
+
+        return {
+            "calib": written(formats.save_profile, profile),
+            "coupling": coupling_text(default_coupling_map().weights),
+            "demo": written(formats.save_demo, Demonstration(np.arange(6.0).reshape(3, 2), 0.005)),
+            "model": written(formats.save_model, model),
+            "tactile": tactile_text([0.0, 0.1], np.eye(2, 5)),
+            "emu": emu_text(
+                EmulatorConfig(channels=(ChannelWaveform(500.0, 100.0, 0.5, 1.0),) * 5, seed=3)),
+        }
 
 
 SAMPLES = _valid_samples()

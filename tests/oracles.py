@@ -4,12 +4,13 @@ Deliberately naive: hand-rolled elimination and term-by-term summation, no
 shared code with the package's linear-algebra paths; a byte-by-byte stream
 parser and a frame-by-frame emulator, no shared code with the package's
 array paths; text writers that format one cell at a time, no shared code with
-the package's table writer; the tracking loop as one numpy PD-law and plant
-step per control step, no shared code with the package's float loop; the
-tactile -> PWM map as round-then-clamp, where the package clamps the ratio
-before rounding; a parser for the PWM command lines the package only writes;
-the record step over the whole stream in one array, where the package maps
-and interpolates one read at a time; the range check of each scalar parameter
+the package's table writer, and the text of the input formats the package
+only reads; the tracking loop as one numpy PD-law and plant step per control
+step, no shared code with the package's float loop; the tactile -> PWM map
+as round-then-clamp, where the package clamps the ratio before rounding; a
+parser for the PWM command lines the package only writes; the record step
+over the whole stream in one array, where the package maps and interpolates
+one read at a time; the range check of each scalar parameter
 as its site wrote it, where the package states one rule in ``errors``; the
 marginal std read from the whole weight covariance, where the package keeps
 only its per-joint blocks.
@@ -306,6 +307,24 @@ def tactile_text(times, forces):
     lines = ["tactile-v1"]
     for t, row in zip(times, forces):
         lines.append(_cell(t) + " " + _cells(row))
+    return "\n".join(lines) + "\n"
+
+
+def coupling_text(weights):
+    """coupling-v1 file text, one ``row`` line per robot joint's weights."""
+    lines = ["coupling-v1"]
+    for row in weights:
+        lines.append("row " + _cells(row))
+    return "\n".join(lines) + "\n"
+
+
+def emu_text(config):
+    """emu-v1 file text naming every key of an emulator config."""
+    lines = ["emu-v1", f"rate {_cell(config.rate)}", f"noise_std {_cell(config.noise_std)}",
+             f"seed {config.seed}"]
+    for i, channel in enumerate(config.channels, start=1):
+        for name in ("offset", "amplitude", "frequency", "phase"):
+            lines.append(f"channel{i}.{name} {_cell(getattr(channel, name))}")
     return "\n".join(lines) + "\n"
 
 

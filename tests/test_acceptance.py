@@ -26,7 +26,7 @@ from glovekit.model import (
     train_model,
 )
 from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
-from oracles import covariance_term_by_term, ridge_weights_oracle
+from oracles import coupling_text, covariance_term_by_term, emu_text, ridge_weights_oracle
 
 
 @contextmanager
@@ -189,10 +189,10 @@ def test_criterion_07_variance_sanity():
 def _run_pipeline(base):
     base.mkdir(exist_ok=True)
     formats.save_profile(fx.make_profile(), base / "calib.txt")
-    formats.save_coupling(fx.make_coupling13(), base / "coupling.txt")
+    (base / "coupling.txt").write_text(coupling_text(fx.make_coupling13().weights))
     demo_paths = []
     for seed in fx.DEMO_SEEDS:
-        formats.save_emulator_config(fx.emulator_config(seed), base / f"emu_{seed}.txt")
+        (base / f"emu_{seed}.txt").write_text(emu_text(fx.emulator_config(seed)))
         stream = base / f"stream_{seed}.bin"
         assert main([
             "glove-emulate", "--config", str(base / f"emu_{seed}.txt"),

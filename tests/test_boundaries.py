@@ -1,7 +1,8 @@
 """Module boundaries: no glovekit module imports another one's private names,
 every raise is one of the two toolkit errors, importing the CLI loads only
-what every command needs, every method and format function the benchmark's
-tracer times exists, and the benchmark's self-check runs."""
+what every command needs, every public name has a caller in the package,
+every method and format function the benchmark's tracer times exists, and the
+benchmark's self-check runs."""
 
 import ast
 import io
@@ -104,6 +105,47 @@ def test_scalar_range_rule_is_written_once():
     compared = {f"{name}.{function}" for name, text in sources.items()
                 for function in infinity_comparisons(ast.parse(text))}
     assert compared <= {"errors._require"}
+
+
+# the one public name that only tests use: acceptance criterion 4 checks the
+# basis identities one phase at a time through it, by name
+TEST_ONLY_NAMES = {"model.basis_row"}
+
+
+def public_definitions(tree):
+    """(name, statement) of each public top-level function, class and constant."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names = [statement.name]
+        elif isinstance(statement, ast.Assign):
+            names = [target.id for target in statement.targets if isinstance(target, ast.Name)]
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            names = [statement.target.id]
+        else:
+            continue
+        yield from ((name, statement) for name in names if not name.startswith("_"))
+
+
+def names_read(node):
+    """Every name that code under ``node`` reads, bare or as an attribute."""
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    """A public function, class or constant that no ``src`` code reads outside
+    its own definition exists only for tests: it belongs in ``tests/oracles.py``
+    or nowhere."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [(statement, names_read(statement))
+             for tree in trees.values() for statement in tree.body]
+    unread = {f"{module}.{name}" for module, tree in trees.items()
+              for name, definition in public_definitions(tree)
+              if not any(name in names for statement, names in reads
+                         if statement is not definition)}
+    assert sorted(unread - TEST_ONLY_NAMES) == []
+    assert TEST_ONLY_NAMES <= unread
 
 
 def load_tracer():

@@ -26,14 +26,14 @@ from mutations import SAMPLES, mutated_file
 
 @pytest.fixture
 def workdir(tmp_path):
-    formats.save_emulator_config(fx.emulator_config(seed=11), tmp_path / "emu.txt")
+    (tmp_path / "emu.txt").write_text(oracles.emu_text(fx.emulator_config(seed=11)))
     formats.save_profile(fx.make_profile(), tmp_path / "calib.txt")
-    formats.save_coupling(fx.make_coupling13(), tmp_path / "coupling.txt")
+    (tmp_path / "coupling.txt").write_text(oracles.coupling_text(fx.make_coupling13().weights))
     return tmp_path
 
 
 def run_session(workdir, seed, demo_name, duration=2.0):
-    formats.save_emulator_config(fx.emulator_config(seed=seed), workdir / "emu.txt")
+    (workdir / "emu.txt").write_text(oracles.emu_text(fx.emulator_config(seed=seed)))
     stream = workdir / f"stream_{seed}.bin"
     assert main([
         "glove-emulate", "--config", str(workdir / "emu.txt"),
@@ -133,11 +133,8 @@ def test_tcp_transport_round_trip(workdir):
 
 
 def test_feedback_subcommand(workdir):
-    formats.save_tactile(
-        [0.0, 0.1, 0.2],
-        np.array([[0.0] * 5, [5.0] * 5, [10.0] * 5]),
-        workdir / "tactile.txt",
-    )
+    (workdir / "tactile.txt").write_text(
+        oracles.tactile_text([0.0, 0.1, 0.2], [[0.0] * 5, [5.0] * 5, [10.0] * 5]))
     out = workdir / "pwm.txt"
     assert main([
         "feedback", "--tactile", str(workdir / "tactile.txt"),
@@ -378,7 +375,7 @@ def test_feedback_non_finite_force_is_data_error(workdir, capsys, force):
 
 
 def test_feedback_overflowing_ratio_sends_full_scale(workdir):
-    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    (workdir / "tactile.txt").write_text(oracles.tactile_text([0.0, 0.1], [[0.0] * 5, [5.0] * 5]))
     out = workdir / "pwm.txt"
     assert main(["feedback", "--tactile", str(workdir / "tactile.txt"), "--f-max", "1e-320",
                  "--transport", f"file:{out}"]) == 0
@@ -708,7 +705,7 @@ def test_huge_duration_or_rate_is_data_error(workdir, monkeypatch, capsys, argv)
     (["glove-emulate", "--config", "emu.txt", "--duration", "1", "--fast"], "write"),
 ], ids=["emulate-fast", "emulate-paced", "feedback", "emulate-fast-block"])
 def test_full_device_is_transport_error(workdir, monkeypatch, capsys, argv, failing):
-    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    (workdir / "tactile.txt").write_text(oracles.tactile_text([0.0, 0.1], [[0.0] * 5, [5.0] * 5]))
     monkeypatch.chdir(workdir)
     assert main([*argv, "--transport", "/dev/full"]) == 4
     captured = capsys.readouterr()
@@ -805,7 +802,7 @@ def test_pipe_writer_prints_its_status_line_to_stderr(workdir, monkeypatch, caps
                                                       argv, status):
     """Under ``pipe`` stdout carries only the data, the same bytes a file gets;
     file transports keep the status line on stdout."""
-    formats.save_tactile([0.0, 0.1], np.array([[0.0] * 5, [5.0] * 5]), workdir / "tactile.txt")
+    (workdir / "tactile.txt").write_text(oracles.tactile_text([0.0, 0.1], [[0.0] * 5, [5.0] * 5]))
     monkeypatch.chdir(workdir)
     assert main([*argv, "--transport", "file:data.bin"]) == 0
     assert capsysbinary.readouterr() == (status, b"")
@@ -878,6 +875,23 @@ def _run_reader(workdir, command, transport):
     rc = main([command, "--transport", transport, "--duration", "1", *extra,
                "--output", str(workdir / "out.txt")])
     return rc, time.monotonic() - start
+
+
+@pytest.mark.parametrize("command", ["record", "calibrate"])
+def test_tcp_reader_with_no_writer_listening_times_out(workdir, monkeypatch, capsys, command):
+    """A reader started before its writer retries the connect for the stall
+    bound, as every other wait for a peer does, then fails."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.5)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc, took = _run_reader(workdir, command, f"tcp:{port}")
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (4, "")
+    assert captured.err.startswith(f"transport error: cannot connect to TCP port {port}: ")
+    assert captured.err.count("\n") == 1
+    assert 0.5 <= took < 2.5
+    assert not (workdir / "out.txt").exists()
 
 
 @pytest.mark.parametrize("sent", [0, 20 * 13 + 5], ids=["silent", "silent-after-20-frames"])
@@ -972,6 +986,31 @@ def test_out_of_memory_is_data_error(workdir, monkeypatch, capsys, command, erro
     assert capsys.readouterr() == ("", line)
     assert not (workdir / "out.txt").exists()
 
+
+def test_basis_too_large_to_address_is_data_error(workdir, capsys):
+    """numpy refuses 1e19 basis centers with ValueError, not MemoryError, and
+    before it allocates anything."""
+    formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
+    assert main(["train", str(workdir / "demo.txt"), "--basis-count", str(10**19),
+                 "--output", str(workdir / "out.txt")]) == 3
+    assert capsys.readouterr() == ("", f"error: {10**19} basis functions do not fit in memory\n")
+    assert not (workdir / "out.txt").exists()
+
+
+def test_demo_too_large_to_address_is_data_error_before_the_first_read(workdir, monkeypatch,
+                                                                       capsys):
+    """9e15 rows of a 1100-joint coupling are more bytes than can be addressed:
+    numpy refuses them with ValueError, not MemoryError, and allocates nothing."""
+    (workdir / "wide.txt").write_text(oracles.coupling_text(np.tile(np.eye(5), (220, 1))))
+    stdin = io.BytesIO(fx.emulate_stream(11, 1.0))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    rc = main(["record", "--transport", "pipe", "--calibration", str(workdir / "calib.txt"),
+               "--coupling", str(workdir / "wide.txt"), "--duration", "4.5e13",
+               "--output", str(workdir / "out.txt")])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "error: 9000000000000000 rows do not fit in memory\n")
+    assert stdin.tell() == 0
+    assert not (workdir / "out.txt").exists()
 
 def test_calibrate_checks_the_joint_range_before_the_first_read(workdir, monkeypatch, capsys):
     stdin = io.BytesIO(fx.emulate_stream(11, 2.0))
