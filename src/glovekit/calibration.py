@@ -4,27 +4,25 @@ coupling, and the proportional tactile -> PWM force-feedback map."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GlovekitError, require_positive
+from .record import Record
 from .wire import ADC_MAX, NUM_CHANNELS, PWM_MAX
 
 DEFAULT_JOINT_MIN = 0.0
 DEFAULT_JOINT_MAX = math.pi / 2
 
 
-@dataclass(frozen=True)
-class CalibrationProfile:
+class CalibrationProfile(Record):
     """Per-channel raw extrema (ADC counts) and joint-angle range (rad)."""
 
-    raw_min: tuple[float, ...]
-    raw_max: tuple[float, ...]
-    joint_min: tuple[float, ...]
-    joint_max: tuple[float, ...]
+    __slots__ = ("raw_min", "raw_max", "joint_min", "joint_max")
 
-    def __post_init__(self):
+    def __init__(self, raw_min: tuple[float, ...], raw_max: tuple[float, ...],
+                 joint_min: tuple[float, ...], joint_max: tuple[float, ...]):
+        super().__init__(raw_min, raw_max, joint_min, joint_max)
         lengths = {len(self.raw_min), len(self.raw_max), len(self.joint_min), len(self.joint_max)}
         if lengths != {NUM_CHANNELS}:
             raise GlovekitError(f"profile must have {NUM_CHANNELS} entries per field")
@@ -78,19 +76,19 @@ def raw_to_angle(profile: CalibrationProfile, raw) -> np.ndarray:
     return jmin + frac * (jmax - jmin)
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMap:
+class CouplingMap(Record):
     """Fixed linear map from the 5 glove channels onto robot finger joints.
 
     Each output row is a convex combination (weights >= 0, summing to 1), so
     a constant input maps to the same constant on every output.
     """
 
-    weights: np.ndarray  # (D_out, 5)
+    __slots__ = ("weights",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds an array
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
+    def __init__(self, weights: np.ndarray):  # (D_out, 5)
+        w = np.asarray(weights, dtype=float)
+        super().__init__(w)
         if w.ndim != 2 or w.shape[1] != NUM_CHANNELS:
             raise GlovekitError(f"coupling weights must be (D, {NUM_CHANNELS})")
         if np.any(w < 0):
@@ -117,13 +115,13 @@ def identity_coupling_map() -> CouplingMap:
     return CouplingMap(np.eye(NUM_CHANNELS))
 
 
-@dataclass(frozen=True)
-class ForceFeedbackMap:
+class ForceFeedbackMap(Record):
     """Proportional tactile -> PWM map: ``f_max`` gives full duty."""
 
-    f_max: float
+    __slots__ = ("f_max",)
 
-    def __post_init__(self):
+    def __init__(self, f_max: float):
+        super().__init__(f_max)
         require_positive("f_max", self.f_max)
 
 

@@ -7,33 +7,39 @@ tracks a reference trajectory at the control rate (default 200 Hz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GlovekitError, require_nonnegative, require_positive
+from .record import Record
 
 DEFAULT_CONTROL_RATE = 200.0
 
 
-@dataclass(frozen=True)
-class Gains:
-    kp: float = 5.0  # N*m/rad
-    kd: float = 0.2  # N*m*s/rad
+class Gains(Record):
+    __slots__ = ("kp", "kd")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kp: float = 5.0,  # N*m/rad
+        kd: float = 0.2,  # N*m*s/rad
+    ):
+        super().__init__(kp, kd)
         require_positive("Kp", self.kp)
         require_nonnegative("Kd", self.kd)
 
 
-@dataclass(frozen=True)
-class PlantParams:
-    m: float = 0.01  # inertia, kg*m^2
-    b: float = 0.05  # viscous damping, N*m*s/rad
-    torque_limit: float = 2.0  # N*m
+class PlantParams(Record):
+    __slots__ = ("m", "b", "torque_limit")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        m: float = 0.01,  # inertia, kg*m^2
+        b: float = 0.05,  # viscous damping, N*m*s/rad
+        torque_limit: float = 2.0,  # N*m
+    ):
+        super().__init__(m, b, torque_limit)
         require_positive("inertia", self.m)
         require_nonnegative("damping", self.b)
         require_positive("torque limit", self.torque_limit)

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import GlovekitError, require_nonnegative, require_positive
+from .record import Record
 from .transports import send
 from .wire import ADC_MAX, NUM_CHANNELS, encode_frames
 
@@ -22,16 +22,14 @@ DEFAULT_RATE = 350.0
 _BLOCK_FRAMES = 4096
 
 
-@dataclass(frozen=True)
-class ChannelWaveform:
+class ChannelWaveform(Record):
     """Sinusoid parameters for one flex channel, in ADC counts / Hz / rad."""
 
-    offset: float = 512.0
-    amplitude: float = 0.0
-    frequency: float = 0.0
-    phase: float = 0.0
+    __slots__ = ("offset", "amplitude", "frequency", "phase")
 
-    def __post_init__(self):
+    def __init__(self, offset: float = 512.0, amplitude: float = 0.0,
+                 frequency: float = 0.0, phase: float = 0.0):
+        super().__init__(offset, amplitude, frequency, phase)
         if not all(map(math.isfinite, (self.offset, self.amplitude, self.frequency, self.phase))):
             raise GlovekitError(f"waveform values must be finite, got {self}")
         if not (0.0 <= self.offset - self.amplitude and self.offset + self.amplitude <= ADC_MAX):
@@ -40,14 +38,17 @@ class ChannelWaveform:
             )
 
 
-@dataclass(frozen=True)
-class EmulatorConfig:
-    rate: float = DEFAULT_RATE
-    channels: tuple[ChannelWaveform, ...] = tuple(ChannelWaveform() for _ in range(NUM_CHANNELS))
-    noise_std: float = 0.0
-    seed: int = 0
+class EmulatorConfig(Record):
+    __slots__ = ("rate", "channels", "noise_std", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rate: float = DEFAULT_RATE,
+        channels: tuple[ChannelWaveform, ...] = tuple(ChannelWaveform() for _ in range(NUM_CHANNELS)),
+        noise_std: float = 0.0,
+        seed: int = 0,
+    ):
+        super().__init__(rate, channels, noise_std, seed)
         require_positive("rate", self.rate)
         if len(self.channels) != NUM_CHANNELS:
             raise GlovekitError(f"expected {NUM_CHANNELS} channel waveforms")

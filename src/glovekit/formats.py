@@ -29,7 +29,6 @@ re-run ``train``.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator
@@ -294,15 +293,15 @@ def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[n
 
 def load_emulator_config(path) -> EmulatorConfig:
     found = _fields(_read(path, "emu-v1"), path, "emulator config")
-    # only the keys present are passed, so the dataclasses' defaults apply
+    # only the keys present are passed, so the classes' own defaults apply
     top = {key: _scalar(found, key, path, kind)
            for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in found}
     channels = []
     for i in range(NUM_CHANNELS):
         prefix = f"channel{i + 1}."
-        channels.append(ChannelWaveform(**{f.name: _scalar(found, prefix + f.name, path)
-                                           for f in fields(ChannelWaveform)
-                                           if prefix + f.name in found}))
+        channels.append(ChannelWaveform(**{name: _scalar(found, prefix + name, path)
+                                           for name in ChannelWaveform.__slots__
+                                           if prefix + name in found}))
     if found:
         raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
     return EmulatorConfig(channels=tuple(channels), **top)

@@ -11,12 +11,13 @@ deviation bands, and trajectory log-likelihood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Iterable
 
 import numpy as np
 
 from .errors import GlovekitError, require_nonnegative, require_positive
+from .record import Record
 
 DEFAULT_K = 20
 DEFAULT_LAMBDA = 1e-6
@@ -25,19 +26,20 @@ DEFAULT_EPS_REG = 1e-8
 _RCOND_LIMIT = 1e-12
 
 
-@dataclass(frozen=True)
-class BasisConfig:
+class BasisConfig(Record):
     """Gaussian basis layout: K centers evenly spaced over [0, 1], width h."""
 
-    K: int = DEFAULT_K
-    h: float | None = None  # defaults to the neighbor-center spacing 1/(K-1)
-    lam: float = DEFAULT_LAMBDA
+    __slots__ = ("K", "h", "lam")
 
-    def __post_init__(self):
-        if self.K < 1:
-            raise GlovekitError(f"K must be >= 1, got {self.K}")
-        if self.h is None:
-            object.__setattr__(self, "h", 1.0 / (self.K - 1) if self.K > 1 else 1.0)
+    def __init__(self, K: int = DEFAULT_K, h: float | None = None, lam: float = DEFAULT_LAMBDA):
+        if K < 1:
+            raise GlovekitError(f"K must be >= 1, got {K}")
+        # the K float64 centers must be addressable
+        if K > sys.maxsize // 8:
+            raise GlovekitError(f"{K} basis functions do not fit in memory")
+        if h is None:  # the neighbor-center spacing
+            h = 1.0 / (K - 1) if K > 1 else 1.0
+        super().__init__(K, h, lam)
         # the basis divides by 2*h*h, which must be a finite positive number
         if not (self.h > 0 and (width := 2.0 * self.h * self.h) > 0 and math.isfinite(width)):
             raise GlovekitError(f"h must be positive with 2*h*h finite and nonzero, got {self.h}")
@@ -49,20 +51,19 @@ class BasisConfig:
             return np.array([0.5])
         try:
             return np.linspace(0.0, 1.0, self.K)
-        except ValueError:  # more bytes than can be addressed
+        except ValueError:  # numpy refuses the few counts just below __init__'s bound too
             raise GlovekitError(f"{self.K} basis functions do not fit in memory") from None
 
 
-@dataclass(frozen=True, eq=False)
-class Demonstration:
+class Demonstration(Record):
     """A (T, D) joint-angle trajectory sampled uniformly at dt seconds."""
 
-    values: np.ndarray
-    dt: float
+    __slots__ = ("values", "dt")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds an array
 
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", v)
+    def __init__(self, values: np.ndarray, dt: float):
+        v = np.atleast_2d(np.asarray(values, dtype=float))
+        super().__init__(v, dt)
         if v.shape[0] < 2:
             raise GlovekitError(f"demonstration needs T >= 2 samples, got {v.shape[0]}")
         if v.shape[1] < 1:
@@ -155,26 +156,27 @@ def estimate_noise(
     return np.maximum(sq_sum / max(total - 1, 1), eps_reg)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryModel:
+class TrajectoryModel(Record):
     """Learned Gaussian distribution over trajectories."""
 
-    basis: BasisConfig
-    mu_w: np.ndarray  # (K*D,)
-    sigma_w: np.ndarray  # (D, K, K): joint d's diagonal block of the weight covariance
-    sigma_y: np.ndarray  # (D,) diagonal observation-noise variances
-    D: int
-    eps_reg: float = DEFAULT_EPS_REG
+    __slots__ = ("basis", "mu_w", "sigma_w", "sigma_y", "D", "eps_reg")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds arrays
 
-    def __post_init__(self):
-        if self.D < 1:
-            raise GlovekitError(f"model needs D >= 1 joints, got {self.D}")
-        mu = np.asarray(self.mu_w, dtype=float)
-        sw = np.asarray(self.sigma_w, dtype=float)
-        sy = np.asarray(self.sigma_y, dtype=float)
-        object.__setattr__(self, "mu_w", mu)
-        object.__setattr__(self, "sigma_w", sw)
-        object.__setattr__(self, "sigma_y", sy)
+    def __init__(
+        self,
+        basis: BasisConfig,
+        mu_w: np.ndarray,  # (K*D,)
+        sigma_w: np.ndarray,  # (D, K, K): joint d's diagonal block of the weight covariance
+        sigma_y: np.ndarray,  # (D,) diagonal observation-noise variances
+        D: int,
+        eps_reg: float = DEFAULT_EPS_REG,
+    ):
+        if D < 1:
+            raise GlovekitError(f"model needs D >= 1 joints, got {D}")
+        mu = np.asarray(mu_w, dtype=float)
+        sw = np.asarray(sigma_w, dtype=float)
+        sy = np.asarray(sigma_y, dtype=float)
+        super().__init__(basis, mu, sw, sy, D, eps_reg)
         k = self.basis.K
         if mu.shape != (k * self.D,) or sw.shape != (self.D, k, k) or sy.shape != (self.D,):
             raise GlovekitError("model parameter shapes inconsistent with K and D")

@@ -52,7 +52,7 @@ def raises(node, function="<module>"):
         yield from raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
 
-# the three raises that are not toolkit errors, each by where it is
+# the five raises that are not toolkit errors, each by where it is
 ALLOWED_RAISES = {
     # argparse turns it into a usage error, exit 2
     ("cli._finite_float", "argparse.ArgumentTypeError"),
@@ -61,6 +61,11 @@ ALLOWED_RAISES = {
     # a stalled read: read_raw_frames turns it, as any failed read, into a
     # TransportError, exit 4
     ("transports.receive", "TimeoutError"),
+    # assigning to or deleting a field of a value class is the calling code's
+    # mistake, which no input reaches; frozen dataclasses raised the same
+    # error from generated code that this walk could not see
+    ("record.__setattr__", "AttributeError"),
+    ("record.__delattr__", "AttributeError"),
 }
 
 
@@ -77,12 +82,14 @@ def test_every_raise_is_a_toolkit_error():
 def test_cli_import_leaves_socket_unloaded():
     """Only tcp: needs socket and only a reader that is not a regular file
     needs select, so a fresh interpreter's import of the CLI, which every
-    command pays, loads neither."""
+    command pays, loads neither; nor does it load dataclasses, whose class
+    generation is run-time work on every import."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import glovekit.cli; "
-             "print('socket' in sys.modules, 'select' in sys.modules)")
+             "print('socket' in sys.modules, 'select' in sys.modules, "
+             "'dataclasses' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
                             capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False False\n", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False False False\n", "")
 
 
 def infinity_comparisons(node, function="<module>"):

@@ -987,13 +987,15 @@ def test_out_of_memory_is_data_error(workdir, monkeypatch, capsys, command, erro
     assert not (workdir / "out.txt").exists()
 
 
-def test_basis_too_large_to_address_is_data_error(workdir, capsys):
-    """numpy refuses 1e19 basis centers with ValueError, not MemoryError, and
-    before it allocates anything."""
+@pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63, 10**19])
+def test_basis_too_large_to_address_is_data_error(workdir, capsys, count):
+    """More float64 basis centers than bytes can be addressed end in one data
+    error before anything is allocated: numpy would refuse them with
+    ValueError or, near 2**63, IndexError, not MemoryError."""
     formats.save_demo(Demonstration(np.zeros((40, 2)), 0.005), workdir / "demo.txt")
-    assert main(["train", str(workdir / "demo.txt"), "--basis-count", str(10**19),
+    assert main(["train", str(workdir / "demo.txt"), "--basis-count", str(count),
                  "--output", str(workdir / "out.txt")]) == 3
-    assert capsys.readouterr() == ("", f"error: {10**19} basis functions do not fit in memory\n")
+    assert capsys.readouterr() == ("", f"error: {count} basis functions do not fit in memory\n")
     assert not (workdir / "out.txt").exists()
 
 

@@ -72,8 +72,11 @@ def test_waveform_range_validated():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["offset", "amplitude", "frequency", "phase"])
 def test_waveform_values_must_be_finite(field, value):
-    with pytest.raises(GlovekitError, match="waveform values must be finite"):
+    fields = {"offset": 512.0, "amplitude": 0.0, "frequency": 0.0, "phase": 0.0, field: value}
+    listed = ", ".join(f"{name}={v!r}" for name, v in fields.items())
+    with pytest.raises(GlovekitError) as error:
         ChannelWaveform(**{field: value})
+    assert str(error.value) == f"waveform values must be finite, got ChannelWaveform({listed})"
 
 
 def test_phase_must_stay_finite_over_the_duration():

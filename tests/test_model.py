@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glovekit.calibration import CouplingMap
+from glovekit.calibration import CalibrationProfile, CouplingMap, ForceFeedbackMap
+from glovekit.controlsim import Gains, PlantParams
+from glovekit.emulator import ChannelWaveform, EmulatorConfig
 from glovekit.errors import GlovekitError
 from glovekit.model import (
     BasisConfig,
@@ -378,7 +380,8 @@ class TestDemonstration:
     def test_array_holders_compare_by_identity(self):
         """Demonstration, TrajectoryModel and CouplingMap hold arrays, so they
         compare and hash by identity: field by field, == would ask an array
-        for its truth value and hash would hash an array."""
+        for its truth value and hash would hash an array. Their fields can be
+        neither assigned nor deleted."""
         demo = sine_demo(D=2)
         model = train_model([demo], BasisConfig(K=5))
         coupling = CouplingMap(np.full((2, 5), 0.2))
@@ -388,11 +391,52 @@ class TestDemonstration:
                                     model.sigma_y.copy(), model.D, model.eps_reg)),
             (coupling, CouplingMap(coupling.weights.copy())),
         ]
-        for value, twin in pairs:
+        for (value, twin), field in zip(pairs, ["values", "mu_w", "weights"]):
             assert value == value and value != twin
             assert hash(value) == object.__hash__(value)
             assert len({value, twin, value}) == 2
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(twin, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
 
     def test_train_requires_matching_dims(self):
         with pytest.raises(GlovekitError, match="demonstrations disagree in dimension"):
             train_model([sine_demo(D=2), sine_demo(D=3)], BasisConfig(K=5))
+
+
+# each value class with its fields in order, one field to change and a new value for it
+VALUE_RECORDS = [
+    (CalibrationProfile, {"raw_min": (100.0,) * 5, "raw_max": (900.0,) * 5,
+                          "joint_min": (0.0,) * 5, "joint_max": (1.5,) * 5},
+     "joint_max", (1.25,) * 5),
+    (ForceFeedbackMap, {"f_max": 2.5}, "f_max", 3.0),
+    (ChannelWaveform, {"offset": 500.0, "amplitude": 10.0, "frequency": 1.5, "phase": 0.25},
+     "phase", 0.5),
+    (EmulatorConfig, {"rate": 350.0, "channels": (ChannelWaveform(),) * 5, "noise_std": 0.5,
+                      "seed": 3}, "seed", 4),
+    (BasisConfig, {"K": 5, "h": 0.3, "lam": 1e-6}, "lam", 1e-3),
+    (Gains, {"kp": 5.0, "kd": 0.2}, "kd", 0.3),
+    (PlantParams, {"m": 0.01, "b": 0.05, "torque_limit": 2.0}, "torque_limit", 1.0),
+]
+
+
+@pytest.mark.parametrize("cls,fields,name,changed", VALUE_RECORDS,
+                         ids=[case[0].__name__ for case in VALUE_RECORDS])
+def test_value_records_compare_hash_and_print_by_field(cls, fields, name, changed):
+    """The seven value classes compare, hash and print by their field values,
+    as frozen dataclasses did: == needs the same class, repr lists the fields
+    in order, and a field can be neither assigned nor deleted."""
+    value = cls(**fields)
+    assert value == cls(**fields) and hash(value) == hash(cls(**fields))
+    assert value != cls(**{**fields, name: changed})
+    same_name = type(cls.__name__, (cls,), {})
+    assert value != same_name(**fields) and same_name(**fields) != value
+    listed = ", ".join(f"{field}={v!r}" for field, v in fields.items())
+    assert repr(value) == f"{cls.__name__}({listed})"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, changed)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == cls(**fields)
