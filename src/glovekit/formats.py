@@ -14,10 +14,10 @@ semantics.
 Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
 ``key value...``: each key once, one value per scalar key, no unknown key.
 promp-v2 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel once.
-promp-v2 holds only the K x K diagonal blocks of the weight covariance, the
-ones queries read: block d is ``sigma_w`` lines d*K .. (d+1)*K - 1, K values
-each. A promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header;
-re-run ``train``.
+promp-v2's ``mu_w`` line is joint 1's K mean weights, then joint 2's, and so on;
+joint d's K x K weight covariance is ``sigma_w`` lines d*K .. (d+1)*K - 1. A
+promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header; re-run
+``train``. Every error about the values in a file names the file.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights (read only)
@@ -113,6 +113,14 @@ def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, w
     return table
 
 
+def _build(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)`` of the file's values, naming the file in its GlovekitError."""
+    try:
+        return cls(*args, **kwargs)
+    except GlovekitError as exc:
+        raise GlovekitError(f"{path}: {exc}") from exc
+
+
 def _number(token: str, path, what, kind=float):
     try:
         return kind(token)
@@ -160,7 +168,7 @@ def load_profile(path) -> CalibrationProfile:
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
         raise GlovekitError(f"{path}: expected channels 1..{NUM_CHANNELS}")
     cols = [tuple(rows[i + 1][j] for i in range(NUM_CHANNELS)) for j in range(4)]
-    return CalibrationProfile(*cols)
+    return _build(path, CalibrationProfile, *cols)
 
 
 # ------------------------------------------------------------- coupling-v1
@@ -172,9 +180,7 @@ def load_coupling(path) -> CouplingMap:
         if tokens[0] != "row" or len(tokens) != NUM_CHANNELS + 1:
             raise GlovekitError(f"{path}: bad coupling line {line!r}")
         rows.append(tokens[1:])
-    if not rows:
-        raise GlovekitError(f"{path}: empty coupling map")
-    return CouplingMap(_floats(rows, path, "coupling weights"))
+    return _build(path, CouplingMap, _floats(rows, path, "coupling weights"))
 
 
 # ----------------------------------------------------------------- demo-v1
@@ -195,12 +201,10 @@ def load_demo(path) -> Demonstration:
         raise GlovekitError(f"{path}: joint label count != D")
     table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
                         lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
-    if len(table) < 2:
-        raise GlovekitError(f"{path}: demo needs at least 2 rows")
     if np.any(np.diff(table[:, 0]) <= 0):
         raise GlovekitError(f"{path}: time column must be strictly increasing")
     # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
-    return Demonstration(table[:, 1:].copy(), dt)
+    return _build(path, Demonstration, table[:, 1:].copy(), dt)
 
 
 # ---------------------------------------------------------------- promp-v2
@@ -210,7 +214,7 @@ def save_model(model: TrajectoryModel, path) -> None:
     header = ["promp-v2", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
               f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}", "normalize 1"]
     _write(path, header, _table([basis.centers[None]], prefix="centers "),
-           _table([model.mu_w[None]], prefix="mu_w "),
+           _table([model.mu_w.reshape(1, -1)], prefix="mu_w "),
            _table([model.sigma_w.reshape(-1, basis.K)], prefix="sigma_w "),
            _table([model.sigma_y[None]], prefix="sigma_y "))
 
@@ -224,7 +228,7 @@ def load_model(path) -> TrajectoryModel:
     if missing := [key for key in keys if key not in found]:
         raise GlovekitError(f"{path}: missing keys {missing}")
     k, d = _scalar(found, "K", path, int), _scalar(found, "D", path, int)
-    basis = BasisConfig(K=k, h=_scalar(found, "h", path), lam=_scalar(found, "lambda", path))
+    basis = _build(path, BasisConfig, k, _scalar(found, "h", path), _scalar(found, "lambda", path))
     normalize, eps_reg = _scalar(found, "normalize", path, int), _scalar(found, "eps_reg", path)
     del found["centers"]  # required, but not read: K fixes the centers
     mu_w = _floats(found.pop("mu_w"), path, "mu_w")
@@ -232,16 +236,17 @@ def load_model(path) -> TrajectoryModel:
     if found:
         raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
     if normalize != 1:
-        raise GlovekitError(f"normalize must be 1, got {normalize}")
-    # TrajectoryModel's own check, made before the sigma_w row count derived from D
+        raise GlovekitError(f"{path}: normalize must be 1, got {normalize}")
+    # TrajectoryModel's own check, made before the mu_w and sigma_w sizes derived from D
     if d < 1:
-        raise GlovekitError(f"model needs D >= 1 joints, got {d}")
-    bad_shape = f"{path}: sigma_w must be {k * d} rows of {k} values"
-    if len(sigma_w_lines) != k * d:
+        raise GlovekitError(f"{path}: model needs D >= 1 joints, got {d}")
+    bad_shape = f"{path}: sigma_w must be {k * d} rows of {k} values, mu_w {k * d} values"
+    if len(mu_w) != k * d or len(sigma_w_lines) != k * d:
         raise GlovekitError(bad_shape)
     sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k,
                           path, "sigma_w row", lambda n: bad_shape)
-    return TrajectoryModel(basis, mu_w, sigma_w.reshape(d, k, k), sigma_y, d, eps_reg)
+    return _build(path, TrajectoryModel, basis, mu_w.reshape(d, k), sigma_w.reshape(d, k, k),
+                  sigma_y, eps_reg)
 
 
 # -------------------------------------------------------------- tactile-v1
@@ -299,9 +304,9 @@ def load_emulator_config(path) -> EmulatorConfig:
     channels = []
     for i in range(NUM_CHANNELS):
         prefix = f"channel{i + 1}."
-        channels.append(ChannelWaveform(**{name: _scalar(found, prefix + name, path)
-                                           for name in ChannelWaveform.__slots__
-                                           if prefix + name in found}))
+        waveform = {name: _scalar(found, prefix + name, path)
+                    for name in ChannelWaveform.__slots__ if prefix + name in found}
+        channels.append(_build(path, ChannelWaveform, **waveform))
     if found:
         raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
-    return EmulatorConfig(channels=tuple(channels), **top)
+    return _build(path, EmulatorConfig, channels=tuple(channels), **top)

@@ -2,10 +2,10 @@
 
 Each joint trajectory is represented as a weighted sum of normalized Gaussian
 bumps over normalized phase [0, 1]. Per-demonstration weights come from a
-ridge least-squares fit; a Gaussian over the stacked weight vectors (sample
-mean + unbiased sample covariance) turns a set of demonstrations into a
-distribution over trajectories, queried for its mean, marginal standard
-deviation bands, and trajectory log-likelihood.
+ridge least-squares fit; a Gaussian over each joint's K weights (sample mean +
+unbiased sample covariance) turns a set of demonstrations into a distribution
+over trajectories, queried for its mean, marginal standard deviation bands,
+and trajectory log-likelihood.
 """
 
 from __future__ import annotations
@@ -115,31 +115,25 @@ def fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np
     return np.linalg.solve(gram, phi.T @ demo.values)
 
 
-def stack_weights(w: np.ndarray) -> np.ndarray:
-    """Column-major stacking of a (K, D) weight matrix into a (K*D,) vector."""
-    return np.asarray(w, dtype=float).flatten(order="F")
-
-
 def fit_distribution(
     weights: list[np.ndarray], eps_reg: float = DEFAULT_EPS_REG
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased sample covariance of stacked weight vectors.
-
-    Returns (mu_w, Sigma_w) with Sigma_w = sample covariance + eps_reg * I;
-    a single demonstration yields Sigma_w = eps_reg * I exactly.
-    """
+    """Per joint d of (K, D) weight matrices: mu_w[d], the sample mean of its K
+    weights, and sigma_w[d], their unbiased sample covariance + eps_reg * I, which
+    is eps_reg * I exactly for a single demonstration. Shapes (D, K), (D, K, K)."""
     if not weights:
         raise GlovekitError("at least one weight matrix is required")
     shapes = {np.asarray(w).shape for w in weights}
     if len(shapes) != 1:
         raise GlovekitError(f"weight matrices disagree in shape: {sorted(shapes)}")
-    stacked = np.stack([stack_weights(w) for w in weights])  # (N, K*D)
-    n, dim = stacked.shape
-    mu = stacked.mean(axis=0)
-    sigma = eps_reg * np.eye(dim)
-    if n > 1:
-        centered = stacked - mu
-        sigma = sigma + centered.T @ centered / (n - 1)
+    stacked = np.stack(weights)  # (N, K, D)
+    n, k, d = stacked.shape
+    # C order, as load_model gives it: mean_trajectory's product sums alike for both
+    mu = np.ascontiguousarray(stacked.mean(axis=0).T)
+    sigma = np.repeat(eps_reg * np.eye(k)[None], d, axis=0)
+    for j, block in enumerate(sigma):  # one demonstration: centered is 0, its Gram 0
+        centered = stacked[:, :, j] - mu[j]
+        block += centered.T @ centered / max(n - 1, 1)
     return mu, sigma
 
 
@@ -159,27 +153,26 @@ def estimate_noise(
 class TrajectoryModel(Record):
     """Learned Gaussian distribution over trajectories."""
 
-    __slots__ = ("basis", "mu_w", "sigma_w", "sigma_y", "D", "eps_reg")
+    __slots__ = ("basis", "mu_w", "sigma_w", "sigma_y", "eps_reg")
     __eq__, __hash__ = object.__eq__, object.__hash__  # it holds arrays
 
     def __init__(
         self,
         basis: BasisConfig,
-        mu_w: np.ndarray,  # (K*D,)
-        sigma_w: np.ndarray,  # (D, K, K): joint d's diagonal block of the weight covariance
+        mu_w: np.ndarray,  # (D, K): row d is joint d's mean weights
+        sigma_w: np.ndarray,  # (D, K, K): joint d's covariance of its weights
         sigma_y: np.ndarray,  # (D,) diagonal observation-noise variances
-        D: int,
         eps_reg: float = DEFAULT_EPS_REG,
     ):
-        if D < 1:
-            raise GlovekitError(f"model needs D >= 1 joints, got {D}")
         mu = np.asarray(mu_w, dtype=float)
         sw = np.asarray(sigma_w, dtype=float)
         sy = np.asarray(sigma_y, dtype=float)
-        super().__init__(basis, mu, sw, sy, D, eps_reg)
+        super().__init__(basis, mu, sw, sy, eps_reg)
         k = self.basis.K
-        if mu.shape != (k * self.D,) or sw.shape != (self.D, k, k) or sy.shape != (self.D,):
+        if mu.ndim != 2 or mu.shape[1] != k or sw.shape != (self.D, k, k) or sy.shape != (self.D,):
             raise GlovekitError("model parameter shapes inconsistent with K and D")
+        if self.D < 1:
+            raise GlovekitError(f"model needs D >= 1 joints, got {self.D}")
         for name, values in (("mu_w", mu), ("sigma_w", sw), ("sigma_y", sy)):
             if not np.all(np.isfinite(values)):
                 raise GlovekitError(f"{name} must be finite")
@@ -187,15 +180,17 @@ class TrajectoryModel(Record):
             raise GlovekitError("sigma_y entries must be nonnegative")
         require_nonnegative("eps_reg", self.eps_reg)
 
+    @property
+    def D(self) -> int:
+        return self.mu_w.shape[0]
+
 
 def train_model(
     demos: list[Demonstration],
     config: BasisConfig,
     eps_reg: float = DEFAULT_EPS_REG,
 ) -> TrajectoryModel:
-    """Fit per-demo weights, the weight distribution, and the noise model.
-    Of the weight covariance only the per-joint diagonal blocks are kept:
-    no query reads the cross-joint ones."""
+    """Fit per-demo weights, the per-joint weight distribution, and the noise model."""
     if not demos:
         raise GlovekitError("at least one demonstration is required")
     dims = {demo.D for demo in demos}
@@ -203,17 +198,15 @@ def train_model(
         raise GlovekitError(f"demonstrations disagree in dimension: {sorted(dims)}")
     phis = {T: design_matrix(T, config) for T in {demo.T for demo in demos}}
     weights = [fit_weights(demo, config, phis[demo.T]) for demo in demos]
-    mu_w, full = fit_distribution(weights, eps_reg)
-    k = config.K
-    sigma_w = np.stack([full[d * k : (d + 1) * k, d * k : (d + 1) * k] for d in range(demos[0].D)])
+    mu_w, sigma_w = fit_distribution(weights, eps_reg)
     residuals = (demo.values - phis[demo.T] @ w for demo, w in zip(demos, weights))
     sigma_y = estimate_noise(residuals, eps_reg)
-    return TrajectoryModel(config, mu_w, sigma_w, sigma_y, demos[0].D, eps_reg)
+    return TrajectoryModel(config, mu_w, sigma_w, sigma_y, eps_reg)
 
 
 def mean_trajectory(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     """(T, D) mean trajectory at the phases of the design matrix ``phi``."""
-    return phi @ model.mu_w.reshape((model.basis.K, model.D), order="F")
+    return phi @ model.mu_w.T
 
 
 def marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:

@@ -89,8 +89,8 @@ def covariance_term_by_term(vectors):
 
 
 def marginal_std_full(sigma_w_full, sigma_y, phi):
-    """(T, D) marginal std with each joint's block sliced from the whole
-    (K*D, K*D) weight covariance ``fit_distribution`` returns."""
+    """(T, D) marginal std with each joint's block sliced from a whole
+    (K*D, K*D) weight covariance, joint d's weights at rows d*K .. (d+1)*K - 1."""
     k = phi.shape[1]
     std = np.empty((phi.shape[0], len(sigma_y)))
     for d in range(len(sigma_y)):
@@ -329,8 +329,9 @@ def emu_text(config):
 
 
 def model_text(model):
-    """promp-v2 file text of a trajectory model, cell by cell: joint d's
-    sigma_w block is rows d*K .. (d+1)*K - 1."""
+    """promp-v2 file text of a trajectory model, cell by cell: ``mu_w`` is
+    joint 1's K weights, then joint 2's, and so on, and joint d's sigma_w
+    block is rows d*K .. (d+1)*K - 1."""
     basis = model.basis
     lines = [
         "promp-v2",
@@ -341,7 +342,7 @@ def model_text(model):
         f"eps_reg {_cell(model.eps_reg)}",
         "normalize 1",
         "centers " + _cells(basis.centers),
-        "mu_w " + _cells(model.mu_w),
+        "mu_w " + _cells(model.mu_w.reshape(-1)),
     ]
     for block in model.sigma_w:
         for row in block:

@@ -22,7 +22,6 @@ from glovekit.model import (
     fit_weights,
     marginal_std,
     mean_trajectory,
-    stack_weights,
     train_model,
 )
 from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
@@ -124,13 +123,14 @@ def test_criterion_05_distribution_statistics():
         for _ in range(5):
             weights = [rng.normal(0.0, 1.0, (4, 3)) for _ in range(3)]
             mu, sigma = fit_distribution(weights, eps_reg=0.0)
-            mu_o, cov_o = covariance_term_by_term([stack_weights(w) for w in weights])
-            assert np.max(np.abs(mu - mu_o)) <= 1e-12
-            assert np.max(np.abs(sigma - cov_o)) <= 1e-12
+            for d in range(3):  # joint d's mean weights and covariance block
+                mu_o, cov_o = covariance_term_by_term([w[:, d] for w in weights])
+                assert np.max(np.abs(mu[d] - mu_o)) <= 1e-12
+                assert np.max(np.abs(sigma[d] - cov_o)) <= 1e-12
         w = rng.normal(0.0, 1.0, (5, 2))
         eps = 1e-8
         _, sigma = fit_distribution([w, w, w], eps_reg=eps)
-        assert np.array_equal(sigma, eps * np.eye(10))
+        assert np.array_equal(sigma, eps * np.stack([np.eye(5)] * 2))
 
 
 def test_criterion_06_mean_linearity():
@@ -177,11 +177,10 @@ def test_criterion_07_variance_sanity():
         std = marginal_std(model, phi)
         assert np.all(std >= np.sqrt(eps) - 1e-15)
 
-        # the whole covariance of the same weights, cross-joint blocks included
-        _, sigma_w_full = fit_distribution([fit_weights(d, cfg, phi) for d in demos], eps)
-        draws = rng.multivariate_normal(model.mu_w, sigma_w_full, size=100_000)
         for d in range(2):
-            samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
+            # joint d's weights, drawn from their exact marginal
+            draws = rng.multivariate_normal(model.mu_w[d], model.sigma_w[d], size=100_000)
+            samples = draws @ phi.T
             mc = np.sqrt(samples.var(axis=0, ddof=1) + model.sigma_y[d])
             assert np.max(np.abs(mc / std[:, d] - 1.0)) <= 0.02
 

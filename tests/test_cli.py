@@ -358,7 +358,8 @@ def test_non_finite_model_parameter_is_data_error(workdir, capsys, key, value):
                "--output", str(workdir / "bands.csv")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert err.startswith(f"error: {workdir / 'model.txt'}: {key} must be ")
+    assert err.count("\n") == 1
     assert not (workdir / "bands.csv").exists()
 
 
@@ -396,7 +397,7 @@ def test_non_finite_demo_dt_is_data_error(workdir, capsys, dt):
                "--output", str(workdir / "bands.csv")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: dt must be positive and finite") and err.count("\n") == 1
+    assert err == f"error: {workdir / 'demo.txt'}: dt must be positive and finite, got {dt}\n"
     assert not (workdir / "bands.csv").exists()
 
 
@@ -425,7 +426,8 @@ def test_zero_joint_demo_is_data_error(workdir, capsys):
     (workdir / "demo.txt").write_text(ZERO_JOINT_DEMO)
     rc = main(["train", str(workdir / "demo.txt"), "--output", str(workdir / "model.txt")])
     assert rc == 3
-    assert capsys.readouterr().err == "error: demonstration needs D >= 1 joints, got 0\n"
+    assert capsys.readouterr().err == (f"error: {workdir / 'demo.txt'}: "
+                                       "demonstration needs D >= 1 joints, got 0\n")
     assert not (workdir / "model.txt").exists()
 
 
@@ -438,7 +440,7 @@ def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
     (workdir / "model.txt").write_text(ZERO_JOINT_MODEL)
     monkeypatch.chdir(workdir)
     assert main(argv) == 3
-    assert capsys.readouterr().err == "error: model needs D >= 1 joints, got 0\n"
+    assert capsys.readouterr().err == "error: model.txt: model needs D >= 1 joints, got 0\n"
     assert not (workdir / "bands.csv").exists()
 
 
@@ -610,7 +612,7 @@ def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_
     for argv in _readers(inputs_dir, bad)[kind]:
         err = assert_documented_exit(argv)
         if names_d:
-            assert err == f"error: model needs D >= 1 joints, got {value}\n", argv[0]
+            assert err == f"error: {bad}: model needs D >= 1 joints, got {value}\n", argv[0]
 
 
 def _copy_line(start):
@@ -654,6 +656,52 @@ def test_key_rule_violation_is_data_error(inputs_dir, tmp_path, capsys, case):
         assert main(argv) == 3, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "out.txt").exists()
+
+
+def _set_line(start, text):
+    return _edit_line(start, lambda line: text)
+
+
+# (format, edit of its valid sample's lines, the error after the file's name):
+# a value that the record built from the file rejects, or that load_model checks
+RECORD_RULE_CASES = {
+    "calib-CalibrationProfile": ("calib", _set_line("channel 2 ", "channel 2 900 100 0 1.5"),
+                                 "channel 2: raw_min must be < raw_max"),
+    "coupling-CouplingMap": ("coupling", _set_line("row 0.0 0.0 0.0 ", "row 0 0 0 0.5 0.6"),
+                             "coupling weights must sum to 1 per output"),
+    "demo-dt": ("demo", _set_line("dt ", "dt 0"), "dt must be positive and finite, got 0.0"),
+    "demo-one-row": ("demo", lambda lines: lines[:5],
+                     "demonstration needs T >= 2 samples, got 1"),
+    "model-BasisConfig": ("model", _set_line("K ", "K 0"), "K must be >= 1, got 0"),
+    "model-TrajectoryModel": ("model", _set_line("sigma_y ", "sigma_y -1 0"),
+                              "sigma_y entries must be nonnegative"),
+    "model-normalize": ("model", _set_line("normalize ", "normalize 0"),
+                        "normalize must be 1, got 0"),
+    "model-D": ("model", _set_line("D ", "D 0"), "model needs D >= 1 joints, got 0"),
+    "model-mu_w-count": ("model", _edit_line("mu_w ", lambda line: line.rsplit(" ", 1)[0]),
+                         "sigma_w must be 12 rows of 6 values, mu_w 12 values"),
+    "emu-ChannelWaveform": ("emu", _set_line("channel3.amplitude ", "channel3.amplitude 600"),
+                            "waveform range 500.0±600.0 exceeds [0, 1023]"),
+    "emu-EmulatorConfig": ("emu", _set_line("seed ", "seed -1"),
+                           "seed must be nonnegative, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_RULE_CASES)
+def test_record_rule_violation_names_the_file(inputs_dir, tmp_path, capsys, case):
+    """A value that a record class rejects, or that load_model checks itself,
+    ends every subcommand that reads the file in exit 3 with one line that
+    names the file first, and writes no output."""
+    kind, edit, message = RECORD_RULE_CASES[case]
+    for name, text in SAMPLES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "stream.bin").write_bytes((inputs_dir / "stream.bin").read_bytes())
+    bad = tmp_path / "bad"
+    bad.write_text("\n".join(edit(SAMPLES[kind].splitlines())) + "\n")
+    for argv in _readers(tmp_path, bad)[kind]:
+        assert main(argv) == 3, argv[0]
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n", argv[0]
         assert not (tmp_path / "out.txt").exists()
 
 

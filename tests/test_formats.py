@@ -67,7 +67,7 @@ class TestCouplingFormat:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "coupling.txt"
         path.write_text("coupling-v1\n")
-        with pytest.raises(GlovekitError, match="empty coupling map"):
+        with pytest.raises(GlovekitError, match=r"coupling.txt: coupling weights must be \(D, 5\)"):
             formats.load_coupling(path)
 
 
@@ -98,7 +98,8 @@ class TestDemoFormat:
     def test_rejects_short_file(self, tmp_path):
         path = tmp_path / "demo.txt"
         path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n0.0 1.0\n")
-        with pytest.raises(GlovekitError, match="demo needs at least 2 rows"):
+        with pytest.raises(GlovekitError,
+                           match="demo.txt: demonstration needs T >= 2 samples, got 1"):
             formats.load_demo(path)
 
     def test_rejects_wrong_field_count(self, tmp_path):
@@ -333,8 +334,8 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n
 
     kd = k * d
     weights = data.draw(float_tables((kd + 2, kd)))
-    model = TrajectoryModel(BasisConfig(K=k), weights[0], weights[2:, :k].reshape(d, k, k),
-                            np.abs(weights[1, :d]), d)
+    model = TrajectoryModel(BasisConfig(K=k), weights[0].reshape(d, k),
+                            weights[2:, :k].reshape(d, k, k), np.abs(weights[1, :d]))
     formats.save_model(model, path)
     assert path.read_bytes() == oracles.model_text(model).encode()
     sigma_w = [line.split(None, 1)[1] for line in _body(path, 0) if line.startswith("sigma_w ")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from glovekit.model import (
     log_likelihood_per_joint,
     marginal_std,
     mean_trajectory,
-    stack_weights,
     train_model,
 )
 from oracles import (
@@ -128,39 +128,45 @@ class TestFitDistribution:
     def test_identical_weights_collapse(self):
         w = np.arange(12.0).reshape(4, 3)
         mu, sigma = fit_distribution([w, w, w], eps_reg=1e-8)
-        assert mu == pytest.approx(stack_weights(w))
-        assert sigma == pytest.approx(1e-8 * np.eye(12))
+        assert mu == pytest.approx(w.T)
+        assert sigma == pytest.approx(1e-8 * np.stack([np.eye(4)] * 3))
 
     def test_two_sample_mean(self):
         w1 = np.ones((3, 2))
         w2 = 3.0 * np.ones((3, 2))
         mu, _ = fit_distribution([w1, w2])
-        assert mu == pytest.approx(2.0 * np.ones(6))
+        assert mu == pytest.approx(2.0 * np.ones((2, 3)))
 
     def test_single_sample_gives_regularizer_only(self):
         w = np.random.default_rng(0).normal(size=(5, 2))
         mu, sigma = fit_distribution([w], eps_reg=1e-6)
-        assert mu == pytest.approx(stack_weights(w))
-        assert sigma == pytest.approx(1e-6 * np.eye(10))
+        assert mu == pytest.approx(w.T)
+        assert sigma == pytest.approx(1e-6 * np.stack([np.eye(5)] * 2))
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(11)
         weights = [rng.normal(0, 1, (4, 2)) for _ in range(3)]
         mu, sigma = fit_distribution(weights, eps_reg=0.0)
-        mu_o, cov_o = covariance_term_by_term([stack_weights(w) for w in weights])
-        assert np.max(np.abs(mu - mu_o)) < 1e-12
-        assert np.max(np.abs(sigma - cov_o)) < 1e-12
+        for d in range(2):
+            mu_o, cov_o = covariance_term_by_term([w[:, d] for w in weights])
+            assert np.max(np.abs(mu[d] - mu_o)) < 1e-12
+            assert np.max(np.abs(sigma[d] - cov_o)) < 1e-12
 
     def test_column_major_stacking(self):
+        """Row d of mu_w is joint d's weights, so the C-order (D, K) array is
+        the column-major stacking of the (K, D) weights: the promp-v2 bytes."""
         w = np.array([[1.0, 10.0], [2.0, 20.0]])
-        assert stack_weights(w) == pytest.approx([1.0, 2.0, 10.0, 20.0])
+        mu, _ = fit_distribution([w])
+        assert mu.flags.c_contiguous
+        assert mu.reshape(-1) == pytest.approx([1.0, 2.0, 10.0, 20.0])
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(2)
         weights = [rng.normal(0, 1, (6, 2)) for _ in range(4)]
         _, sigma = fit_distribution(weights, eps_reg=0.0)
-        assert np.max(np.abs(sigma - sigma.T)) < 1e-12
-        np.linalg.cholesky(sigma + 1e-8 * np.eye(12))
+        for block in sigma:
+            assert np.max(np.abs(block - block.T)) < 1e-12
+            np.linalg.cholesky(block + 1e-8 * np.eye(6))
 
     def test_shape_mismatch(self):
         with pytest.raises(GlovekitError, match="weight matrices disagree in shape"):
@@ -236,12 +242,12 @@ class TestModelQueries:
     def test_linearity_of_mean_in_weights(self):
         cfg = BasisConfig(K=6)
         rng = np.random.default_rng(8)
-        w1, w2 = rng.normal(size=(2, 12))
+        w1, w2 = rng.normal(size=(2, 2, 6))
         sy = np.array([1e-4, 1e-4])
         sw = 1e-8 * np.stack([np.eye(6)] * 2)
-        m1 = TrajectoryModel(cfg, w1, sw, sy, 2)
-        m2 = TrajectoryModel(cfg, w2, sw, sy, 2)
-        mavg = TrajectoryModel(cfg, (w1 + w2) / 2, sw, sy, 2)
+        m1 = TrajectoryModel(cfg, w1, sw, sy)
+        m2 = TrajectoryModel(cfg, w2, sw, sy)
+        mavg = TrajectoryModel(cfg, (w1 + w2) / 2, sw, sy)
         phi = design_matrix(40, cfg)
         avg = (mean_trajectory(m1, phi) + mean_trajectory(m2, phi)) / 2
         assert np.max(np.abs(mean_trajectory(mavg, phi) - avg)) < 1e-12
@@ -255,9 +261,7 @@ class TestModelQueries:
 
     def test_std_with_zero_weight_covariance(self):
         cfg = BasisConfig(K=5)
-        model = TrajectoryModel(
-            cfg, np.zeros(10), np.zeros((2, 5, 5)), np.array([0.04, 0.04]), 2
-        )
+        model = TrajectoryModel(cfg, np.zeros((2, 5)), np.zeros((2, 5, 5)), np.array([0.04, 0.04]))
         assert marginal_std(model, design_matrix(30, cfg)) == pytest.approx(np.full((30, 2), 0.2))
 
     def test_std_floor_from_regularizer(self):
@@ -280,20 +284,37 @@ class TestModelQueries:
         phi = design_matrix(60, model.basis)
         std = marginal_std(model, phi)
         rng = np.random.default_rng(99)
-        # the whole covariance of the same weights, cross-joint blocks included
-        _, sigma_w_full = fit_distribution([fit_weights(d, model.basis, phi) for d in (d1, d2)])
-        draws = rng.multivariate_normal(model.mu_w, sigma_w_full, size=100_000)
         mc = np.empty_like(std)
         for d in range(2):
-            samples = draws[:, d * 8 : (d + 1) * 8] @ phi.T
+            # joint d's weights, drawn from their exact marginal
+            draws = rng.multivariate_normal(model.mu_w[d], model.sigma_w[d], size=100_000)
+            samples = draws @ phi.T
             mc[:, d] = np.sqrt(samples.var(axis=0, ddof=1) + model.sigma_y[d])
         assert np.max(np.abs(mc / std - 1.0)) < 0.02
 
 
 class TestPerJointBlocks:
-    """The model keeps of ``fit_distribution``'s (K*D, K*D) covariance only
-    its diagonal K x K blocks, with their bits, and the std they give is the
-    std of the whole matrix, bit for bit."""
+    """fit_distribution gives each joint's mean weights and the K x K
+    covariance of its weights, and the std of those blocks is the std of the
+    block-diagonal (K*D, K*D) covariance they make, bit for bit."""
+
+    @given(n=st.integers(1, 6), d=st.integers(1, 5), k=st.integers(1, 8),
+           eps=st.sampled_from([0.0, 1e-8, 1e-3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_term_by_term_oracle(self, n, d, k, eps, seed):
+        rng = np.random.default_rng(seed)
+        weights = [rng.normal(0, rng.uniform(0.01, 10.0), (k, d)) for _ in range(n)]
+        mu, sigma = fit_distribution(weights, eps_reg=eps)
+        assert mu.shape == (d, k) and sigma.shape == (d, k, k)
+        for j in range(d):
+            assert np.array_equal(sigma[j], sigma[j].T)
+            if n == 1:
+                assert np.array_equal(mu[j], weights[0][:, j])
+                assert np.array_equal(sigma[j], eps * np.eye(k))
+                continue
+            mu_o, cov_o = covariance_term_by_term([w[:, j] for w in weights])
+            assert np.max(np.abs(mu[j] - mu_o)) <= 1e-12
+            assert np.max(np.abs(sigma[j] - (cov_o + eps * np.eye(k)))) <= 1e-12
 
     @pytest.mark.parametrize("n,d,k", [(1, 1, 1), (2, 2, 8), (3, 4, 3), (2, 13, 20), (8, 13, 20)])
     def test_blocks_are_the_diagonal_blocks_of_the_whole_covariance(self, n, d, k):
@@ -302,12 +323,10 @@ class TestPerJointBlocks:
         demos = [Demonstration(np.cumsum(rng.normal(size=(int(rng.integers(40, 120)), d)), 0),
                                0.005) for _ in range(n)]
         model = train_model(demos, cfg)
-        weights = [fit_weights(demo, cfg, design_matrix(demo.T, cfg)) for demo in demos]
-        _, full = fit_distribution(weights)
         assert model.sigma_w.shape == (d, k, k)
+        full = np.zeros((k * d, k * d))
         for j in range(d):
-            assert model.sigma_w[j].tobytes() == full[j * k : (j + 1) * k,
-                                                      j * k : (j + 1) * k].tobytes()
+            full[j * k : (j + 1) * k, j * k : (j + 1) * k] = model.sigma_w[j]
         for t_steps in (2, 75, 3000):
             phi = design_matrix(t_steps, cfg)
             expected = marginal_std_full(full, model.sigma_y, phi)
@@ -316,15 +335,32 @@ class TestPerJointBlocks:
     def test_model_rejects_a_whole_covariance(self):
         cfg = BasisConfig(K=3)
         with pytest.raises(GlovekitError, match="shapes inconsistent"):
-            TrajectoryModel(cfg, np.zeros(6), np.eye(6), np.ones(2), 2)
+            TrajectoryModel(cfg, np.zeros((2, 3)), np.eye(6), np.ones(2))
+        with pytest.raises(GlovekitError, match="shapes inconsistent"):
+            TrajectoryModel(cfg, np.zeros(6), np.zeros((2, 3, 3)), np.ones(2))
+
+    def test_train_memory_is_linear_in_joints(self):
+        """train_model holds per-joint blocks only. On 2 demos of 3000 x 200
+        with K = 20 its peak is about 15 MB, a few (3000, 200) temporaries of
+        one demo's residual; the whole (4000, 4000) covariance alone is 128 MB."""
+        rng = np.random.default_rng(6)
+        demos = [Demonstration(rng.normal(size=(3000, 200)), 0.005) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            model = train_model(demos, BasisConfig(K=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.sigma_w.shape == (200, 20, 20)
+        assert peak < 24e6
 
 
 class TestLogLikelihood:
     def test_zero_residual_closed_form(self):
         t_steps = 40
         cfg = BasisConfig(K=5)
-        mu = np.zeros(5)
-        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5)[None], np.array([1.0]), 1)
+        mu = np.zeros((1, 5))
+        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(5)[None], np.array([1.0]))
         demo = Demonstration(np.zeros((t_steps, 1)), 0.01)
         mean = mean_trajectory(model, design_matrix(t_steps, cfg))
         ll = log_likelihood_per_joint(model, demo, mean).sum()
@@ -336,7 +372,7 @@ class TestLogLikelihood:
         mean = np.zeros((30, 1))
         lls = [
             log_likelihood_per_joint(
-                TrajectoryModel(cfg, np.zeros(5), 1e-8 * np.eye(5)[None], np.array([s]), 1), demo,
+                TrajectoryModel(cfg, np.zeros((1, 5)), 1e-8 * np.eye(5)[None], np.array([s])), demo,
                 mean
             ).sum()
             for s in [1.0, 2.0, 10.0]
@@ -345,9 +381,9 @@ class TestLogLikelihood:
 
     def test_matches_hand_computation(self):
         cfg = BasisConfig(K=3)
-        mu = np.array([0.2, -0.1, 0.4])
+        mu = np.array([[0.2, -0.1, 0.4]])
         var = 0.09
-        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(3)[None], np.array([var]), 1)
+        model = TrajectoryModel(cfg, mu, 1e-8 * np.eye(3)[None], np.array([var]))
         demo = Demonstration(np.array([[0.1], [0.0], [0.3]]), 0.01)
         mean = mean_trajectory(model, design_matrix(3, cfg))
         expected = gaussian_logpdf_sum(demo.values[:, 0], mean[:, 0], var)
@@ -375,7 +411,7 @@ class TestDemonstration:
             Demonstration(np.ones((5, 0)), 0.01)
         cfg = BasisConfig(K=3)
         with pytest.raises(GlovekitError, match="model needs D >= 1 joints, got 0"):
-            TrajectoryModel(cfg, np.zeros(0), np.zeros((0, 3, 3)), np.zeros(0), 0)
+            TrajectoryModel(cfg, np.zeros((0, 3)), np.zeros((0, 3, 3)), np.zeros(0))
 
     def test_array_holders_compare_by_identity(self):
         """Demonstration, TrajectoryModel and CouplingMap hold arrays, so they
@@ -388,7 +424,7 @@ class TestDemonstration:
         pairs = [
             (demo, Demonstration(demo.values.copy(), demo.dt)),
             (model, TrajectoryModel(model.basis, model.mu_w.copy(), model.sigma_w.copy(),
-                                    model.sigma_y.copy(), model.D, model.eps_reg)),
+                                    model.sigma_y.copy(), model.eps_reg)),
             (coupling, CouplingMap(coupling.weights.copy())),
         ]
         for (value, twin), field in zip(pairs, ["values", "mu_w", "weights"]):

@@ -485,7 +485,7 @@ class TestTrainReproduceEval:
     def test_model_dimensions(self, two_demo_model):
         _, model = two_demo_model
         assert model.D == 13
-        assert model.mu_w.shape == (20 * 13,)
+        assert model.mu_w.shape == (13, 20)
 
     def test_reproduce_tracks_mean(self, two_demo_model):
         _, model = two_demo_model
@@ -504,9 +504,7 @@ class TestTrainReproduceEval:
         from glovekit.model import TrajectoryModel
 
         demos, model = two_demo_model
-        wide = TrajectoryModel(
-            model.basis, model.mu_w, model.sigma_w, model.sigma_y * 100.0, model.D
-        )
+        wide = TrajectoryModel(model.basis, model.mu_w, model.sigma_w, model.sigma_y * 100.0)
         base = evaluate(model, demos).band_coverage
         inflated = evaluate(wide, demos).band_coverage
         assert np.all(inflated >= base)

@@ -29,8 +29,8 @@ SITES = {
     "simulate_tracking.rate": lambda x: simulate_tracking(np.zeros((1, 1)), rate=x),
     "ForceFeedbackMap.f_max": lambda x: ForceFeedbackMap(f_max=x),
     "BasisConfig.lam": lambda x: BasisConfig(lam=x),
-    "TrajectoryModel.eps_reg": lambda x: TrajectoryModel(BasisConfig(K=1), np.zeros(1),
-                                                         np.ones((1, 1, 1)), np.ones(1), 1,
+    "TrajectoryModel.eps_reg": lambda x: TrajectoryModel(BasisConfig(K=1), np.zeros((1, 1)),
+                                                         np.ones((1, 1, 1)), np.ones(1),
                                                          eps_reg=x),
     "EmulatorConfig.rate": lambda x: EmulatorConfig(rate=x),
     "EmulatorConfig.noise_std": lambda x: EmulatorConfig(noise_std=x),
