@@ -25,7 +25,7 @@ from .calibration import (
 from .controlsim import DEFAULT_CONTROL_RATE, Gains, PlantParams
 from .emulator import DEFAULT_RATE, run_emulator
 from .errors import GlovekitError, TransportError
-from .model import BasisConfig, DEFAULT_EPS_REG, train_model
+from .model import BasisConfig, DEFAULT_EPS_REG, Demonstration, train_model
 from .pipeline import evaluate, feedback_loop, read_raw_frames, record, reproduce
 from .transports import open_transport
 
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_eval)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--model", required=True, help="promp-v2 file")
-    p.add_argument("--output", required=True, help="plot-ready bands CSV")
+    p.add_argument("--output", required=True, help="plot-ready bands CSV: time, model mean and std")
 
     p = sub.add_parser("feedback", help="send a scripted tactile profile as PWM commands")
     p.set_defaults(run=_cmd_feedback)
@@ -155,11 +155,17 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    demos = [formats.load_demo(path) for path in args.demos]
+def _load_demos(paths) -> list[Demonstration]:
+    """The demo files, which must share one dt."""
+    demos = [formats.load_demo(path) for path in paths]
     dts = {demo.dt for demo in demos}
     if len(dts) != 1:
         raise GlovekitError(f"demo files disagree on dt: {sorted(dts)}")
+    return demos
+
+
+def _cmd_train(args) -> int:
+    demos = _load_demos(args.demos)
     config = BasisConfig(K=args.basis_count, h=args.basis_width, lam=args.ridge)
     model = train_model(demos, config, args.eps_reg)
     formats.save_model(model, args.output)
@@ -188,12 +194,9 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = formats.load_model(args.model)
-    demos = [formats.load_demo(path) for path in args.demos]
+    demos = _load_demos(args.demos)
     report = evaluate(model, demos)
-    times = np.arange(demos[0].T) * demos[0].dt
-    formats.save_bands_csv(
-        args.output, times, report.mean, report.std, [d.values for d in demos]
-    )
+    formats.save_bands_csv(args.output, report.mean, report.std, demos[0].dt)
     for i, per_joint in enumerate(report.per_joint_log_likelihoods, start=1):
         print(f"demo {i}: log-likelihood {float(per_joint.sum()):.3f} (nats)")
         print("  per-joint: " + " ".join(f"{v:.3f}" for v in per_joint))

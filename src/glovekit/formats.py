@@ -43,8 +43,8 @@ from .wire import NUM_CHANNELS
 
 
 # rows formatted per block: enough to amortise stacking one slice per column,
-# few enough that a block's Python floats and text stay near 1 MB even for the
-# 131 columns of an eight-demo bands CSV
+# few enough that a block's Python floats and text stay well under 1 MB even for
+# the widest result table, the 40 columns of a 13-joint tracking CSV
 _BLOCK_ROWS = 128
 # values parsed per block: a token costs a str object plus numpy's text copy of
 # it, so blocks are counted in values, whether a row holds the 14 of a 13-joint
@@ -275,23 +275,18 @@ def _write_joint_csv(path, times, columns: dict[str, np.ndarray]) -> None:
 
 def save_tracking_csv(path, reference: np.ndarray, executed: np.ndarray, rate: float) -> None:
     """Tracking CSV: time plus reference/executed/error columns per joint."""
-    reference = np.atleast_2d(reference)
-    executed = np.atleast_2d(executed)
     if reference.shape != executed.shape:
         raise GlovekitError("reference and executed shapes differ")
     columns = {"ref": reference, "exec": executed, "err": executed - reference}
     _write_joint_csv(path, np.arange(reference.shape[0]) / rate, columns)
 
 
-def save_bands_csv(path, times, mean: np.ndarray, std: np.ndarray, demos: list[np.ndarray]) -> None:
-    """Plot-ready CSV: per joint the model mean, std, and each demo's values."""
-    mean = np.atleast_2d(mean)
-    std = np.atleast_2d(std)
-    shape = (len(times), mean.shape[1])
-    if any(np.shape(a) != shape for a in [mean, std, *demos]):
-        raise GlovekitError(f"mean, std and demos must all be {shape} arrays")
-    demo_columns = {f"demo{n + 1}": demo for n, demo in enumerate(demos)}
-    _write_joint_csv(path, times, {"mean": mean, "std": std, **demo_columns})
+def save_bands_csv(path, mean: np.ndarray, std: np.ndarray, dt: float) -> None:
+    """Plot-ready CSV: time ``i * dt`` plus the model mean and std per joint,
+    both (T, D) arrays."""
+    # built before the file opens, so a time column that overflows writes no file
+    times = np.arange(mean.shape[0]) * dt
+    _write_joint_csv(path, times, {"mean": mean, "std": std})
 
 
 # ------------------------------------------------------------------ emu-v1

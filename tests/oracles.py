@@ -369,24 +369,18 @@ def tracking_csv_text(reference, executed, rate):
     return "\n".join(lines) + "\n"
 
 
-def bands_csv_text(times, mean, std, demos):
-    """Bands CSV text: time, then mean, std and each demo's value per joint."""
+def bands_csv_text(mean, std, dt):
+    """Bands CSV text: time ``i * dt``, then mean and std per joint."""
     d = mean.shape[1]
     header = ["time"]
     for j in range(d):
         name = f"j{j + 1:02d}"
-        header.append(f"{name}_mean")
-        header.append(f"{name}_std")
-        for n in range(len(demos)):
-            header.append(f"{name}_demo{n + 1}")
+        header += [f"{name}_mean", f"{name}_std"]
     lines = [",".join(header)]
-    for i, t in enumerate(times):
-        cells = [_cell(t)]
+    for i in range(mean.shape[0]):
+        cells = [_cell(i * dt)]
         for j in range(d):
-            cells.append(_cell(mean[i, j]))
-            cells.append(_cell(std[i, j]))
-            for demo in demos:
-                cells.append(_cell(demo[i, j]))
+            cells += [_cell(mean[i, j]), _cell(std[i, j])]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

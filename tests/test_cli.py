@@ -292,6 +292,67 @@ def test_eval_demo_shape_mismatch_is_data_error(workdir, capsys, rows, joints):
     assert err.startswith("error: demo 2 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_demos_that_disagree_on_dt_are_data_error(workdir, capsys, command):
+    """Both commands that take a demo set need one dt, so that the bands CSV's
+    time column is every demo's time."""
+    demos = [workdir / "a.txt", workdir / "b.txt"]
+    for path, dt in zip(demos, [0.005, 0.01]):
+        formats.save_demo(Demonstration(np.zeros((40, 2)), dt), path)
+    formats.save_model(train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4)),
+                       workdir / "model.txt")
+    output = workdir / "out.csv"
+    model = ["--model", str(workdir / "model.txt")] if command == "eval" else []
+    rc = main([command, *map(str, demos), *model, "--output", str(output)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: demo files disagree on dt: [0.005, 0.01]\n"
+    assert not output.exists()
+
+
+def _old_bands_csv_text(times, mean, std, demos):
+    """The bands CSV as it was when it also copied each demo: time, then per
+    joint mean, std and each demo's value."""
+    d = mean.shape[1]
+    header = ["time"]
+    for j in range(d):
+        name = f"j{j + 1:02d}"
+        header += [f"{name}_mean", f"{name}_std"]
+        header += [f"{name}_demo{n + 1}" for n in range(len(demos))]
+    lines = [",".join(header)]
+    for i, t in enumerate(times):
+        cells = [repr(float(t))]
+        for j in range(d):
+            cells += [repr(float(mean[i, j])), repr(float(std[i, j]))]
+            cells += [repr(float(demo[i, j])) for demo in demos]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_bands_csv_depends_only_on_the_model_rows_and_dt(workdir):
+    """Two demo sets of one shape and dt give the same bands CSV bytes, and
+    each of its cells is the matching time, mean or std cell of the layout
+    that also copied the demos."""
+    rng = np.random.default_rng(3)
+    dt = 1 / 350  # i * dt is not i / 350, so the time column's bits are checked
+    names = [f"demo{n}.txt" for n in range(1, 5)]
+    for name in names:
+        formats.save_demo(Demonstration(rng.normal(size=(300, 3)), dt), workdir / name)
+    demos = [formats.load_demo(workdir / name) for name in names]
+    formats.save_model(train_model(demos, BasisConfig(K=6)), workdir / "model.txt")
+    for pair, output in [(names[:2], "bands_a.csv"), (names[2:], "bands_b.csv")]:
+        assert main(["eval", *(str(workdir / name) for name in pair),
+                     "--model", str(workdir / "model.txt"), "--output", str(workdir / output)]) == 0
+    text = (workdir / "bands_a.csv").read_text()
+    assert (workdir / "bands_b.csv").read_text() == text
+
+    report = pipeline.evaluate(formats.load_model(workdir / "model.txt"), demos[:2])
+    old = _old_bands_csv_text(np.arange(300) * dt, report.mean, report.std,
+                              [d.values for d in demos[:2]])
+    old_rows = [line.split(",") for line in old.splitlines()]
+    kept = [i for i, name in enumerate(old_rows[0]) if "_demo" not in name]
+    assert text.splitlines() == [",".join(row[i] for i in kept) for row in old_rows]
+
+
 @pytest.mark.parametrize("key,value", [
     ("seed", "-1"), ("rate", "nan"), ("rate", "inf"), ("noise_std", "nan"), ("noise_std", "inf"),
 ])

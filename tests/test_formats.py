@@ -232,22 +232,14 @@ class TestResultCsvs:
         assert float(cells[3]) == pytest.approx(-0.05)
 
     def test_bands_csv_layout(self, tmp_path):
-        times = [0.0, 0.01]
         mean = np.array([[0.5], [0.6]])
         std = np.array([[0.1], [0.1]])
-        demos = [np.array([[0.55], [0.62]]), np.array([[0.45], [0.58]])]
         path = tmp_path / "bands.csv"
-        formats.save_bands_csv(path, times, mean, std, demos)
+        formats.save_bands_csv(path, mean, std, 0.01)
         lines = path.read_text().splitlines()
-        assert lines[0] == "time,j01_mean,j01_std,j01_demo1,j01_demo2"
+        assert lines[0] == "time,j01_mean,j01_std"
+        assert lines[2] == "0.01,0.6,0.1"
         assert len(lines) == 3
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_bands_csv_rejects_demo_of_other_length(self, tmp_path, rows):
-        mean = np.array([[0.5], [0.6]])
-        with pytest.raises(GlovekitError, match="mean, std and demos must all be"):
-            formats.save_bands_csv(tmp_path / "bands.csv", [0.0, 0.01], mean, mean,
-                                   [mean, np.zeros((rows, 1))])
 
 
 LOADERS = {
@@ -297,17 +289,15 @@ def _body(path, header_lines):
     return path.read_text().splitlines()[header_lines:]
 
 
-@given(rows=ROWS, d=st.integers(1, 13), n=st.integers(0, 8), k=st.integers(1, 6),
+@given(rows=ROWS, d=st.integers(1, 13), k=st.integers(1, 6),
        dt=st.sampled_from([0.005, 1 / 350, 0.01, 0.1, 3.0]),
        rate=st.sampled_from([200.0, 350.0, 7.0, 1000.0]), data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n, k, dt, rate,
-                                                    data):
+def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k, dt, rate, data):
     """Every table writer gives the bytes of the per-cell reference, and every
     table loader gives the bits of a per-token float() parse."""
-    values = data.draw(float_tables((rows, 1 + d * (n + 4) + 5)))
+    values = data.draw(float_tables((rows, 1 + d * 4 + 5)))
     mean, std, ref, exe = (values[:, 1 + i * d : 1 + (i + 1) * d] for i in range(4))
-    demos = [values[:, 1 + (4 + i) * d : 1 + (5 + i) * d] for i in range(n)]
     forces = values[:, -5:]
     path = tmp_path_factory.getbasetemp() / "table.txt"
 
@@ -328,9 +318,8 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, n
         formats.save_tracking_csv(path, ref, exe, rate)
         assert path.read_bytes() == oracles.tracking_csv_text(ref, exe, rate).encode()
 
-    times = np.arange(rows) * dt
-    formats.save_bands_csv(path, times, mean, std, demos)
-    assert path.read_bytes() == oracles.bands_csv_text(times, mean, std, demos).encode()
+    formats.save_bands_csv(path, mean, std, dt)
+    assert path.read_bytes() == oracles.bands_csv_text(mean, std, dt).encode()
 
     kd = k * d
     weights = data.draw(float_tables((kd + 2, kd)))
@@ -366,16 +355,14 @@ def _traced_peak(call) -> int:
 
 
 def test_bands_csv_memory_stays_near_file_size(tmp_path):
-    """Writing the eval CSV of eight 13-joint 30 s demos holds one block of
-    rows at a time: neither the whole table (0.42x the file) nor its text."""
+    """Writing the eval CSV of a 13-joint 30 s model holds one block of rows
+    at a time: neither the whole table (0.42x the file) nor its text."""
     rng = np.random.default_rng(0)
     t_steps, d = 6000, 13
     mean = rng.normal(size=(t_steps, d))
     std = rng.random((t_steps, d))
-    demos = [mean + rng.normal(scale=0.1, size=(t_steps, d)) for _ in range(8)]
-    times = np.arange(t_steps) * 0.005
     path = tmp_path / "bands.csv"
-    peak = _traced_peak(lambda: formats.save_bands_csv(path, times, mean, std, demos))
+    peak = _traced_peak(lambda: formats.save_bands_csv(path, mean, std, 0.005))
     assert peak < 0.25 * path.stat().st_size
 
 
