@@ -42,9 +42,8 @@ class ExtremaBuilder:
         self.raw_min = [float(ADC_MAX)] * NUM_CHANNELS
         self.raw_max = [0.0] * NUM_CHANNELS
 
-    def observe(self, raw) -> None:
-        """Take in one frame's 5 raw counts or an (n, 5) array of raw frames."""
-        raw = np.asarray(raw, dtype=float).reshape(-1, NUM_CHANNELS)
+    def observe(self, raw: np.ndarray) -> None:
+        """Take in an (n, 5) array of raw frames; n may be 0."""
         if raw.shape[0]:
             self.raw_min = [min(a, b) for a, b in zip(self.raw_min, raw.min(axis=0).tolist())]
             self.raw_max = [max(a, b) for a, b in zip(self.raw_max, raw.max(axis=0).tolist())]
@@ -62,12 +61,9 @@ class ExtremaBuilder:
         )
 
 
-def raw_to_angle(profile: CalibrationProfile, raw) -> np.ndarray:
-    """Linearly map raw counts to joint angles; out-of-range values clamp.
-
-    ``raw`` is a length-5 sequence or an (N, 5) array.
-    """
-    raw = np.asarray(raw, dtype=float)
+def raw_to_angle(profile: CalibrationProfile, raw: np.ndarray) -> np.ndarray:
+    """Linearly map an (n, 5) array of raw counts to joint angles; out-of-range
+    values clamp."""
     lo = np.asarray(profile.raw_min)
     hi = np.asarray(profile.raw_max)
     jmin = np.asarray(profile.joint_min)
@@ -97,18 +93,15 @@ class CouplingMap(Record):
             raise GlovekitError("coupling weights must sum to 1 per output")
 
 
-def apply_coupling(coupling: CouplingMap, glove_angles) -> np.ndarray:
-    """Weighted combination of glove angles; accepts (5,) or (N, 5) input.
+def apply_coupling(coupling: CouplingMap, glove_angles: np.ndarray) -> np.ndarray:
+    """Map an (n, 5) array of glove angles to (n, D) robot joints.
 
-    One row can differ in the last bits from the same row inside a stack (BLAS
-    gemv and gemm sum in different orders): couple whole blocks, as ``record`` does.
+    Pass blocks of at least 2 rows: a one-row block goes through BLAS gemv,
+    which sums in another order than the gemm of a taller block, so its bits
+    can differ from the same row's inside a stack. Any split into blocks of
+    2 or more rows gives the bits of the whole.
     """
-    angles = np.asarray(glove_angles, dtype=float)
-    if angles.shape[-1] != NUM_CHANNELS:
-        raise GlovekitError(
-            f"expected {NUM_CHANNELS} glove angles, got {angles.shape[-1]}"
-        )
-    return angles @ coupling.weights.T
+    return glove_angles @ coupling.weights.T
 
 
 def identity_coupling_map() -> CouplingMap:
@@ -125,9 +118,9 @@ class ForceFeedbackMap(Record):
         require_positive("f_max", self.f_max)
 
 
-def tactile_to_pwm(fmap: ForceFeedbackMap, forces) -> np.ndarray:
-    """Map tactile readings, an (n, 5) array or one row, to integer PWM duty
-    cycles of the same shape, clamped into [0, 255].
+def tactile_to_pwm(fmap: ForceFeedbackMap, forces: np.ndarray) -> np.ndarray:
+    """Map an (n, 5) array of tactile readings to (n, 5) integer PWM duty
+    cycles, clamped into [0, 255].
 
     The duty ratio is clamped before it is rounded half away from zero, which
     gives the integer of rounding first for every finite ratio; an overflowing

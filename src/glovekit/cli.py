@@ -156,11 +156,12 @@ def _cmd_calibrate(args) -> int:
 
 
 def _load_demos(paths) -> list[Demonstration]:
-    """The demo files, which must share one dt."""
+    """The demo files, which must share the first one's dt."""
     demos = [formats.load_demo(path) for path in paths]
-    dts = {demo.dt for demo in demos}
-    if len(dts) != 1:
-        raise GlovekitError(f"demo files disagree on dt: {sorted(dts)}")
+    for path, demo in zip(paths, demos):
+        if demo.dt != demos[0].dt:
+            raise GlovekitError(
+                f"{path}: dt {demo.dt} differs from the first demo's {demos[0].dt}")
     return demos
 
 

@@ -88,13 +88,6 @@ def _basis(phases: np.ndarray, config: BasisConfig) -> np.ndarray:
     return psi
 
 
-def basis_row(t: float, config: BasisConfig) -> np.ndarray:
-    """Evaluate the K basis functions at phase t in [0, 1]."""
-    if not (0.0 <= t <= 1.0):
-        raise GlovekitError(f"phase {t} outside [0, 1]")
-    return _basis(np.asarray(t, dtype=float), config)
-
-
 def design_matrix(T: int, config: BasisConfig) -> np.ndarray:
     """(T, K) basis matrix Phi at phases i/(T-1); every model query takes it."""
     if T < 2:

@@ -148,9 +148,9 @@ def feedback_loop(fmap: ForceFeedbackMap, tactile_forces, writer) -> np.ndarray:
 
     A failed transport ends the loop cleanly; returns the duty rows sent, (sent, 5).
     """
-    duties = tactile_to_pwm(fmap, np.atleast_2d(tactile_forces))
-    for sent, duty in enumerate(duties.tolist()):
-        if not send(writer, encode_pwm_command(duty).encode("ascii")):
+    duties = tactile_to_pwm(fmap, tactile_forces)
+    for sent, line in enumerate(encode_pwm_command(duties)):
+        if not send(writer, line):
             return duties[:sent]
     return duties
 

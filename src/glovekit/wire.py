@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GlovekitError
-
 SYNC_BYTE = 0xA5
 TERMINATOR = 0x0A
 NUM_CHANNELS = 5
@@ -26,7 +24,7 @@ FRAME_DTYPE = np.dtype([("offset", "<i8"), ("channels", "<u2", (NUM_CHANNELS,))]
 
 def encode_frames(values) -> bytes:
     """Encode an (n, 5) array of channel values as n concatenated wire frames."""
-    payload = np.asarray(values, dtype="<u2").reshape(-1, NUM_CHANNELS).view(np.uint8)
+    payload = np.asarray(values, dtype="<u2").view(np.uint8)
     frames = np.empty((payload.shape[0], FRAME_SIZE), dtype=np.uint8)
     frames[:, 0] = SYNC_BYTE
     frames[:, 1:11] = payload
@@ -100,13 +98,7 @@ class StreamParser:
         return frames
 
 
-def encode_pwm_command(duty) -> str:
-    """Format 5 duty cycles in [0, 255] as the ASCII line ``"P v1 v2 v3 v4 v5\\n"``;
-    raises GlovekitError for another count or a value out of range."""
-    duty = tuple(duty)
-    if len(duty) != NUM_CHANNELS:
-        raise GlovekitError(f"expected {NUM_CHANNELS} duty values, got {len(duty)}")
-    for v in duty:
-        if not (0 <= v <= PWM_MAX):
-            raise GlovekitError(f"PWM value {v} outside [0, {PWM_MAX}]")
-    return "P " + " ".join(map(str, duty)) + "\n"
+def encode_pwm_command(duties: np.ndarray) -> list[bytes]:
+    """Format an (n, 5) integer array of duty cycles in [0, 255] as its n ASCII
+    command lines ``b"P v1 v2 v3 v4 v5\\n"``."""
+    return [b"P %d %d %d %d %d\n" % tuple(row) for row in duties.tolist()]

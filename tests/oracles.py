@@ -13,7 +13,8 @@ over the whole stream in one array, where the package maps and interpolates
 one read at a time; the range check of each scalar parameter
 as its site wrote it, where the package states one rule in ``errors``; the
 marginal std read from the whole weight covariance, where the package keeps
-only its per-joint blocks.
+only its per-joint blocks; and one row of the package's basis at any phase,
+where ``design_matrix`` gives only the rows of its grid.
 """
 
 import math
@@ -25,6 +26,7 @@ import numpy as np
 from glovekit.calibration import CouplingMap, apply_coupling, raw_to_angle
 from glovekit.emulator import sample_count
 from glovekit.errors import GlovekitError
+from glovekit.model import _basis
 
 _SYNC, _TERMINATOR, _FRAME_SIZE, _ADC_MAX = 0xA5, 0x0A, 13, 1023
 _PAYLOAD = struct.Struct("<5H")
@@ -415,3 +417,11 @@ OLD_SCALAR_CHECKS = {
     "Demonstration.dt": (lambda x: math.isfinite(x) and x > 0,
                          "dt must be positive and finite, got {}"),
 }
+
+
+def basis_row(t, config):
+    """The package's K basis functions at phase t in [0, 1], through the
+    function behind ``design_matrix``; raises GlovekitError for another phase."""
+    if not (0.0 <= t <= 1.0):
+        raise GlovekitError(f"phase {t} outside [0, 1]")
+    return _basis(np.asarray(t, dtype=float), config)

@@ -16,7 +16,6 @@ from glovekit.cli import main
 from glovekit.model import (
     BasisConfig,
     Demonstration,
-    basis_row,
     design_matrix,
     fit_distribution,
     fit_weights,
@@ -25,7 +24,13 @@ from glovekit.model import (
     train_model,
 )
 from glovekit.wire import FRAME_SIZE, StreamParser, encode_frames
-from oracles import coupling_text, covariance_term_by_term, emu_text, ridge_weights_oracle
+from oracles import (
+    basis_row,
+    coupling_text,
+    covariance_term_by_term,
+    emu_text,
+    ridge_weights_oracle,
+)
 
 
 @contextmanager

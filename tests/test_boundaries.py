@@ -114,11 +114,6 @@ def test_scalar_range_rule_is_written_once():
     assert compared <= {"errors._require"}
 
 
-# the one public name that only tests use: acceptance criterion 4 checks the
-# basis identities one phase at a time through it, by name
-TEST_ONLY_NAMES = {"model.basis_row"}
-
-
 def public_definitions(tree):
     """(name, statement) of each public top-level function, class and constant."""
     for statement in tree.body:
@@ -151,8 +146,7 @@ def test_every_public_name_has_a_caller_in_src():
               for name, definition in public_definitions(tree)
               if not any(name in names for statement, names in reads
                          if statement is not definition)}
-    assert sorted(unread - TEST_ONLY_NAMES) == []
-    assert TEST_ONLY_NAMES <= unread
+    assert sorted(unread) == []
 
 
 def load_tracer():

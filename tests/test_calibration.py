@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fixture13 as fx
 from glovekit.calibration import (
     CalibrationProfile,
     CouplingMap,
@@ -28,69 +29,81 @@ def make_profile(raw_min=100.0, raw_max=900.0, joint_min=0.0, joint_max=math.pi 
 JOINT_RANGE = ((0.0,) * 5, (math.pi / 2,) * 5)
 
 
+def frame(value):
+    """A (1, 5) block: one frame with ``value`` on every channel."""
+    return np.full((1, 5), value, dtype=float)
+
+
+def pwm(fmap, force):
+    """The one duty of a (1, 5) block of equal forces; each channel maps alike."""
+    duties = tactile_to_pwm(fmap, frame(force))
+    assert duties.shape == (1, 5) and duties.dtype.kind == "i" and len(set(duties[0])) == 1
+    return int(duties[0, 0])
+
+
 class TestExtremaBuilder:
     def test_tracks_min_and_max(self):
         builder = ExtremaBuilder()
-        builder.observe((100, 300, 500, 700, 900))
-        builder.observe((900, 700, 400, 300, 100))
+        builder.observe(np.array([[100.0, 300.0, 500.0, 700.0, 900.0]]))
+        builder.observe(np.array([[900.0, 700.0, 400.0, 300.0, 100.0]]))
         profile = builder.finalize(*JOINT_RANGE)
         assert profile.raw_min == (100.0, 300.0, 400.0, 300.0, 100.0)
         assert profile.raw_max == (900.0, 700.0, 500.0, 700.0, 900.0)
 
     def test_degenerate_range_fails(self):
         builder = ExtremaBuilder()
-        builder.observe((500, 500, 500, 500, 500))
+        builder.observe(np.full((1, 5), 500.0))
         with pytest.raises(GlovekitError, match="channel 1 has degenerate range"):
             builder.finalize(*JOINT_RANGE)
 
     def test_order_independence(self):
         rng = np.random.default_rng(0)
-        frames = rng.integers(0, 1024, (30, 5))
+        frames = rng.integers(0, 1024, (30, 5)).astype(float)
         a = ExtremaBuilder()
         b = ExtremaBuilder()
-        for f in frames:
-            a.observe(f)
+        for i in range(len(frames)):
+            a.observe(frames[i : i + 1])
         b.observe(frames[::-1])
         pa, pb = a.finalize(*JOINT_RANGE), b.finalize(*JOINT_RANGE)
         assert pa == pb
 
     def test_replay_idempotent(self):
-        frames = [(10, 20, 30, 40, 50), (60, 70, 80, 90, 99)]
+        frames = np.array([[10.0, 20.0, 30.0, 40.0, 50.0], [60.0, 70.0, 80.0, 90.0, 99.0]])
         once = ExtremaBuilder()
         twice = ExtremaBuilder()
-        for f in frames:
-            once.observe(f)
-        for f in frames + frames:
-            twice.observe(f)
+        for i in range(len(frames)):
+            once.observe(frames[i : i + 1])
+        for i in range(2 * len(frames)):
+            twice.observe(frames[i % 2 : i % 2 + 1])
         assert once.finalize(*JOINT_RANGE) == twice.finalize(*JOINT_RANGE)
 
 
 class TestRawToAngle:
     def test_endpoints(self):
         profile = make_profile()
-        assert raw_to_angle(profile, [100] * 5) == pytest.approx([0.0] * 5)
-        assert raw_to_angle(profile, [900] * 5) == pytest.approx([math.pi / 2] * 5)
+        assert raw_to_angle(profile, frame(100))[0] == pytest.approx([0.0] * 5)
+        assert raw_to_angle(profile, frame(900))[0] == pytest.approx([math.pi / 2] * 5)
 
     def test_midpoint(self):
         profile = make_profile()
-        assert raw_to_angle(profile, [500] * 5) == pytest.approx([math.pi / 4] * 5)
+        assert raw_to_angle(profile, frame(500))[0] == pytest.approx([math.pi / 4] * 5)
 
     def test_clamps_out_of_range(self):
         profile = make_profile()
-        assert raw_to_angle(profile, [950] * 5) == pytest.approx([math.pi / 2] * 5)
-        assert raw_to_angle(profile, [0] * 5) == pytest.approx([0.0] * 5)
+        assert raw_to_angle(profile, frame(950))[0] == pytest.approx([math.pi / 2] * 5)
+        assert raw_to_angle(profile, frame(0))[0] == pytest.approx([0.0] * 5)
 
     def test_monotone_and_image(self):
         profile = make_profile()
         raws = np.linspace(0, 1023, 200)
-        angles = [raw_to_angle(profile, [r] * 5)[0] for r in raws]
+        angles = [raw_to_angle(profile, frame(r))[0, 0] for r in raws]
         assert all(b >= a for a, b in zip(angles, angles[1:]))
         assert min(angles) == pytest.approx(0.0)
         assert max(angles) == pytest.approx(math.pi / 2)
 
     def test_accepts_sensor_frame_and_matrix(self):
         profile = make_profile()
-        single = raw_to_angle(profile, (500, 500, 500, 500, 500))
+        single = raw_to_angle(profile, frame(500))[0]
         batch = raw_to_angle(profile, np.full((3, 5), 500.0))
         assert batch.shape == (3, 5)
         assert batch[1] == pytest.approx(single)
@@ -110,20 +123,16 @@ class TestRawToAngle:
 
 class TestCoupling:
     def test_identity(self):
-        angles = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        angles = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
         assert apply_coupling(identity_coupling_map(), angles) == pytest.approx(angles)
 
     def test_default_averages_ring_little(self):
-        out = apply_coupling(default_coupling_map(), np.array([0.1, 0.2, 0.3, 0.4, 0.8]))
-        assert out == pytest.approx([0.1, 0.2, 0.3, 0.6])
+        out = apply_coupling(default_coupling_map(), np.array([[0.1, 0.2, 0.3, 0.4, 0.8]]))
+        assert out[0] == pytest.approx([0.1, 0.2, 0.3, 0.6])
 
     def test_constant_preserved(self):
-        out = apply_coupling(default_coupling_map(), np.full(5, 0.37))
-        assert out == pytest.approx([0.37] * 4)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GlovekitError, match="expected 5 glove angles, got 3"):
-            apply_coupling(default_coupling_map(), np.array([0.1, 0.2, 0.3]))
+        out = apply_coupling(default_coupling_map(), frame(0.37))
+        assert out[0] == pytest.approx([0.37] * 4)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(GlovekitError, match="coupling weights must sum to 1 per output"):
@@ -132,25 +141,66 @@ class TestCoupling:
             CouplingMap(np.array([[1.5, -0.5, 0.0, 0.0, 0.0]]))
 
 
+@st.composite
+def split_stream(draw):
+    """Raw counts of a stream, a profile for them, and the sizes, each 2 or
+    more, of the blocks that split the stream: a read holds up to 1261 frames."""
+    sizes = draw(st.lists(st.integers(2, 1300), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.integers(0, 1024, (sum(sizes), 5)).astype(float)
+    lo, jmin = rng.uniform(0.0, 500.0, 5), rng.uniform(-1.0, 1.0, 5)
+    profile = CalibrationProfile(tuple(lo), tuple(lo + rng.uniform(1.0, 500.0, 5)),
+                                 tuple(jmin), tuple(jmin + rng.uniform(0.0, 2.0, 5)))
+    return raw, profile, sizes
+
+
+def finalized(builder):
+    """The builder's profile, or the message of its degenerate-range error."""
+    try:
+        return builder.finalize(*JOINT_RANGE)
+    except GlovekitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("coupling", [fx.make_coupling13(), default_coupling_map()],
+                         ids=["readme13", "default4"])
+@given(stream=split_stream())
+@settings(max_examples=60, deadline=None)
+def test_blocks_of_two_or_more_rows_give_the_bits_of_the_whole(coupling, stream):
+    """``record`` maps and couples each read's frames behind the previous
+    read's last one, and ``calibrate`` observes each read's frames: both give
+    the bits of the whole stream at once for any split into blocks of >= 2 rows."""
+    raw, profile, sizes = stream
+    blocks = np.split(raw, np.cumsum(sizes)[:-1])
+    whole = apply_coupling(coupling, raw_to_angle(profile, raw))
+    split = np.concatenate([apply_coupling(coupling, raw_to_angle(profile, b)) for b in blocks])
+    assert split.tobytes() == whole.tobytes()
+    once, by_block = ExtremaBuilder(), ExtremaBuilder()
+    once.observe(raw)
+    for block in blocks:
+        by_block.observe(block)
+    assert finalized(by_block) == finalized(once)
+
+
 class TestForceFeedback:
     def test_zero_force(self):
-        assert tactile_to_pwm(ForceFeedbackMap(10.0), 0.0) == 0
+        assert pwm(ForceFeedbackMap(10.0), 0.0) == 0
 
     def test_full_scale(self):
-        assert tactile_to_pwm(ForceFeedbackMap(10.0), 10.0) == 255
+        assert pwm(ForceFeedbackMap(10.0), 10.0) == 255
 
     def test_half_scale_rounds_half_away(self):
-        assert tactile_to_pwm(ForceFeedbackMap(10.0), 5.0) == 128  # 127.5 rounds up
+        assert pwm(ForceFeedbackMap(10.0), 5.0) == 128  # 127.5 rounds up
 
     def test_negative_clamps_to_zero(self):
-        assert tactile_to_pwm(ForceFeedbackMap(10.0), -3.0) == 0
+        assert pwm(ForceFeedbackMap(10.0), -3.0) == 0
 
     def test_overrange_clamps_to_255(self):
-        assert tactile_to_pwm(ForceFeedbackMap(10.0), 100.0) == 255
+        assert pwm(ForceFeedbackMap(10.0), 100.0) == 255
 
     def test_monotone(self):
         fmap = ForceFeedbackMap(1.0)
-        values = [tactile_to_pwm(fmap, f) for f in np.linspace(-0.5, 1.5, 100)]
+        values = [pwm(fmap, f) for f in np.linspace(-0.5, 1.5, 100)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0 <= v <= 255 for v in values)
 
@@ -165,10 +215,10 @@ class TestForceFeedback:
 
     def test_overflowing_ratio_maps_to_255_and_nan_to_0(self):
         fmap = ForceFeedbackMap(1e-320)
-        assert tactile_to_pwm(fmap, np.float64(5.0)) == 255
-        assert tactile_to_pwm(fmap, np.float64(-5.0)) == 0
-        assert tactile_to_pwm(fmap, np.float64(0.0)) == 0
-        assert tactile_to_pwm(fmap, math.nan) == 0
+        assert pwm(fmap, 5.0) == 255
+        assert pwm(fmap, -5.0) == 0
+        assert pwm(fmap, 0.0) == 0
+        assert pwm(fmap, math.nan) == 0
 
     @given(
         force=st.floats(allow_nan=False, allow_infinity=False),
@@ -177,7 +227,7 @@ class TestForceFeedback:
     def test_matches_round_then_clamp_for_every_finite_ratio(self, force, f_max):
         fmap = ForceFeedbackMap(f_max)
         assume(math.isfinite(255 * force / f_max))
-        assert tactile_to_pwm(fmap, force) == pwm_round_then_clamp(fmap, force)
+        assert pwm(fmap, force) == pwm_round_then_clamp(fmap, force)
 
     @given(
         forces=st.lists(st.tuples(*[st.floats()] * 5), max_size=6),

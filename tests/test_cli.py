@@ -295,7 +295,7 @@ def test_eval_demo_shape_mismatch_is_data_error(workdir, capsys, rows, joints):
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_demos_that_disagree_on_dt_are_data_error(workdir, capsys, command):
     """Both commands that take a demo set need one dt, so that the bands CSV's
-    time column is every demo's time."""
+    time column is every demo's time; the error names the file that differs."""
     demos = [workdir / "a.txt", workdir / "b.txt"]
     for path, dt in zip(demos, [0.005, 0.01]):
         formats.save_demo(Demonstration(np.zeros((40, 2)), dt), path)
@@ -305,7 +305,8 @@ def test_demos_that_disagree_on_dt_are_data_error(workdir, capsys, command):
     model = ["--model", str(workdir / "model.txt")] if command == "eval" else []
     rc = main([command, *map(str, demos), *model, "--output", str(output)])
     assert rc == 3
-    assert capsys.readouterr().err == "error: demo files disagree on dt: [0.005, 0.01]\n"
+    assert capsys.readouterr().err == (
+        f"error: {demos[1]}: dt 0.01 differs from the first demo's 0.005\n")
     assert not output.exists()
 
 

@@ -14,7 +14,6 @@ from glovekit.model import (
     BasisConfig,
     Demonstration,
     TrajectoryModel,
-    basis_row,
     design_matrix,
     estimate_noise,
     fit_distribution,
@@ -25,6 +24,7 @@ from glovekit.model import (
     train_model,
 )
 from oracles import (
+    basis_row,
     covariance_term_by_term,
     gaussian_logpdf_sum,
     marginal_std_full,

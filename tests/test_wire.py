@@ -23,19 +23,19 @@ duty_st = st.tuples(*[st.integers(0, 255)] * 5)
 
 
 def test_encode_zero_frame():
-    assert encode_frames((0, 0, 0, 0, 0)) == bytes.fromhex(
+    assert encode_frames([(0, 0, 0, 0, 0)]) == bytes.fromhex(
         "a500000000000000000000000a"
     )
 
 
 def test_encode_full_scale_first_channel():
-    assert encode_frames((1023, 0, 0, 0, 0)) == bytes.fromhex(
+    assert encode_frames([(1023, 0, 0, 0, 0)]) == bytes.fromhex(
         "a5ff030000000000000000fc0a"
     )
 
 
 def test_frame_is_13_bytes():
-    assert len(encode_frames((1, 2, 3, 4, 5))) == FRAME_SIZE
+    assert len(encode_frames([(1, 2, 3, 4, 5)])) == FRAME_SIZE
 
 
 def channels_of(frames) -> list[tuple]:
@@ -45,7 +45,7 @@ def channels_of(frames) -> list[tuple]:
 def test_frame_rejects_out_of_range():
     # checksum and terminator valid, one count above 1023
     parser = StreamParser()
-    frames = parser.feed(scalar_frame_bytes((1024, 0, 0, 0, 0)) + encode_frames((1, 2, 3, 4, 5)))
+    frames = parser.feed(scalar_frame_bytes((1024, 0, 0, 0, 0)) + encode_frames([(1, 2, 3, 4, 5)]))
     assert channels_of(frames) == [(1, 2, 3, 4, 5)]
     assert frames["offset"].tolist() == [FRAME_SIZE]
     assert parser.bytes_skipped == FRAME_SIZE
@@ -63,14 +63,14 @@ def test_feed_returns_one_record_per_frame():
 @given(channels_st)
 def test_round_trip_single_frame(channels):
     parser = StreamParser()
-    assert channels_of(parser.feed(encode_frames(channels))) == [channels]
+    assert channels_of(parser.feed(encode_frames([channels]))) == [channels]
     assert parser.bytes_skipped == 0
     assert len(parser.buffer) == 0
 
 
 def test_split_frame_across_two_calls():
     channels = (10, 20, 30, 40, 50)
-    data = encode_frames(channels)
+    data = encode_frames([channels])
     parser = StreamParser()
     assert len(parser.feed(data[:7])) == 0
     frames = parser.feed(data[7:])
@@ -82,16 +82,16 @@ def test_split_frame_across_two_calls():
 def test_garbage_prefix_resync():
     channels = (100, 200, 300, 400, 500)
     parser = StreamParser()
-    assert channels_of(parser.feed(b"\x01\x02\x03" + encode_frames(channels))) == [channels]
+    assert channels_of(parser.feed(b"\x01\x02\x03" + encode_frames([channels]))) == [channels]
     assert parser.bytes_skipped == 3
 
 
 def test_corrupted_checksum_then_valid_frame():
     good = (1, 2, 3, 4, 5)
-    bad = bytearray(encode_frames((9, 9, 9, 9, 9)))
+    bad = bytearray(encode_frames([(9, 9, 9, 9, 9)]))
     bad[11] ^= 0xFF
     parser = StreamParser()
-    frames = parser.feed(bytes(bad) + encode_frames(good))
+    frames = parser.feed(bytes(bad) + encode_frames([good]))
     assert channels_of(frames) == [good]
     assert parser.bytes_skipped > 0
 
@@ -114,12 +114,12 @@ def test_non_sync_garbage_never_loses_frame():
     for _ in range(50):
         garbage = bytes(int(v) for v in rng.integers(0, 256, rng.integers(1, 40)) if v != 0xA5)
         parser = StreamParser()
-        assert channels_of(parser.feed(garbage + encode_frames(channels)))[-1] == channels
+        assert channels_of(parser.feed(garbage + encode_frames([channels])))[-1] == channels
 
 
 def test_buffer_stays_below_frame_size_at_rest():
     parser = StreamParser()
-    data = encode_frames((1, 1, 1, 1, 1)) * 7
+    data = encode_frames([(1, 1, 1, 1, 1)]) * 7
     parser.feed(data + b"\xa5\x01")
     assert len(parser.buffer) < FRAME_SIZE
 
@@ -153,7 +153,7 @@ def frame_bytes(draw):
     (so its range check may fail), or the overlapping pair."""
     kind = draw(st.sampled_from(["valid", "raw", "pair"]))
     if kind == "valid":
-        return encode_frames(draw(channels_st))
+        return encode_frames([draw(channels_st)])
     if kind == "raw":
         return scalar_frame_bytes(draw(st.tuples(*[st.integers(0, 0xFFFF)] * 5)))
     return OVERLAPPING_PAIR
@@ -221,20 +221,18 @@ def test_corrupted_emulator_stream_matches_reference():
 
 
 def test_encode_pwm_zero():
-    assert encode_pwm_command((0, 0, 0, 0, 0)) == "P 0 0 0 0 0\n"
+    assert encode_pwm_command(np.zeros((1, 5), dtype=int)) == [b"P 0 0 0 0 0\n"]
 
 
 def test_encode_pwm_mixed():
-    assert encode_pwm_command([255, 0, 0, 0, 128]) == "P 255 0 0 0 128\n"
+    assert encode_pwm_command(np.array([[255, 0, 0, 0, 128]])) == [b"P 255 0 0 0 128\n"]
 
 
-def test_pwm_rejects_out_of_range():
-    with pytest.raises(GlovekitError, match="PWM value 256 outside"):
-        encode_pwm_command((256, 0, 0, 0, 0))
-    with pytest.raises(GlovekitError, match="PWM value -1 outside"):
-        encode_pwm_command((-1, 0, 0, 0, 0))
-    with pytest.raises(GlovekitError, match="expected 5 duty values, got 4"):
-        encode_pwm_command((0, 0, 0, 0))
+def test_encode_pwm_one_line_per_row():
+    duties = np.array([[1, 2, 3, 4, 5], [255, 0, 0, 0, 128], [0, 0, 0, 0, 0]])
+    assert encode_pwm_command(duties) == [b"P 1 2 3 4 5\n", b"P 255 0 0 0 128\n",
+                                          b"P 0 0 0 0 0\n"]
+    assert encode_pwm_command(duties[:0]) == []
 
 
 def test_parse_pwm_basic():
@@ -260,4 +258,5 @@ def test_parse_pwm_malformed(line):
 
 @given(duty_st)
 def test_pwm_round_trip(duty):
-    assert parse_pwm_command(encode_pwm_command(duty)) == duty
+    [line] = encode_pwm_command(np.array([duty]))
+    assert parse_pwm_command(line.decode("ascii")) == duty
