@@ -17,7 +17,8 @@ promp-v2 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel
 promp-v2's ``mu_w`` line is joint 1's K mean weights, then joint 2's, and so on;
 joint d's K x K weight covariance is ``sigma_w`` lines d*K .. (d+1)*K - 1. A
 promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header; re-run
-``train``. Every error about the values in a file names the file.
+``train``. ``_loader`` reads a file, checks its header and hands the lines after
+it to a ``load_*`` parser, naming the file in every error it raises, float ones too.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights (read only)
@@ -29,9 +30,10 @@ promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header; re-run
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -76,75 +78,72 @@ def _write(path, header_lines: list[str], *tables: Iterator[str]) -> None:
         raise GlovekitError(f"cannot write {path}: {exc}") from exc
 
 
-def _read(path, version: str) -> list[str]:
-    """The non-blank lines of the file after its ``version`` header line."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GlovekitError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != version:
-        raise GlovekitError(f"{path}: missing '{version}' header")
-    return lines[1:]
+def _loader(version: str):
+    """Make ``parse(lines)`` of the non-blank lines after the ``version`` header
+    a ``load(path)`` that names the file in each GlovekitError or FloatingPointError."""
+    def decorate(parse):
+        @wraps(parse)
+        def load(path):
+            try:
+                # the text is freed once split, before the parse runs
+                lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
+            except (OSError, UnicodeDecodeError) as exc:
+                raise GlovekitError(f"cannot read {path}: {exc}") from exc
+            try:
+                if not lines or lines[0].strip() != version:
+                    raise GlovekitError(f"missing '{version}' header")
+                del lines[0]
+                return parse(lines)
+            except (GlovekitError, FloatingPointError) as exc:
+                raise GlovekitError(f"{path}: {exc}") from exc
+        return load
+    return decorate
 
 
-def _floats(tokens, path, what) -> np.ndarray:
-    """Parse a token list, or rows of equal token counts, as ``float`` parses."""
+def _number(token, what, kind=float):
     try:
-        return np.array(tokens, dtype=float)
+        return kind(token)
     except ValueError as exc:
-        raise GlovekitError(f"{path}: bad {what}: {exc}") from exc
+        raise GlovekitError(f"bad {what}: {exc}") from exc
 
 
-def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, path, what: str,
-                bad_count: Callable[[int], str]) -> np.ndarray:
+def _floats(tokens, what) -> np.ndarray:
+    """Parse a token list, or rows of equal token counts, as ``float`` parses."""
+    return _number(tokens, what, lambda rows: np.array(rows, dtype=float))
+
+
+def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, what: str) -> np.ndarray:
     """Parse ``n_rows`` token lists of ``cols`` tokens each into a float64
     table, taking one block of rows from the iterator at a time, so only one
-    block's tokens exist at once. A row of ``n != cols`` tokens raises
-    ``GlovekitError(bad_count(n))``."""
+    block's tokens exist at once."""
     block = max(1, _BLOCK_TOKENS // max(cols, 1))
     table = np.empty((n_rows, cols))
     for start in range(0, n_rows, block):
         rows = list(islice(token_rows, block))
         for tokens in rows:
             if len(tokens) != cols:
-                raise GlovekitError(bad_count(len(tokens)))
-        table[start : start + len(rows)] = _floats(rows, path, what)
+                raise GlovekitError(f"{what} has {len(tokens)} fields, expected {cols}")
+        table[start : start + len(rows)] = _floats(rows, what)
     return table
 
 
-def _build(path, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)`` of the file's values, naming the file in its GlovekitError."""
-    try:
-        return cls(*args, **kwargs)
-    except GlovekitError as exc:
-        raise GlovekitError(f"{path}: {exc}") from exc
-
-
-def _number(token: str, path, what, kind=float):
-    try:
-        return kind(token)
-    except ValueError as exc:
-        raise GlovekitError(f"{path}: bad {what}: {exc}") from exc
-
-
-def _fields(lines, path, what: str) -> dict[str, list[str]]:
+def _fields(lines, what: str) -> dict[str, list[str]]:
     """``{key: value tokens}`` of ``key value...`` lines, each key once."""
     found = {}
     for line in lines:
         key, *values = line.split()
         if key in found:
-            raise GlovekitError(f"{path}: {what} key '{key}' repeated")
+            raise GlovekitError(f"{what} key '{key}' repeated")
         found[key] = values
     return found
 
 
-def _scalar(found: dict[str, list[str]], key: str, path, kind=float):
+def _scalar(found: dict[str, list[str]], key: str, kind=float):
     """Pop ``key``, which must carry exactly one value, parsed as ``kind``."""
     values = found.pop(key)
     if len(values) != 1:
-        raise GlovekitError(f"{path}: '{key}' takes one value, got {len(values)}")
-    return _number(values[0], path, key, kind)
+        raise GlovekitError(f"'{key}' takes one value, got {len(values)}")
+    return _number(values[0], key, kind)
 
 
 # ---------------------------------------------------------------- calib-v1
@@ -155,32 +154,34 @@ def save_profile(profile: CalibrationProfile, path) -> None:
                                  for i, row in enumerate(rows, start=1)])
 
 
-def load_profile(path) -> CalibrationProfile:
+@_loader("calib-v1")
+def load_profile(lines) -> CalibrationProfile:
     rows = {}
-    for line in _read(path, "calib-v1"):
+    for line in lines:
         tokens = line.split()
         if len(tokens) != 6 or tokens[0] != "channel":
-            raise GlovekitError(f"{path}: bad profile line {line!r}")
-        idx = _number(tokens[1], path, "channel number", int)
+            raise GlovekitError(f"bad profile line {line!r}")
+        idx = _number(tokens[1], "channel number", int)
         if idx in rows:
-            raise GlovekitError(f"{path}: channel {idx} repeated")
-        rows[idx] = _floats(tokens[2:], path, "profile values").tolist()
+            raise GlovekitError(f"channel {idx} repeated")
+        rows[idx] = _floats(tokens[2:], "profile values").tolist()
     if sorted(rows) != list(range(1, NUM_CHANNELS + 1)):
-        raise GlovekitError(f"{path}: expected channels 1..{NUM_CHANNELS}")
+        raise GlovekitError(f"expected channels 1..{NUM_CHANNELS}")
     cols = [tuple(rows[i + 1][j] for i in range(NUM_CHANNELS)) for j in range(4)]
-    return _build(path, CalibrationProfile, *cols)
+    return CalibrationProfile(*cols)
 
 
 # ------------------------------------------------------------- coupling-v1
 
-def load_coupling(path) -> CouplingMap:
+@_loader("coupling-v1")
+def load_coupling(lines) -> CouplingMap:
     rows = []
-    for line in _read(path, "coupling-v1"):
+    for line in lines:
         tokens = line.split()
         if tokens[0] != "row" or len(tokens) != NUM_CHANNELS + 1:
-            raise GlovekitError(f"{path}: bad coupling line {line!r}")
+            raise GlovekitError(f"bad coupling line {line!r}")
         rows.append(tokens[1:])
-    return _build(path, CouplingMap, _floats(rows, path, "coupling weights"))
+    return CouplingMap(_floats(rows, "coupling weights"))
 
 
 # ----------------------------------------------------------------- demo-v1
@@ -191,20 +192,20 @@ def save_demo(demo: Demonstration, path) -> None:
     _write(path, header, _table([np.arange(demo.T) * demo.dt, demo.values]))
 
 
-def load_demo(path) -> Demonstration:
-    lines = _read(path, "demo-v1")
-    header = _fields(lines[:3], path, "demo")
+@_loader("demo-v1")
+def load_demo(lines) -> Demonstration:
+    header = _fields(lines[:3], "demo")
     if list(header) != ["D", "dt", "joints"]:
-        raise GlovekitError(f"{path}: demo header must be 'D', 'dt', 'joints' lines")
-    d, dt = _scalar(header, "D", path, int), _scalar(header, "dt", path)
+        raise GlovekitError("demo header must be 'D', 'dt', 'joints' lines")
+    d, dt = _scalar(header, "D", int), _scalar(header, "dt")
     if len(header["joints"]) != d:
-        raise GlovekitError(f"{path}: joint label count != D")
-    table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, path, "demo row",
-                        lambda n: f"{path}: demo row has {n} fields, expected {d + 1}")
-    if np.any(np.diff(table[:, 0]) <= 0):
-        raise GlovekitError(f"{path}: time column must be strictly increasing")
+        raise GlovekitError("joint label count != D")
+    table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, "demo row")
+    # neighbours compared, not subtracted: no overflow, and a NaN time fails
+    if not np.all(table[1:, 0] > table[:-1, 0]):
+        raise GlovekitError("time column must be strictly increasing")
     # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
-    return _build(path, Demonstration, table[:, 1:].copy(), dt)
+    return Demonstration(table[:, 1:].copy(), dt)
 
 
 # ---------------------------------------------------------------- promp-v2
@@ -219,46 +220,43 @@ def save_model(model: TrajectoryModel, path) -> None:
            _table([model.sigma_y[None]], prefix="sigma_y "))
 
 
-def load_model(path) -> TrajectoryModel:
+@_loader("promp-v2")
+def load_model(lines) -> TrajectoryModel:
     keyed, sigma_w_lines = [], []
-    for line in _read(path, "promp-v2"):
+    for line in lines:
         (sigma_w_lines if line.split(None, 1)[0] == "sigma_w" else keyed).append(line)
-    found = _fields(keyed, path, "model")
+    found = _fields(keyed, "model")
     keys = ("K", "D", "h", "lambda", "eps_reg", "normalize", "centers", "mu_w", "sigma_y")
     if missing := [key for key in keys if key not in found]:
-        raise GlovekitError(f"{path}: missing keys {missing}")
-    k, d = _scalar(found, "K", path, int), _scalar(found, "D", path, int)
-    basis = _build(path, BasisConfig, k, _scalar(found, "h", path), _scalar(found, "lambda", path))
-    normalize, eps_reg = _scalar(found, "normalize", path, int), _scalar(found, "eps_reg", path)
+        raise GlovekitError(f"missing keys {missing}")
+    k, d = _scalar(found, "K", int), _scalar(found, "D", int)
+    basis = BasisConfig(k, _scalar(found, "h"), _scalar(found, "lambda"))
+    normalize, eps_reg = _scalar(found, "normalize", int), _scalar(found, "eps_reg")
     del found["centers"]  # required, but not read: K fixes the centers
-    mu_w = _floats(found.pop("mu_w"), path, "mu_w")
-    sigma_y = _floats(found.pop("sigma_y"), path, "sigma_y")
+    mu_w = _floats(found.pop("mu_w"), "mu_w")
+    sigma_y = _floats(found.pop("sigma_y"), "sigma_y")
     if found:
-        raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
+        raise GlovekitError(f"unknown keys {sorted(found)}")
     if normalize != 1:
-        raise GlovekitError(f"{path}: normalize must be 1, got {normalize}")
+        raise GlovekitError(f"normalize must be 1, got {normalize}")
     # TrajectoryModel's own check, made before the mu_w and sigma_w sizes derived from D
     if d < 1:
-        raise GlovekitError(f"{path}: model needs D >= 1 joints, got {d}")
-    bad_shape = f"{path}: sigma_w must be {k * d} rows of {k} values, mu_w {k * d} values"
+        raise GlovekitError(f"model needs D >= 1 joints, got {d}")
     if len(mu_w) != k * d or len(sigma_w_lines) != k * d:
-        raise GlovekitError(bad_shape)
-    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k,
-                          path, "sigma_w row", lambda n: bad_shape)
-    return _build(path, TrajectoryModel, basis, mu_w.reshape(d, k), sigma_w.reshape(d, k, k),
-                  sigma_y, eps_reg)
+        raise GlovekitError(f"sigma_w must be {k * d} rows of {k} values, mu_w {k * d} values")
+    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k, "sigma_w row")
+    return TrajectoryModel(basis, mu_w.reshape(d, k), sigma_w.reshape(d, k, k), sigma_y, eps_reg)
 
 
 # -------------------------------------------------------------- tactile-v1
 
-def load_tactile(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = _read(path, "tactile-v1")
-    table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, path, "tactile row",
-                        lambda n: f"{path}: tactile row needs time + {NUM_CHANNELS} forces")
+@_loader("tactile-v1")
+def load_tactile(lines) -> tuple[np.ndarray, np.ndarray]:
+    table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, "tactile row")
     if not len(table):
-        raise GlovekitError(f"{path}: empty tactile profile")
+        raise GlovekitError("empty tactile profile")
     if not np.isfinite(table).all():
-        raise GlovekitError(f"{path}: tactile values must be finite")
+        raise GlovekitError("tactile values must be finite")
     return table[:, 0], table[:, 1:]
 
 
@@ -291,17 +289,18 @@ def save_bands_csv(path, mean: np.ndarray, std: np.ndarray, dt: float) -> None:
 
 # ------------------------------------------------------------------ emu-v1
 
-def load_emulator_config(path) -> EmulatorConfig:
-    found = _fields(_read(path, "emu-v1"), path, "emulator config")
+@_loader("emu-v1")
+def load_emulator_config(lines) -> EmulatorConfig:
+    found = _fields(lines, "emulator config")
     # only the keys present are passed, so the classes' own defaults apply
-    top = {key: _scalar(found, key, path, kind)
+    top = {key: _scalar(found, key, kind)
            for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in found}
     channels = []
     for i in range(NUM_CHANNELS):
         prefix = f"channel{i + 1}."
-        waveform = {name: _scalar(found, prefix + name, path)
+        waveform = {name: _scalar(found, prefix + name)
                     for name in ChannelWaveform.__slots__ if prefix + name in found}
-        channels.append(_build(path, ChannelWaveform, **waveform))
+        channels.append(ChannelWaveform(**waveform))
     if found:
-        raise GlovekitError(f"{path}: unknown keys {sorted(found)}")
-    return _build(path, EmulatorConfig, channels=tuple(channels), **top)
+        raise GlovekitError(f"unknown keys {sorted(found)}")
+    return EmulatorConfig(channels=tuple(channels), **top)

@@ -49,7 +49,8 @@ def _valid_samples() -> dict:
 SAMPLES = _valid_samples()
 TOKENS = ["channel", "row", "D", "dt", "joints", "K", "h", "lambda", "eps_reg", "normalize",
           "centers", "mu_w", "sigma_w", "sigma_y", "rate", "noise_std", "seed",
-          "channel1.offset", "0", "1", "2", "3", "-1", "0.5", "1e400", "nan", "inf", "x", "é"]
+          "channel1.offset", "0", "1", "2", "3", "-1", "0.5", "1e400", "1e308", "-1e308", "nan",
+          "inf", "x", "é"]
 
 
 @st.composite

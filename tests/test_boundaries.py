@@ -114,6 +114,18 @@ def test_scalar_range_rule_is_written_once():
     assert compared <= {"errors._require"}
 
 
+def test_file_naming_rule_is_written_once():
+    """"An error about what a file holds names the file" is one rule, stated
+    in ``formats._loader``: no parser puts ``{path}: `` in its own messages.
+    Only read and write failures, which the wrapper does not see, name it too."""
+    tree = ast.parse((PACKAGE / "formats.py").read_text())
+    named = [(top.name, ast.unparse(node)) for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.JoinedStr) and "{path}: " in ast.unparse(node)]
+    assert [(function, text) for function, text in named
+            if not text.startswith(("f'cannot read ", "f'cannot write "))] == [
+        ("_loader", "f'{path}: {exc}'")]
+
+
 def public_definitions(tree):
     """(name, statement) of each public top-level function, class and constant."""
     for statement in tree.body:

@@ -726,12 +726,15 @@ def _set_line(start, text):
 
 
 # (format, edit of its valid sample's lines, the error after the file's name):
-# a value that the record built from the file rejects, or that load_model checks
+# a value that the record built from the file rejects, that load_model checks,
+# or whose arithmetic overflows while the file loads
 RECORD_RULE_CASES = {
     "calib-CalibrationProfile": ("calib", _set_line("channel 2 ", "channel 2 900 100 0 1.5"),
                                  "channel 2: raw_min must be < raw_max"),
     "coupling-CouplingMap": ("coupling", _set_line("row 0.0 0.0 0.0 ", "row 0 0 0 0.5 0.6"),
                              "coupling weights must sum to 1 per output"),
+    "coupling-overflow": ("coupling", _set_line("row 1.0 ", "row 1e308 1e308 0 0 0"),
+                          "overflow encountered in reduce"),
     "demo-dt": ("demo", _set_line("dt ", "dt 0"), "dt must be positive and finite, got 0.0"),
     "demo-one-row": ("demo", lambda lines: lines[:5],
                      "demonstration needs T >= 2 samples, got 1"),
@@ -752,9 +755,10 @@ RECORD_RULE_CASES = {
 
 @pytest.mark.parametrize("case", RECORD_RULE_CASES)
 def test_record_rule_violation_names_the_file(inputs_dir, tmp_path, capsys, case):
-    """A value that a record class rejects, or that load_model checks itself,
-    ends every subcommand that reads the file in exit 3 with one line that
-    names the file first, and writes no output."""
+    """A value that a record class rejects, that load_model checks itself, or
+    whose float arithmetic overflows while loading ends every subcommand that
+    reads the file in exit 3 with one line that names the file first, and
+    writes no output."""
     kind, edit, message = RECORD_RULE_CASES[case]
     for name, text in SAMPLES.items():
         (tmp_path / name).write_text(text)

@@ -95,6 +95,25 @@ class TestDemoFormat:
         with pytest.raises(GlovekitError, match="time column must be strictly increasing"):
             formats.load_demo(path)
 
+    @pytest.mark.parametrize("times", [["0", "inf", "inf"], ["0", "nan", "1"]],
+                             ids=["repeated-inf", "nan"])
+    def test_rejects_time_that_is_not_greater_than_the_one_before(self, tmp_path, times):
+        """Neighbouring times are compared, not subtracted: inf - inf gives no
+        invalid-value error, and a NaN time is not greater than its neighbour."""
+        path = tmp_path / "demo.txt"
+        path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n"
+                        + "".join(f"{t} {i}\n" for i, t in enumerate(times)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(
+                GlovekitError) as caught:
+            formats.load_demo(path)
+        assert str(caught.value) == f"{path}: time column must be strictly increasing"
+
+    def test_loads_times_whose_difference_overflows(self, tmp_path):
+        path = tmp_path / "demo.txt"
+        path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n-1e308 1.0\n1e308 2.0\n")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert formats.load_demo(path).values.tolist() == [[1.0], [2.0]]
+
     def test_rejects_short_file(self, tmp_path):
         path = tmp_path / "demo.txt"
         path.write_text("demo-v1\nD 1\ndt 0.01\njoints j01\n0.0 1.0\n")
@@ -252,16 +271,35 @@ LOADERS = {
 }
 
 
+@pytest.mark.parametrize("kind,start,message", [
+    ("tactile", "0.1 ", "tactile row has 7 fields, expected 6"),
+    ("model", "sigma_w ", "sigma_w row has 7 fields, expected 6"),
+])
+def test_row_of_wrong_length_names_its_field_counts(tmp_path, kind, start, message):
+    """Every float table states a row's length error the same way, as demo rows do."""
+    lines = SAMPLES[kind].splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(start))
+    lines[i] += " 0.0"
+    path = tmp_path / kind
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GlovekitError) as caught:
+        LOADERS[kind](path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 @given(st.data())
 @settings(max_examples=600, deadline=None)
 def test_loaders_raise_only_glovekit_errors(tmp_path_factory, data):
+    """Under the CLI's float error checks, a loader raises only GlovekitError,
+    and its message names the file first."""
     kind = data.draw(st.sampled_from(list(SAMPLES)))
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_bytes(data.draw(mutated_file(kind)))
     try:
-        LOADERS[kind](path)
-    except GlovekitError:
-        pass
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            LOADERS[kind](path)
+    except GlovekitError as exc:
+        assert str(exc).startswith((f"{path}: ", f"cannot read {path}: ")), exc
 
 
 BLOCK = formats._BLOCK_ROWS
