@@ -5,11 +5,13 @@ header line, then the file's non-blank lines. glovekit writes calib-v1,
 demo-v1, promp-v2 and the result CSVs; it reads coupling-v1, tactile-v1 and
 emu-v1, inputs the user writes, and never writes them. Floats are written with
 ``repr`` (shortest exact decimal), so write -> read -> write of calib-v1,
-demo-v1 and promp-v2 is byte-identical. Float tables (demo, tactile, ``sigma_w``
-and result CSV rows) are written or parsed one block of rows at a time, so the
-memory a file costs stays small and does not grow with its length; the bytes
-are those of one ``repr`` per cell, and rows are read back with ``float``
-semantics.
+demo-v1 and promp-v2 is byte-identical. Float tables (demo, ``sigma_w`` and
+result CSV rows) are written one block of rows at a time, so the memory a
+file costs stays small and does not grow with its length; the bytes are those
+of one ``repr`` per cell. numpy's C reader parses demo and tactile rows; any
+table it does not give exactly goes to the block-wise ``float`` path, which
+also parses ``sigma_w`` rows, so rows are read back with ``float`` semantics,
+token for token.
 
 Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
 ``key value...``: each key once, one value per scalar key, no unknown key.
@@ -48,9 +50,10 @@ from .wire import NUM_CHANNELS
 # few enough that a block's Python floats and text stay well under 1 MB even for
 # the widest result table, the 40 columns of a 13-joint tracking CSV
 _BLOCK_ROWS = 128
-# values parsed per block: a token costs a str object plus numpy's text copy of
-# it, so blocks are counted in values, whether a row holds the 14 of a 13-joint
-# demo or the 20 of a 20-basis sigma_w row
+# values the float path parses per block (sigma_w rows, and demo or tactile
+# rows numpy's reader does not parse exactly): a token costs a str object plus
+# numpy's text copy of it, so blocks are counted in values, whether a row holds
+# the 14 of a 13-joint demo or the 20 of a 20-basis sigma_w row
 _BLOCK_TOKENS = 2048
 
 
@@ -127,6 +130,21 @@ def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, what: s
     return table
 
 
+def _float_table(lines: list[str], cols: int, what: str) -> np.ndarray:
+    """The lines as an (n, cols) float64 table with ``float`` semantics.
+    numpy's C reader parses them; ``_parse_rows`` decides every table it does
+    not give exactly, so a token only ``float`` accepts (``1_0``, non-ASCII
+    digits) still loads, and an error reads as the float path's does."""
+    try:
+        # no lines go straight to the float path: numpy warns on empty input
+        table = np.loadtxt(lines, comments=None, ndmin=2) if lines else None
+    except ValueError:
+        table = None
+    if table is not None and table.shape == (len(lines), cols):
+        return table
+    return _parse_rows(map(str.split, lines), len(lines), cols, what)
+
+
 def _fields(lines, what: str) -> dict[str, list[str]]:
     """``{key: value tokens}`` of ``key value...`` lines, each key once."""
     found = {}
@@ -200,7 +218,7 @@ def load_demo(lines) -> Demonstration:
     d, dt = _scalar(header, "D", int), _scalar(header, "dt")
     if len(header["joints"]) != d:
         raise GlovekitError("joint label count != D")
-    table = _parse_rows(map(str.split, lines[3:]), len(lines) - 3, d + 1, "demo row")
+    table = _float_table(lines[3:], d + 1, "demo row")
     # neighbours compared, not subtracted: no overflow, and a NaN time fails
     if not np.all(table[1:, 0] > table[:-1, 0]):
         raise GlovekitError("time column must be strictly increasing")
@@ -252,7 +270,7 @@ def load_model(lines) -> TrajectoryModel:
 
 @_loader("tactile-v1")
 def load_tactile(lines) -> tuple[np.ndarray, np.ndarray]:
-    table = _parse_rows(map(str.split, lines), len(lines), NUM_CHANNELS + 1, "tactile row")
+    table = _float_table(lines, NUM_CHANNELS + 1, "tactile row")
     if not len(table):
         raise GlovekitError("empty tactile profile")
     if not np.isfinite(table).all():

@@ -1,8 +1,9 @@
 """Byte transports: ordered, lossy-tolerant streams the pipeline reads/writes.
 
 A read or write that finds the other end gone (``PEER_GONE``) ends the
-stream cleanly; any other failure, or a peer silent (see ``receive``) or
-absent for 30 s, raises TransportError. Specs accepted on the command line:
+stream cleanly; any other failure, or a peer silent (see ``receive``), not
+reading (see ``send``) or absent for 30 s, raises TransportError. Specs
+accepted on the command line:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
@@ -22,16 +23,16 @@ from typing import TYPE_CHECKING
 
 from .errors import TransportError
 
-# the tcp: helpers import socket and ``receive`` imports select themselves:
-# file: runs need neither, so they never pay their import
+# the tcp: helpers import socket, and ``send`` and ``receive`` import select,
+# themselves: file: runs need neither, so they never pay their import
 if TYPE_CHECKING:
     import socket
 
 _TCP_RETRY_DELAY = 0.1
-# seconds a read, a tcp: connect (retried until then), or a tcp: accept or
-# write waits for its peer before the stream fails. A paced writer flushes its
-# 8 KiB buffer about every 1.8 s at 350 Hz, so a live stream is never silent
-# this long
+# seconds a read, a write, or a tcp: connect (retried until then) or accept
+# waits for its peer before the stream fails. A paced writer sends each frame
+# to a pipe, FIFO or device as it is made, and flushes its 8 KiB socket buffer
+# about every 1.8 s at 350 Hz, so a live stream is never silent this long
 _STALL_TIMEOUT = 30.0
 
 # What a read or write raises once the other end has gone away (a closed pipe
@@ -61,9 +62,23 @@ def open_transport(spec: str, mode: str):
 
 
 def send(writer, data: bytes) -> bool:
-    """Write ``data``; False if the reader has gone away, TransportError on any other OSError."""
+    """Write ``data``; False if the reader has gone away, TransportError on any
+    other OSError. A pipe, FIFO or device is written through its descriptor at
+    most ``select.PIPE_BUF`` bytes at a time, each piece waited for at most
+    30 s; TransportError if the reader takes none of it. A tcp: socket's own
+    timeout bounds its writes."""
     try:
-        writer.write(data)
+        if _file_type(writer) not in (stat.S_IFIFO, stat.S_IFCHR):
+            writer.write(data)
+            return True
+        import select
+
+        writer.flush()  # bytes a buffered write left go first
+        fd, view = writer.fileno(), memoryview(data)
+        while view:
+            if not select.select([], [fd], [], _STALL_TIMEOUT)[1]:
+                raise TransportError("write failed: timed out")
+            view = view[os.write(fd, view[: select.PIPE_BUF]) :]
     except PEER_GONE:
         return False
     except OSError as exc:
@@ -75,17 +90,22 @@ def receive(reader, size: int) -> bytes:
     """Read up to ``size`` bytes, b"" at EOF. A reader that is not a regular
     file is waited on for at most 30 s, then gives what has arrived;
     TimeoutError if nothing has."""
-    try:
-        regular = stat.S_ISREG(os.fstat(reader.fileno()).st_mode)
-    except (AttributeError, OSError, ValueError):  # no descriptor: read it as it is
-        regular = True
-    if regular:
+    if _file_type(reader) in (None, stat.S_IFREG):
         return reader.read(size)
     import select
 
     if not select.select([reader], [], [], _STALL_TIMEOUT)[0]:
         raise TimeoutError("timed out")
     return reader.read1(size)
+
+
+def _file_type(stream) -> int | None:
+    """The ``stat.S_IF*`` type of the stream's descriptor; None for a stream
+    without one, which is read and written as it is."""
+    try:
+        return stat.S_IFMT(os.fstat(stream.fileno()).st_mode)
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def _open(spec: str, mode: str, closers: ExitStack):

@@ -738,6 +738,10 @@ RECORD_RULE_CASES = {
     "demo-dt": ("demo", _set_line("dt ", "dt 0"), "dt must be positive and finite, got 0.0"),
     "demo-one-row": ("demo", lambda lines: lines[:5],
                      "demonstration needs T >= 2 samples, got 1"),
+    # numpy's table reader warns on no rows, so it must never see them
+    "demo-no-rows": ("demo", lambda lines: lines[:4],
+                     "demonstration needs T >= 2 samples, got 0"),
+    "tactile-no-rows": ("tactile", lambda lines: lines[:1], "empty tactile profile"),
     "model-BasisConfig": ("model", _set_line("K ", "K 0"), "K must be >= 1, got 0"),
     "model-TrajectoryModel": ("model", _set_line("sigma_y ", "sigma_y -1 0"),
                               "sigma_y entries must be nonnegative"),
@@ -810,22 +814,59 @@ def test_huge_duration_or_rate_is_data_error(workdir, monkeypatch, capsys, argv)
     assert err.count("\n") == 1
 
 
+FULL_DEVICE_WRITERS = [
+    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1", "--fast"],
+    ["glove-emulate", "--config", "emu.txt", "--duration", "0.1"],
+    ["feedback", "--tactile", "tactile.txt", "--f-max", "10"],
+    # 350 frames in one block: more than a device's 4 KiB buffer or a pipe's atomic write
+    ["glove-emulate", "--config", "emu.txt", "--duration", "1", "--fast"],
+]
+FULL_DEVICE_IDS = ["emulate-fast", "emulate-paced", "feedback", "emulate-fast-block"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv,failing", [
-    (["glove-emulate", "--config", "emu.txt", "--duration", "0.1", "--fast"], "closing /dev/full"),
-    (["glove-emulate", "--config", "emu.txt", "--duration", "0.1"], "closing /dev/full"),
-    (["feedback", "--tactile", "tactile.txt", "--f-max", "10"], "closing /dev/full"),
-    # a 4096-frame block is larger than the write buffer, so the write itself fails
-    (["glove-emulate", "--config", "emu.txt", "--duration", "1", "--fast"], "write"),
-], ids=["emulate-fast", "emulate-paced", "feedback", "emulate-fast-block"])
-def test_full_device_is_transport_error(workdir, monkeypatch, capsys, argv, failing):
+@pytest.mark.parametrize("argv", FULL_DEVICE_WRITERS, ids=FULL_DEVICE_IDS)
+def test_full_device_is_transport_error(workdir, monkeypatch, capsys, argv):
+    """A device is written through its descriptor, so its first write fails."""
     (workdir / "tactile.txt").write_text(oracles.tactile_text([0.0, 0.1], [[0.0] * 5, [5.0] * 5]))
     monkeypatch.chdir(workdir)
     assert main([*argv, "--transport", "/dev/full"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"transport error: {failing} failed: [Errno 28] ")
+    assert captured.err.startswith("transport error: write failed: [Errno 28] ")
     assert captured.err.count("\n") == 1
+
+
+class _FullStdout(io.RawIOBase):
+    """A stdout with no descriptor on a full disk."""
+
+    full = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+
+@pytest.mark.parametrize("argv", FULL_DEVICE_WRITERS[:3], ids=FULL_DEVICE_IDS[:3])
+def test_full_buffered_stdout_is_transport_error(workdir, monkeypatch, capsys, argv):
+    """A stream without a descriptor is written through its buffer, so a
+    stream smaller than the buffer fails when it is flushed at close."""
+    (workdir / "tactile.txt").write_text(oracles.tactile_text([0.0, 0.1], [[0.0] * 5, [5.0] * 5]))
+    monkeypatch.chdir(workdir)
+    raw = _FullStdout()
+    stdout = io.TextIOWrapper(io.BufferedWriter(raw))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    rc = main([*argv, "--transport", "pipe"])
+    raw.full = False
+    stdout.close()
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("transport error: closing pipe failed: [Errno 28] ")
+    assert err.count("\n") == 1
 
 
 # each file-writing command, up to its --output
@@ -948,6 +989,36 @@ def test_pipe_writer_with_its_reader_gone_ends_cleanly(workdir, monkeypatch, cap
     stdout.close()
     assert rc == 0
     assert capsys.readouterr().err == "frames written: 0\n"
+
+
+@pytest.mark.parametrize("transport", ["pipe", "fifo"])
+def test_writer_whose_reader_never_reads_times_out(workdir, monkeypatch, capsys, transport):
+    """As ``glovekit glove-emulate ... --transport pipe | sleep 5``: the reader
+    holds its end open and takes nothing, so the 64 KiB pipe buffer fills."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.3)
+    if transport == "pipe":
+        read_fd, write_fd = os.pipe()
+        stdout = io.TextIOWrapper(os.fdopen(write_fd, "wb"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        spec = "pipe"
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs FIFOs")
+        fifo = workdir / "glove.fifo"
+        os.mkfifo(fifo)
+        read_fd, stdout = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), None
+        spec = f"file:{fifo}"
+    start = time.monotonic()
+    try:
+        rc = main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "30",
+                   "--fast", "--transport", spec])
+    finally:
+        took = time.monotonic() - start
+        if stdout is not None:
+            stdout.close()
+        os.close(read_fd)
+    assert (rc, capsys.readouterr().err) == (4, "transport error: write failed: timed out\n")
+    assert 0.3 <= took < 5
 
 
 def test_tcp_writer_without_client_times_out(workdir, monkeypatch, capsys):

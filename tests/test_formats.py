@@ -302,6 +302,55 @@ def test_loaders_raise_only_glovekit_errors(tmp_path_factory, data):
         assert str(exc).startswith((f"{path}: ", f"cannot read {path}: ")), exc
 
 
+# tokens numpy's reader refuses and float() takes (1_0, non-ASCII digits),
+# float spellings both take, and tokens neither takes (NUL alone and inside one)
+EDGE_TOKENS = ["1_0", "١٢", "nan", "-inf", "1e400", "-1e400", "+.5", "0x10", "1,5", "#",
+               '"1"', "'", "\x00", "1\x002"]
+SEPARATORS = st.text(st.sampled_from(" \t\xa0\u2003\x1f"), min_size=1, max_size=2)
+
+
+@st.composite
+def table_lines(draw):
+    """Non-blank lines of floats and edge tokens joined by any whitespace, as
+    the loaders get them, and the column count they should hold."""
+    cols = draw(st.integers(1, 4))
+    # about a quarter of the tables are full rows of floats alone, which numpy's
+    # reader parses; the rest add edge tokens, rows of other widths, or both
+    token, widths = st.floats().map(repr), st.just(cols)
+    if draw(st.booleans()):
+        token |= st.sampled_from(EDGE_TOKENS)
+    if draw(st.booleans()):
+        widths = st.integers(max(cols - 1, 1), cols + 1)
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens = [draw(token) for _ in range(draw(widths))]
+        ends = draw(st.lists(st.one_of(st.just(""), SEPARATORS), min_size=2, max_size=2))
+        line = ends[0] + "".join(t + draw(SEPARATORS) for t in tokens[:-1]) + tokens[-1] + ends[1]
+        if line.strip():
+            lines.append(line)
+    return lines, cols
+
+
+def _table_or_error(parse):
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            table = parse()
+    except GlovekitError as exc:
+        return str(exc)
+    return table.shape, table.tobytes()
+
+
+@given(case=table_lines())
+@settings(max_examples=400, deadline=None)
+def test_float_table_is_the_float_path(case):
+    """numpy's reader and the token-by-token float path agree on every table:
+    the same bits, or the same error message."""
+    lines, cols = case
+    assert (_table_or_error(lambda: formats._float_table(lines, cols, "row"))
+            == _table_or_error(lambda: formats._parse_rows(map(str.split, lines), len(lines),
+                                                           cols, "row")))
+
+
 BLOCK = formats._BLOCK_ROWS
 # table lengths below, at and above the writers' block size and its multiples
 ROWS = st.one_of(
