@@ -8,10 +8,10 @@ emu-v1, inputs the user writes, and never writes them. Floats are written with
 demo-v1 and promp-v2 is byte-identical. Float tables (demo, ``sigma_w`` and
 result CSV rows) are written one block of rows at a time, so the memory a
 file costs stays small and does not grow with its length; the bytes are those
-of one ``repr`` per cell. numpy's C reader parses demo and tactile rows; any
-table it does not give exactly goes to the block-wise ``float`` path, which
-also parses ``sigma_w`` rows, so rows are read back with ``float`` semantics,
-token for token.
+of one ``repr`` per cell. numpy's C reader parses demo, tactile and
+``sigma_w`` rows; any table it does not give exactly goes to the ``float``
+path, which parses it in the writers' blocks of rows, so rows are read back
+with ``float`` semantics, token for token.
 
 Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
 ``key value...``: each key once, one value per scalar key, no unknown key.
@@ -33,7 +33,7 @@ it to a ``load_*`` parser, naming the file in every error it raises, float ones 
 from __future__ import annotations
 
 from functools import wraps
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -46,15 +46,11 @@ from .model import BasisConfig, Demonstration, TrajectoryModel
 from .wire import NUM_CHANNELS
 
 
-# rows formatted per block: enough to amortise stacking one slice per column,
-# few enough that a block's Python floats and text stay well under 1 MB even for
-# the widest result table, the 40 columns of a 13-joint tracking CSV
+# rows per block, both where the writers format a table and where the float
+# path parses one: enough to amortise stacking one slice per column, few enough
+# that a block's Python floats, tokens and text stay well under 1 MB even for
+# the widest table, the 40 columns of a 13-joint tracking CSV
 _BLOCK_ROWS = 128
-# values the float path parses per block (sigma_w rows, and demo or tactile
-# rows numpy's reader does not parse exactly): a token costs a str object plus
-# numpy's text copy of it, so blocks are counted in values, whether a row holds
-# the 14 of a 13-joint demo or the 20 of a 20-basis sigma_w row
-_BLOCK_TOKENS = 2048
 
 
 def _fmt(x: float) -> str:
@@ -115,14 +111,12 @@ def _floats(tokens, what) -> np.ndarray:
     return _number(tokens, what, lambda rows: np.array(rows, dtype=float))
 
 
-def _parse_rows(token_rows: Iterator[list[str]], n_rows: int, cols: int, what: str) -> np.ndarray:
-    """Parse ``n_rows`` token lists of ``cols`` tokens each into a float64
-    table, taking one block of rows from the iterator at a time, so only one
-    block's tokens exist at once."""
-    block = max(1, _BLOCK_TOKENS // max(cols, 1))
-    table = np.empty((n_rows, cols))
-    for start in range(0, n_rows, block):
-        rows = list(islice(token_rows, block))
+def _parse_rows(lines: list[str], cols: int, what: str) -> np.ndarray:
+    """Parse lines of ``cols`` tokens each into a float64 table, one block of
+    rows at a time, so only one block's tokens exist at once."""
+    table = np.empty((len(lines), cols))
+    for start in range(0, len(lines), _BLOCK_ROWS):
+        rows = [line.split() for line in lines[start : start + _BLOCK_ROWS]]
         for tokens in rows:
             if len(tokens) != cols:
                 raise GlovekitError(f"{what} has {len(tokens)} fields, expected {cols}")
@@ -136,13 +130,13 @@ def _float_table(lines: list[str], cols: int, what: str) -> np.ndarray:
     not give exactly, so a token only ``float`` accepts (``1_0``, non-ASCII
     digits) still loads, and an error reads as the float path's does."""
     try:
-        # no lines go straight to the float path: numpy warns on empty input
-        table = np.loadtxt(lines, comments=None, ndmin=2) if lines else None
+        # lines without text go straight to the float path: numpy warns on no data
+        table = np.loadtxt(lines, comments=None, ndmin=2) if any(lines) else None
     except ValueError:
         table = None
     if table is not None and table.shape == (len(lines), cols):
         return table
-    return _parse_rows(map(str.split, lines), len(lines), cols, what)
+    return _parse_rows(lines, cols, what)
 
 
 def _fields(lines, what: str) -> dict[str, list[str]]:
@@ -262,7 +256,9 @@ def load_model(lines) -> TrajectoryModel:
         raise GlovekitError(f"model needs D >= 1 joints, got {d}")
     if len(mu_w) != k * d or len(sigma_w_lines) != k * d:
         raise GlovekitError(f"sigma_w must be {k * d} rows of {k} values, mu_w {k * d} values")
-    sigma_w = _parse_rows((line.split()[1:] for line in sigma_w_lines), k * d, k, "sigma_w row")
+    # the text after each key: a bare key's "" fails as a row of 0 fields
+    rows = ["".join(line.split(None, 1)[1:]) for line in sigma_w_lines]
+    sigma_w = _float_table(rows, k, "sigma_w row")
     return TrajectoryModel(basis, mu_w.reshape(d, k), sigma_w.reshape(d, k, k), sigma_y, eps_reg)
 
 

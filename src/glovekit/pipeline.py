@@ -35,7 +35,7 @@ from .model import (
     marginal_std,
     mean_trajectory,
 )
-from .transports import PEER_GONE, receive, send
+from .transports import receive, send
 from .wire import FRAME_SIZE, NUM_CHANNELS, StreamParser, encode_pwm_command
 
 _READ_CHUNK = 16384
@@ -76,12 +76,7 @@ def read_raw_frames(reader, duration: float, stream_rate: float, sink) -> Record
     parser = StreamParser()
     left = nominal * FRAME_SIZE
     while left > 0:
-        try:
-            data = receive(reader, min(_READ_CHUNK, left))
-        except PEER_GONE:
-            break
-        except OSError as exc:
-            raise TransportError(f"read failed: {exc}") from exc
+        data = receive(reader, min(_READ_CHUNK, left))
         if not data:
             break
         left -= len(data)

@@ -1,9 +1,9 @@
 """Byte transports: ordered, lossy-tolerant streams the pipeline reads/writes.
 
-A read or write that finds the other end gone (``PEER_GONE``) ends the
-stream cleanly; any other failure, or a peer silent (see ``receive``), not
-reading (see ``send``) or absent for 30 s, raises TransportError. Specs
-accepted on the command line:
+``receive`` and ``send`` each hold one rule: finding the other end gone ends
+the stream cleanly; any other failure, or a peer silent (``receive``), not
+reading (``send``) or absent for 30 s, raises TransportError, as does a FIFO
+writer's open that finds no reader within 30 s. Specs accepted:
 
     pipe        stdin/stdout (binary)
     file:PATH   regular file
@@ -14,6 +14,7 @@ accepted on the command line:
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import sys
@@ -28,16 +29,16 @@ from .errors import TransportError
 if TYPE_CHECKING:
     import socket
 
-_TCP_RETRY_DELAY = 0.1
-# seconds a read, a write, or a tcp: connect (retried until then) or accept
-# waits for its peer before the stream fails. A paced writer sends each frame
-# to a pipe, FIFO or device as it is made, and flushes its 8 KiB socket buffer
-# about every 1.8 s at 350 Hz, so a live stream is never silent this long
+_RETRY_DELAY = 0.1
+# seconds a read, a write, a tcp: accept, or a FIFO writer's open or tcp: connect
+# (retried) waits for its peer before the stream fails. A paced writer sends each
+# frame to a pipe, FIFO or device as it is made, and flushes its 8 KiB socket
+# buffer about every 1.8 s at 350 Hz, so a live stream is never silent this long
 _STALL_TIMEOUT = 30.0
 
 # What a read or write raises once the other end has gone away (a closed pipe
 # or socket, or a file object closed under it): the stream then ends cleanly
-PEER_GONE = (ConnectionError, ValueError)
+_PEER_GONE = (ConnectionError, ValueError)
 
 
 @contextmanager
@@ -55,7 +56,7 @@ def open_transport(spec: str, mode: str):
     finally:
         try:
             closers.close()
-        except PEER_GONE:
+        except _PEER_GONE:
             pass
         except OSError as exc:
             raise TransportError(f"closing {spec} failed: {exc}") from exc
@@ -79,7 +80,7 @@ def send(writer, data: bytes) -> bool:
             if not select.select([], [fd], [], _STALL_TIMEOUT)[1]:
                 raise TransportError("write failed: timed out")
             view = view[os.write(fd, view[: select.PIPE_BUF]) :]
-    except PEER_GONE:
+    except _PEER_GONE:
         return False
     except OSError as exc:
         raise TransportError(f"write failed: {exc}") from exc
@@ -87,16 +88,21 @@ def send(writer, data: bytes) -> bool:
 
 
 def receive(reader, size: int) -> bytes:
-    """Read up to ``size`` bytes, b"" at EOF. A reader that is not a regular
-    file is waited on for at most 30 s, then gives what has arrived;
-    TimeoutError if nothing has."""
-    if _file_type(reader) in (None, stat.S_IFREG):
-        return reader.read(size)
-    import select
+    """Read up to ``size`` bytes; b"" at EOF or once the writer has gone away,
+    TransportError on any other OSError. A reader that is not a regular file is
+    waited on for at most 30 s, then gives what has arrived; TransportError if none has."""
+    try:
+        if _file_type(reader) in (None, stat.S_IFREG):
+            return reader.read(size)
+        import select
 
-    if not select.select([reader], [], [], _STALL_TIMEOUT)[0]:
-        raise TimeoutError("timed out")
-    return reader.read1(size)
+        if not select.select([reader], [], [], _STALL_TIMEOUT)[0]:
+            raise TransportError("read failed: timed out")
+        return reader.read1(size)
+    except _PEER_GONE:
+        return b""
+    except OSError as exc:
+        raise TransportError(f"read failed: {exc}") from exc
 
 
 def _file_type(stream) -> int | None:
@@ -126,17 +132,13 @@ def _open(spec: str, mode: str, closers: ExitStack):
         conn = closers.enter_context(_tcp_accept(port) if mode == "wb" else _tcp_connect(port))
         return closers.enter_context(conn.makefile(mode))
     path = spec[5:] if spec.startswith("file:") else spec
-    try:
-        if mode == "wb":
-            return closers.enter_context(open(path, mode))
-        # a blocking open of a FIFO waits for a writer with no bound, before
-        # receive's stall bound can apply: open without waiting, read blocking
-        stream = closers.enter_context(
-            open(path, mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)))
-        os.set_blocking(stream.fileno(), True)
-        return stream
-    except OSError as exc:
-        raise TransportError(f"cannot open {path}: {exc}") from exc
+    # a blocking FIFO open waits for the peer with no bound: open without waiting,
+    # then block; a writer's open fails with ENXIO until a reader has the FIFO open
+    opener = lambda p, flags: os.open(p, flags | os.O_NONBLOCK)
+    stream = _retry(lambda: open(path, mode, opener=opener), f"cannot open {path}",
+                    errno.ENXIO if mode == "wb" else None)
+    os.set_blocking(closers.enter_context(stream).fileno(), True)
+    return stream
 
 
 def _tcp_accept(port: int) -> socket.socket:
@@ -160,11 +162,17 @@ def _tcp_connect(port: int) -> socket.socket:
     """Connect to localhost, retrying until a writer listens or the stall bound passes."""
     import socket
 
+    return _retry(lambda: socket.create_connection(("127.0.0.1", port), timeout=_STALL_TIMEOUT),
+                  f"cannot connect to TCP port {port}", errno.ECONNREFUSED)
+
+
+def _retry(attempt, failure: str, retried: int | None):
+    """``attempt()``, again every 0.1 s for up to 30 s while it fails with errno ``retried``."""
     deadline = time.monotonic() + _STALL_TIMEOUT
     while True:
         try:
-            return socket.create_connection(("127.0.0.1", port), timeout=_STALL_TIMEOUT)
+            return attempt()
         except OSError as exc:
-            if time.monotonic() >= deadline:
-                raise TransportError(f"cannot connect to TCP port {port}: {exc}") from exc
-        time.sleep(_TCP_RETRY_DELAY)
+            if exc.errno != retried or time.monotonic() >= deadline:
+                raise TransportError(f"{failure}: {exc}") from exc
+        time.sleep(_RETRY_DELAY)

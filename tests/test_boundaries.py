@@ -52,15 +52,12 @@ def raises(node, function="<module>"):
         yield from raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
 
-# the five raises that are not toolkit errors, each by where it is
+# the four raises that are not toolkit errors, each by where it is
 ALLOWED_RAISES = {
     # argparse turns it into a usage error, exit 2
     ("cli._finite_float", "argparse.ArgumentTypeError"),
     # a bad mode is the calling code's mistake, which no input reaches
     ("transports.open_transport", "ValueError"),
-    # a stalled read: read_raw_frames turns it, as any failed read, into a
-    # TransportError, exit 4
-    ("transports.receive", "TimeoutError"),
     # assigning to or deleting a field of a value class is the calling code's
     # mistake, which no input reaches; frozen dataclasses raised the same
     # error from generated code that this walk could not see

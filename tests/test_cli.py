@@ -1146,6 +1146,69 @@ def test_fifo_with_no_writer_times_out(workdir, monkeypatch, capsys, command):
     assert not (workdir / "out.txt").exists()
 
 
+def _open_and_close_as_reader(fifo):
+    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+
+
+def _emulate(workdir, transport):
+    return main(["glove-emulate", "--config", str(workdir / "emu.txt"), "--duration", "1",
+                 "--fast", "--transport", transport])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_writer_with_no_reader_times_out(workdir, monkeypatch, capsys):
+    """A FIFO no reader has opened: the writer's open does not wait, and is
+    retried only for the stall bound."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 0.3)
+    fifo = workdir / "glove.fifo"
+    os.mkfifo(fifo)
+    # should the open wait for a reader, this one ends the wait after 5 s, so
+    # the test fails on its time rather than hanging
+    rescue = threading.Timer(5.0, _open_and_close_as_reader, [fifo])
+    rescue.start()
+    start = time.monotonic()
+    try:
+        rc = _emulate(workdir, f"file:{fifo}")
+    finally:
+        took = time.monotonic() - start
+        rescue.cancel()
+    enxio = OSError(errno.ENXIO, os.strerror(errno.ENXIO), str(fifo))
+    line = f"transport error: cannot open {fifo}: {enxio}\n"
+    assert (rc, capsys.readouterr()) == (4, ("", line))
+    assert 0.3 <= took < 5
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_writer_waits_for_a_late_reader(workdir, monkeypatch, capsys):
+    """A reader that opens the FIFO after the writer started gets every frame."""
+    monkeypatch.setattr(transports, "_STALL_TIMEOUT", 5.0)
+    assert _emulate(workdir, f"file:{workdir / 'frames.bin'}") == 0
+    frames = (workdir / "frames.bin").read_bytes()
+    capsys.readouterr()
+    fifo = workdir / "glove.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read_late():
+        time.sleep(0.5)
+        with open(fifo, "rb") as reader:
+            received.append(reader.read())
+
+    reader = threading.Thread(target=read_late)
+    reader.start()
+    try:
+        rc = _emulate(workdir, f"file:{fifo}")
+    finally:
+        # a reader left waiting in its open, should the writer never open, is let go
+        deadline = time.monotonic() + 5
+        while reader.is_alive() and time.monotonic() < deadline:
+            _open_and_close_as_writer(fifo)
+            reader.join(0.1)
+    assert not reader.is_alive()
+    assert (rc, capsys.readouterr()) == (0, (f"frames written: {len(frames) // 13}\n", ""))
+    assert received == [frames] and len(frames) == 4550
+
+
 @pytest.mark.parametrize("error,line", [
     (MemoryError("Unable to allocate 29.8 GiB for an array with shape (200000001, 20)"),
      "error: Unable to allocate 29.8 GiB for an array with shape (200000001, 20)\n"),

@@ -287,6 +287,22 @@ def test_row_of_wrong_length_names_its_field_counts(tmp_path, kind, start, messa
     assert str(caught.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("bare", ["first", "every"])
+def test_bare_sigma_w_key_is_a_row_of_no_fields(tmp_path, bare):
+    """A ``sigma_w`` key with no values fails as a row of 0 fields, with no
+    warning from numpy's reader when no row holds any text."""
+    lines = SAMPLES["model"].splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith("sigma_w ")]
+    assert len(rows) == 12 and lines[1] == "K 6"
+    for i in rows[: 1 if bare == "first" else None]:
+        lines[i] = "sigma_w"
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GlovekitError) as caught:
+        formats.load_model(path)
+    assert str(caught.value) == f"{path}: sigma_w row has 0 fields, expected 6"
+
+
 @given(st.data())
 @settings(max_examples=600, deadline=None)
 def test_loaders_raise_only_glovekit_errors(tmp_path_factory, data):
@@ -347,8 +363,7 @@ def test_float_table_is_the_float_path(case):
     the same bits, or the same error message."""
     lines, cols = case
     assert (_table_or_error(lambda: formats._float_table(lines, cols, "row"))
-            == _table_or_error(lambda: formats._parse_rows(map(str.split, lines), len(lines),
-                                                           cols, "row")))
+            == _table_or_error(lambda: formats._parse_rows(lines, cols, "row")))
 
 
 BLOCK = formats._BLOCK_ROWS
@@ -418,16 +433,36 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k
     assert formats.load_model(path).sigma_w.tobytes() == oracles.float_rows(sigma_w).tobytes()
 
 
+def _save_demo_with_float_only_token(values, path):
+    """Save a demo whose middle row's first joint, 10.0, is written ``1_0.0``:
+    ``float`` takes it and numpy's reader does not, so the float path parses
+    the whole table."""
+    row = values.shape[0] // 2
+    values[row, 0] = 10.0
+    formats.save_demo(Demonstration(values, 0.005), path)
+    lines = path.read_text().splitlines()
+    tokens = lines[4 + row].split(" ")
+    assert tokens[1] == "10.0"
+    tokens[1] = "1_0.0"
+    lines[4 + row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_load_demo_across_parse_blocks(tmp_path, extra):
-    """13-joint demos one row short of, at and past two parser blocks load
+def test_load_demo_across_parse_blocks(tmp_path, monkeypatch, extra):
+    """13-joint demos one row short of, at and past two float-path blocks load
     bit for bit as a per-token float() parse."""
-    rows = 2 * (formats._BLOCK_TOKENS // 14) + extra
+    rows = 2 * formats._BLOCK_ROWS + extra
     rng = np.random.default_rng(extra + 1)
     values = rng.normal(size=(rows, 13)) * 10.0 ** rng.integers(-8, 8, size=(rows, 13))
     path = tmp_path / "demo.txt"
-    formats.save_demo(Demonstration(values, 0.005), path)
+    _save_demo_with_float_only_token(values, path)
+    parsed = []
+    parse_rows = formats._parse_rows
+    monkeypatch.setattr(formats, "_parse_rows",
+                        lambda lines, *rest: parsed.append(len(lines)) or parse_rows(lines, *rest))
     loaded = formats.load_demo(path)
+    assert parsed == [rows]
     assert loaded.values.tobytes() == oracles.float_rows(_body(path, 4))[:, 1:].tobytes()
     assert loaded.values.tobytes() == values.tobytes()
 
@@ -459,5 +494,16 @@ def test_load_demo_memory_stays_near_file_size(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "demo.txt"
     formats.save_demo(Demonstration(rng.normal(size=(6000, 13)), 0.005), path)
+    peak = _traced_peak(lambda: formats.load_demo(path))
+    assert peak < 3.0 * path.stat().st_size
+
+
+def test_float_path_memory_stays_near_file_size(tmp_path):
+    """The same demo with one token only ``float`` takes, so the float path
+    parses it: it holds one block of tokens at a time, not a token per cell
+    of the whole file (about 6x the file)."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "demo.txt"
+    _save_demo_with_float_only_token(rng.normal(size=(6000, 13)), path)
     peak = _traced_peak(lambda: formats.load_demo(path))
     assert peak < 3.0 * path.stat().st_size
