@@ -82,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-width", type=_finite_float, default=None)
     p.add_argument("--ridge", type=_finite_float, default=BasisConfig().lam)
     p.add_argument("--eps-reg", type=_finite_float, default=DEFAULT_EPS_REG)
-    p.add_argument("--output", required=True, help="promp-v2 output file")
+    p.add_argument("--output", required=True, help="promp-v3 output file")
 
     p = sub.add_parser("reproduce", help="track the model mean on the simulated plant")
     p.set_defaults(run=_cmd_reproduce)
-    p.add_argument("--model", required=True, help="promp-v2 file")
+    p.add_argument("--model", required=True, help="promp-v3 file")
     p.add_argument("--duration", type=_finite_float, default=15.0)
     p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
     p.add_argument("--kp", type=_finite_float, default=Gains().kp)
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="likelihood and band-coverage diagnostics")
     p.set_defaults(run=_cmd_eval)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
-    p.add_argument("--model", required=True, help="promp-v2 file")
+    p.add_argument("--model", required=True, help="promp-v3 file")
     p.add_argument("--output", required=True, help="plot-ready bands CSV: time, model mean and std")
 
     p = sub.add_parser("feedback", help="send a scripted tactile profile as PWM commands")

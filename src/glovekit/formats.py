@@ -2,10 +2,10 @@
 
 All formats are line-oriented, space-separated, and diff-able: a version
 header line, then the file's non-blank lines. glovekit writes calib-v1,
-demo-v1, promp-v2 and the result CSVs; it reads coupling-v1, tactile-v1 and
+demo-v1, promp-v3 and the result CSVs; it reads coupling-v1, tactile-v1 and
 emu-v1, inputs the user writes, and never writes them. Floats are written with
 ``repr`` (shortest exact decimal), so write -> read -> write of calib-v1,
-demo-v1 and promp-v2 is byte-identical. Float tables (demo, ``sigma_w`` and
+demo-v1 and promp-v3 is byte-identical. Float tables (demo, ``sigma_w`` and
 result CSV rows) are written one block of rows at a time, so the memory a
 file costs stays small and does not grow with its length; the bytes are those
 of one ``repr`` per cell. numpy's C reader parses demo, tactile and
@@ -13,19 +13,19 @@ of one ``repr`` per cell. numpy's C reader parses demo, tactile and
 path, which parses it in the writers' blocks of rows, so rows are read back
 with ``float`` semantics, token for token.
 
-Keyed lines (emu-v1, promp-v2 but ``sigma_w``, the demo-v1 header) are
-``key value...``: each key once, one value per scalar key, no unknown key.
-promp-v2 needs all its keys, emu-v1 defaults the rest, calib-v1 has each channel once.
-promp-v2's ``mu_w`` line is joint 1's K mean weights, then joint 2's, and so on;
-joint d's K x K weight covariance is ``sigma_w`` lines d*K .. (d+1)*K - 1. A
-promp-v1 file (the whole (K*D) x (K*D) matrix) fails on its header; re-run
-``train``. ``_loader`` reads a file, checks its header and hands the lines after
-it to a ``load_*`` parser, naming the file in every error it raises, float ones too.
+Keyed lines (emu-v1, the demo-v1 and promp-v3 headers) are ``key value...``:
+each key once, one value per scalar key, no unknown key. A header is its keys in
+a fixed order, then a bare float table; emu-v1 defaults the keys it lacks. The
+promp-v3 header is K, D, h, lambda, eps_reg, mu_w (joint 1's K mean weights,
+then joint 2's, and so on) and sigma_y; joint d's K x K weight covariance is
+table rows d*K .. (d+1)*K - 1. promp-v1 and promp-v2 files fail on their header;
+re-run ``train``. ``_loader`` reads a file, checks its header and hands the lines
+after it to a ``load_*`` parser, naming the file in every error, float ones too.
 
     calib-v1     calibration profile (per-channel raw/joint ranges)
     coupling-v1  glove -> robot joint coupling weights (read only)
     demo-v1      recorded joint-angle trajectory
-    promp-v2     learned trajectory model
+    promp-v3     learned trajectory model
     tactile-v1   scripted tactile force profile (read only)
     emu-v1       emulator configuration, flat key-value (read only)
 """
@@ -33,7 +33,6 @@ it to a ``load_*`` parser, naming the file in every error it raises, float ones 
 from __future__ import annotations
 
 from functools import wraps
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -57,24 +56,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _table(columns: list[np.ndarray], sep: str = " ", prefix: str = "") -> Iterator[str]:
+def _table(columns: list[np.ndarray], sep: str = " ") -> Iterator[str]:
     """The lines of the float64 table whose columns are the given (T,) and (T, k)
-    arrays side by side, each after ``prefix``, one string per block of rows.
+    arrays side by side, one string per block of rows.
     Each block is stacked from the arrays on its own; the whole table never is."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
         rows = block.astype(float, copy=False).tolist()
-        yield "".join(prefix + sep.join(map(repr, row)) + "\n" for row in rows)
+        yield "".join(sep.join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write(path, header_lines: list[str], *tables: Iterator[str]) -> None:
-    """Write the header lines, then each table's blocks; any OSError raises GlovekitError."""
+def _write(path, header_lines: list[str], table: Iterator[str] = ()) -> None:
+    """Write the header lines, then the table's blocks; any OSError raises GlovekitError."""
     try:
         with open(path, "w") as f:
             f.write("".join(line + "\n" for line in header_lines))
-            f.writelines(chain.from_iterable(tables))
+            f.writelines(table)
     except OSError as exc:
-        raise GlovekitError(f"cannot write {path}: {exc}") from exc
+        raise GlovekitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _loader(version: str):
@@ -87,7 +86,8 @@ def _loader(version: str):
                 # the text is freed once split, before the parse runs
                 lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
             except (OSError, UnicodeDecodeError) as exc:
-                raise GlovekitError(f"cannot read {path}: {exc}") from exc
+                why = getattr(exc, "strerror", None) or exc  # a UnicodeDecodeError has none
+                raise GlovekitError(f"cannot read {path}: {why}") from exc
             try:
                 if not lines or lines[0].strip() != version:
                     raise GlovekitError(f"missing '{version}' header")
@@ -150,6 +150,14 @@ def _fields(lines, what: str) -> dict[str, list[str]]:
     return found
 
 
+def _header(lines, keys: tuple[str, ...], what: str) -> dict[str, list[str]]:
+    """``_fields`` of the first ``len(keys)`` lines, which must be ``keys`` in order."""
+    found = _fields(lines[: len(keys)], what)
+    if list(found) != list(keys):
+        raise GlovekitError(f"{what} header must be {', '.join(map(repr, keys))} lines")
+    return found
+
+
 def _scalar(found: dict[str, list[str]], key: str, kind=float):
     """Pop ``key``, which must carry exactly one value, parsed as ``kind``."""
     values = found.pop(key)
@@ -206,9 +214,7 @@ def save_demo(demo: Demonstration, path) -> None:
 
 @_loader("demo-v1")
 def load_demo(lines) -> Demonstration:
-    header = _fields(lines[:3], "demo")
-    if list(header) != ["D", "dt", "joints"]:
-        raise GlovekitError("demo header must be 'D', 'dt', 'joints' lines")
+    header = _header(lines, ("D", "dt", "joints"), "demo")
     d, dt = _scalar(header, "D", int), _scalar(header, "dt")
     if len(header["joints"]) != d:
         raise GlovekitError("joint label count != D")
@@ -216,49 +222,33 @@ def load_demo(lines) -> Demonstration:
     # neighbours compared, not subtracted: no overflow, and a NaN time fails
     if not np.all(table[1:, 0] > table[:-1, 0]):
         raise GlovekitError("time column must be strictly increasing")
-    # a contiguous copy: BLAS may sum a strided (T, 1) column in another order
-    return Demonstration(table[:, 1:].copy(), dt)
+    return Demonstration(table[:, 1:], dt)
 
 
-# ---------------------------------------------------------------- promp-v2
+# ---------------------------------------------------------------- promp-v3
 
 def save_model(model: TrajectoryModel, path) -> None:
     basis = model.basis
-    header = ["promp-v2", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
-              f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}", "normalize 1"]
-    _write(path, header, _table([basis.centers[None]], prefix="centers "),
-           _table([model.mu_w.reshape(1, -1)], prefix="mu_w "),
-           _table([model.sigma_w.reshape(-1, basis.K)], prefix="sigma_w "),
-           _table([model.sigma_y[None]], prefix="sigma_y "))
+    header = ["promp-v3", f"K {basis.K}", f"D {model.D}", f"h {_fmt(basis.h)}",
+              f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}",
+              "mu_w " + " ".join(map(_fmt, model.mu_w.reshape(-1))),
+              "sigma_y " + " ".join(map(_fmt, model.sigma_y))]
+    _write(path, header, _table([model.sigma_w.reshape(-1, basis.K)]))
 
 
-@_loader("promp-v2")
+@_loader("promp-v3")
 def load_model(lines) -> TrajectoryModel:
-    keyed, sigma_w_lines = [], []
-    for line in lines:
-        (sigma_w_lines if line.split(None, 1)[0] == "sigma_w" else keyed).append(line)
-    found = _fields(keyed, "model")
-    keys = ("K", "D", "h", "lambda", "eps_reg", "normalize", "centers", "mu_w", "sigma_y")
-    if missing := [key for key in keys if key not in found]:
-        raise GlovekitError(f"missing keys {missing}")
+    found = _header(lines, ("K", "D", "h", "lambda", "eps_reg", "mu_w", "sigma_y"), "model")
     k, d = _scalar(found, "K", int), _scalar(found, "D", int)
     basis = BasisConfig(k, _scalar(found, "h"), _scalar(found, "lambda"))
-    normalize, eps_reg = _scalar(found, "normalize", int), _scalar(found, "eps_reg")
-    del found["centers"]  # required, but not read: K fixes the centers
-    mu_w = _floats(found.pop("mu_w"), "mu_w")
-    sigma_y = _floats(found.pop("sigma_y"), "sigma_y")
-    if found:
-        raise GlovekitError(f"unknown keys {sorted(found)}")
-    if normalize != 1:
-        raise GlovekitError(f"normalize must be 1, got {normalize}")
+    eps_reg = _scalar(found, "eps_reg")
+    mu_w, sigma_y = _floats(found["mu_w"], "mu_w"), _floats(found["sigma_y"], "sigma_y")
     # TrajectoryModel's own check, made before the mu_w and sigma_w sizes derived from D
     if d < 1:
         raise GlovekitError(f"model needs D >= 1 joints, got {d}")
-    if len(mu_w) != k * d or len(sigma_w_lines) != k * d:
+    if len(mu_w) != k * d or len(lines) - 7 != k * d:
         raise GlovekitError(f"sigma_w must be {k * d} rows of {k} values, mu_w {k * d} values")
-    # the text after each key: a bare key's "" fails as a row of 0 fields
-    rows = ["".join(line.split(None, 1)[1:]) for line in sigma_w_lines]
-    sigma_w = _float_table(rows, k, "sigma_w row")
+    sigma_w = _float_table(lines[7:], k, "sigma_w row")
     return TrajectoryModel(basis, mu_w.reshape(d, k), sigma_w.reshape(d, k, k), sigma_y, eps_reg)
 
 
@@ -311,9 +301,9 @@ def load_emulator_config(lines) -> EmulatorConfig:
            for key, kind in (("rate", float), ("noise_std", float), ("seed", int)) if key in found}
     channels = []
     for i in range(NUM_CHANNELS):
-        prefix = f"channel{i + 1}."
-        waveform = {name: _scalar(found, prefix + name)
-                    for name in ChannelWaveform.__slots__ if prefix + name in found}
+        channel = f"channel{i + 1}."
+        waveform = {name: _scalar(found, channel + name)
+                    for name in ChannelWaveform.__slots__ if channel + name in found}
         channels.append(ChannelWaveform(**waveform))
     if found:
         raise GlovekitError(f"unknown keys {sorted(found)}")

@@ -105,7 +105,8 @@ def fit_weights(demo: Demonstration, config: BasisConfig, phi: np.ndarray) -> np
                 f"basis Gram matrix is numerically singular (rcond {rcond:.2e}); "
                 "use lambda > 0"
             )
-    return np.linalg.solve(gram, phi.T @ demo.values)
+    # numpy's own loop, not BLAS: the bits do not depend on the BLAS thread count
+    return np.linalg.solve(gram, np.einsum("tk,td->kd", phi, demo.values))
 
 
 def fit_distribution(

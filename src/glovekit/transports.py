@@ -174,5 +174,5 @@ def _retry(attempt, failure: str, retried: int | None):
             return attempt()
         except OSError as exc:
             if exc.errno != retried or time.monotonic() >= deadline:
-                raise TransportError(f"{failure}: {exc}") from exc
+                raise TransportError(f"{failure}: {exc.strerror or exc}") from exc
         time.sleep(_RETRY_DELAY)

@@ -19,9 +19,8 @@ from oracles import coupling_text, default_coupling_map, emu_text, tactile_text
 
 def _valid_samples() -> dict:
     """One valid file per input format, as text, keyed by the format's short name."""
-    # six basis functions: each sigma_w line then holds as many values as each
-    # of the (K*D, K*D) matrix's rows did at K = 3, D = 2, and every line and
-    # column of the bad-number sweep is still a number
+    # six basis functions, two joints: twelve sigma_w rows of six values, the
+    # sizes that the tests' expected messages name
     model = train_model(
         [Demonstration(np.column_stack([np.linspace(0, 1, 6), np.ones(6) * s]), 0.01)
          for s in (0.1, 0.2)],

@@ -331,25 +331,23 @@ def emu_text(config):
 
 
 def model_text(model):
-    """promp-v2 file text of a trajectory model, cell by cell: ``mu_w`` is
-    joint 1's K weights, then joint 2's, and so on, and joint d's sigma_w
-    block is rows d*K .. (d+1)*K - 1."""
+    """promp-v3 file text of a trajectory model, cell by cell: the header keys
+    in order, ``mu_w`` being joint 1's K weights, then joint 2's, and so on;
+    then the bare sigma_w table, joint d's block being rows d*K .. (d+1)*K - 1."""
     basis = model.basis
     lines = [
-        "promp-v2",
+        "promp-v3",
         f"K {basis.K}",
         f"D {model.D}",
         f"h {_cell(basis.h)}",
         f"lambda {_cell(basis.lam)}",
         f"eps_reg {_cell(model.eps_reg)}",
-        "normalize 1",
-        "centers " + _cells(basis.centers),
         "mu_w " + _cells(model.mu_w.reshape(-1)),
+        "sigma_y " + _cells(model.sigma_y),
     ]
     for block in model.sigma_w:
         for row in block:
-            lines.append("sigma_w " + _cells(row))
-    lines.append("sigma_y " + _cells(model.sigma_y))
+            lines.append(_cells(row))
     return "\n".join(lines) + "\n"
 
 

@@ -3,11 +3,13 @@ import io
 import os
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,13 +159,17 @@ def test_truncated_stream_exits_with_transport_code(workdir):
     assert rc == 4
 
 
-def test_missing_calibration_is_data_error(workdir):
+def test_missing_calibration_is_data_error(workdir, capsys):
+    path = workdir / "nope.txt"
     rc = main([
         "record", "--transport", "file:/dev/null",
-        "--calibration", str(workdir / "nope.txt"),
+        "--calibration", str(path),
         "--duration", "1.0", "--output", str(workdir / "demo.txt"),
     ])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+    assert err.count(str(path)) == 1
 
 
 def test_zero_gain_rejected(workdir):
@@ -329,6 +335,28 @@ def _old_bands_csv_text(times, mean, std, demos):
     return "\n".join(lines) + "\n"
 
 
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``train`` writes the same model bytes at one BLAS thread and at two, on
+    13-joint demos of 6000 rows: long enough that OpenBLAS splits a product's
+    T-long sum across its threads."""
+    rng = np.random.default_rng(9)
+    demos = [str(tmp_path / f"demo{i}.txt") for i in range(3)]
+    for path in demos:
+        formats.save_demo(Demonstration(np.cumsum(rng.normal(size=(6000, 13)), 0), 0.005), path)
+    src = str(Path(formats.__file__).parents[1])
+    models = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        output = tmp_path / f"model{threads}.txt"
+        result = subprocess.run([sys.executable, "-m", "glovekit.cli", "train", *demos,
+                                 "--output", str(output)], env=env, capture_output=True,
+                                text=True, timeout=300)
+        assert (result.returncode, result.stderr) == (0, "")
+        models.append(output.read_bytes())
+    assert models[0] == models[1]
+
+
 def test_bands_csv_depends_only_on_the_model_rows_and_dt(workdir):
     """Two demo sets of one shape and dt give the same bands CSV bytes, and
     each of its cells is the matching time, mean or std cell of the layout
@@ -404,14 +432,16 @@ def test_non_finite_float_option_is_usage_error(capsys, command, option, value):
 @pytest.mark.parametrize("key,value", [
     ("h", "nan"), ("h", "inf"), ("lambda", "nan"), ("eps_reg", "nan"), ("eps_reg", "inf"),
     ("eps_reg", "-1.0"), ("mu_w", "nan"), ("mu_w", "inf"), ("sigma_w", "nan"),
-    ("sigma_w", "inf"), ("sigma_y", "nan"), ("sigma_y", "inf"), ("normalize", "0"),
+    ("sigma_w", "inf"), ("sigma_y", "nan"), ("sigma_y", "inf"),
 ])
 def test_non_finite_model_parameter_is_data_error(workdir, capsys, key, value):
     model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4))
     formats.save_model(model, workdir / "model.txt")
-    # the first value on each line of the key
+    # the first value on the key's line
     lines = [" ".join([key, value, *line.split()[2:]]) if line.split()[0] == key else line
              for line in (workdir / "model.txt").read_text().splitlines()]
+    if key == "sigma_w":  # the first value of the table's first row
+        lines[8] = " ".join([value, *lines[8].split()[1:]])
     (workdir / "model.txt").write_text("\n".join(lines) + "\n")
     with pytest.raises(GlovekitError, match=key):
         formats.load_model(workdir / "model.txt")
@@ -480,8 +510,7 @@ def test_float_overflow_is_data_error(workdir, capsys):
 
 # a demo and a model of zero joints: both load as text, neither is a trajectory
 ZERO_JOINT_DEMO = "demo-v1\nD 0\ndt 0.005\njoints \n0.0\n0.005\n0.01\n"
-ZERO_JOINT_MODEL = ("promp-v2\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\n"
-                    "centers 0.0 0.5 1.0\nmu_w \nsigma_y \n")
+ZERO_JOINT_MODEL = "promp-v3\nK 3\nD 0\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nmu_w \nsigma_y \n"
 
 
 def test_zero_joint_demo_is_data_error(workdir, capsys):
@@ -512,20 +541,26 @@ def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
 ], ids=lambda argv: argv[0])
 def test_promp_v1_model_is_data_error(workdir, monkeypatch, capsys, argv):
     """A promp-v1 file, which held the whole (K*D) x (K*D) weight covariance,
-    is not read: one error line, exit 3, and ``train`` makes a promp-v2 one."""
+    and a promp-v2 file, with its ``normalize`` and ``centers`` lines and keyed
+    ``sigma_w`` rows, are not read: one error line, exit 3, and ``train``
+    makes a promp-v3 one."""
     demo = Demonstration(np.cumsum(np.ones((40, 2)), 0), 0.005)
     formats.save_demo(demo, workdir / "demo.txt")
     model = train_model([demo], BasisConfig(K=3))
-    v1 = ["promp-v1" if line == "promp-v2" else line
-          for line in oracles.model_text(model).splitlines() if not line.startswith("sigma_w ")]
-    v1[-1:-1] = ["sigma_w " + " ".join(map(repr, row)) for row in 1e-08 * np.eye(6)]
-    (workdir / "model.txt").write_text("\n".join(v1) + "\n")
+    v3 = oracles.model_text(model).splitlines()
+    scalars, mu_w, sigma_y, rows = v3[1:6], v3[6], v3[7], v3[8:]
+    v2_keys = [*scalars, "normalize 1", "centers 0.0 0.5 1.0", mu_w]
+    v1 = ["promp-v1", *v2_keys, *("sigma_w " + " ".join(map(repr, row))
+                                  for row in 1e-08 * np.eye(6)), sigma_y]
+    v2 = ["promp-v2", *v2_keys, *("sigma_w " + row for row in rows), sigma_y]
     monkeypatch.chdir(workdir)
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: model.txt: missing 'promp-v2' header\n"
-    assert not (workdir / "bands.csv").exists()
+    for old in (v1, v2):
+        (workdir / "model.txt").write_text("\n".join(old) + "\n")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model.txt: missing 'promp-v3' header\n"
+        assert not (workdir / "bands.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-350"])
@@ -678,12 +713,18 @@ def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_
 
 
 def _copy_line(start):
-    return lambda lines: lines + [next(line for line in lines if line.startswith(start))]
+    """Repeat the first line that starts with ``start`` right after it."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(start))
+        return lines[: i + 1] + lines[i:]
+    return edit
 
 
 def _edit_line(start, edit):
     return lambda lines: [edit(line) if line.startswith(start) else line for line in lines]
 
+
+MODEL_HEADER = "model header must be 'K', 'D', 'h', 'lambda', 'eps_reg', 'mu_w', 'sigma_y' lines"
 
 # (format, edit of its valid sample's lines, what the error line must say)
 KEY_RULE_CASES = {
@@ -691,11 +732,11 @@ KEY_RULE_CASES = {
     "model-copied-mu_w": ("model", _copy_line("mu_w "), "model key 'mu_w' repeated"),
     "model-K-extra-token": ("model", _edit_line("K ", lambda line: line + " junk"),
                             "'K' takes one value, got 2"),
-    "model-unknown-key": ("model", lambda lines: lines + ["colour blue"],
-                          "unknown keys ['colour']"),
-    "model-missing-centers": ("model", lambda lines: [line for line in lines
-                                                      if not line.startswith("centers ")],
-                              "missing keys ['centers']"),
+    "model-unknown-key": ("model", lambda lines: lines[:1] + ["colour blue"] + lines[1:],
+                          MODEL_HEADER),
+    "model-missing-sigma_y": ("model", lambda lines: [line for line in lines
+                                                      if not line.startswith("sigma_y ")],
+                              MODEL_HEADER),
     "emu-copied-rate": ("emu", _copy_line("rate "), "emulator config key 'rate' repeated"),
     "demo-D-extra-token": ("demo", _edit_line("D ", lambda line: line + " 2"),
                            "'D' takes one value, got 2"),
@@ -745,8 +786,6 @@ RECORD_RULE_CASES = {
     "model-BasisConfig": ("model", _set_line("K ", "K 0"), "K must be >= 1, got 0"),
     "model-TrajectoryModel": ("model", _set_line("sigma_y ", "sigma_y -1 0"),
                               "sigma_y entries must be nonnegative"),
-    "model-normalize": ("model", _set_line("normalize ", "normalize 0"),
-                        "normalize must be 1, got 0"),
     "model-D": ("model", _set_line("D ", "D 0"), "model needs D >= 1 joints, got 0"),
     "model-mu_w-count": ("model", _edit_line("mu_w ", lambda line: line.rsplit(" ", 1)[0]),
                          "sigma_w must be 12 rows of 6 values, mu_w 12 values"),
@@ -902,7 +941,7 @@ def test_unwritable_output_is_data_error(workdir, monkeypatch, capsys, command, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err.count("\n") == 1 and captured.err.count(target) == 1
 
 
 @pytest.mark.parametrize("command", ["record", "calibrate"])
@@ -1172,9 +1211,9 @@ def test_fifo_writer_with_no_reader_times_out(workdir, monkeypatch, capsys):
     finally:
         took = time.monotonic() - start
         rescue.cancel()
-    enxio = OSError(errno.ENXIO, os.strerror(errno.ENXIO), str(fifo))
-    line = f"transport error: cannot open {fifo}: {enxio}\n"
+    line = f"transport error: cannot open {fifo}: {os.strerror(errno.ENXIO)}\n"
     assert (rc, capsys.readouterr()) == (4, ("", line))
+    assert line.count(str(fifo)) == 1
     assert 0.3 <= took < 5
 
 

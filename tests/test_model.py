@@ -154,7 +154,7 @@ class TestFitDistribution:
 
     def test_column_major_stacking(self):
         """Row d of mu_w is joint d's weights, so the C-order (D, K) array is
-        the column-major stacking of the (K, D) weights: the promp-v2 bytes."""
+        the column-major stacking of the (K, D) weights: the promp-v3 bytes."""
         w = np.array([[1.0, 10.0], [2.0, 20.0]])
         mu, _ = fit_distribution([w])
         assert mu.flags.c_contiguous
