@@ -535,6 +535,18 @@ def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
     assert not (workdir / "bands.csv").exists()
 
 
+def _as_promp_v2(v3):
+    """A promp-v3 file's lines in the promp-v2 layout, each as (line, index of
+    the promp-v3 line it holds or None, columns its values moved right): the
+    ``normalize`` and ``centers`` lines after the scalars, a ``sigma_w`` key
+    on each row and ``sigma_y`` last."""
+    k = int(v3[1].split(" ")[1])
+    centers = "centers " + " ".join(map(repr, np.linspace(0, 1, k).tolist()))
+    return [("promp-v2", 0, 0), *((v3[i], i, 0) for i in range(1, 6)),
+            ("normalize 1", None, 0), (centers, None, 0), (v3[6], 6, 0),
+            *(("sigma_w " + v3[i], i, 1) for i in range(8, len(v3))), (v3[7], 7, 0)]
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "demo.txt", "--model", "model.txt", "--output", "bands.csv"],
     ["reproduce", "--model", "model.txt", "--output", "bands.csv"],
@@ -547,12 +559,9 @@ def test_promp_v1_model_is_data_error(workdir, monkeypatch, capsys, argv):
     demo = Demonstration(np.cumsum(np.ones((40, 2)), 0), 0.005)
     formats.save_demo(demo, workdir / "demo.txt")
     model = train_model([demo], BasisConfig(K=3))
-    v3 = oracles.model_text(model).splitlines()
-    scalars, mu_w, sigma_y, rows = v3[1:6], v3[6], v3[7], v3[8:]
-    v2_keys = [*scalars, "normalize 1", "centers 0.0 0.5 1.0", mu_w]
-    v1 = ["promp-v1", *v2_keys, *("sigma_w " + " ".join(map(repr, row))
-                                  for row in 1e-08 * np.eye(6)), sigma_y]
-    v2 = ["promp-v2", *v2_keys, *("sigma_w " + row for row in rows), sigma_y]
+    v2 = [line for line, _, _ in _as_promp_v2(oracles.model_text(model).splitlines())]
+    v1 = ["promp-v1", *v2[1:9], *("sigma_w " + " ".join(map(repr, row))
+                                  for row in 1e-08 * np.eye(6)), v2[-1]]
     monkeypatch.chdir(workdir)
     for old in (v1, v2):
         (workdir / "model.txt").write_text("\n".join(old) + "\n")
@@ -681,9 +690,14 @@ def test_any_input_file_ends_in_a_documented_exit_code(inputs_dir, case):
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "-1", "0", "1e-300"]
 
 
+MODEL_V2 = _as_promp_v2(SAMPLES["model"].splitlines())
+
+
 def _numeric_tokens():
-    """(format, line, token) of every token of a valid sample that parses as a float."""
-    for kind, text in SAMPLES.items():
+    """(format, line, column) of every token of a valid sample that parses as a
+    float, a model's in the promp-v2 layout of its sample."""
+    texts = {**SAMPLES, "model": "\n".join(line for line, _, _ in MODEL_V2)}
+    for kind, text in texts.items():
         for i, line in enumerate(text.splitlines()):
             for j, token in enumerate(line.split(" ")):
                 try:
@@ -699,10 +713,22 @@ def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_
                                                                  kind, line, col, value):
     """Each numeric token of each format, replaced by an edge value, through
     every subcommand that reads the format: the contract of the property
-    above, key by key and not by random draw."""
+    above, key by key and not by random draw. A model's field, named by its
+    place in the promp-v2 layout, leaves that layout failing on its header,
+    then is swept in the promp-v3 sample if promp-v3 kept it."""
+    bad = tmp_path / "bad"
+    if kind == "model":
+        old = [row.split(" ") for row, _, _ in MODEL_V2]
+        old[line][col] = value
+        bad.write_text("\n".join(" ".join(row) for row in old) + "\n")
+        for argv in _readers(inputs_dir, bad)[kind]:
+            assert assert_documented_exit(argv) == f"error: {bad}: missing 'promp-v3' header\n"
+        _, line, shift = MODEL_V2[line]
+        if line is None:
+            return
+        col -= shift
     lines = [row.split(" ") for row in SAMPLES[kind].splitlines()]
     lines[line][col] = value
-    bad = tmp_path / "bad"
     bad.write_text("\n".join(" ".join(row) for row in lines) + "\n")
     # a model's D below 1 must be named, not the sigma_w row count it implies
     names_d = kind == "model" and lines[line][0] == "D" and value in ("0", "-1")

@@ -275,7 +275,8 @@ LOADERS = {
     ("tactile", "0.1 ", "tactile row has 7 fields, expected 6"),
     # the first sigma_w row: joint 1 is the same in both of the sample's demos,
     # so its block is eps_reg * I
-    ("model", "1e-08 ", "sigma_w row has 7 fields, expected 6"),
+    pytest.param("model", "1e-08 ", "sigma_w row has 7 fields, expected 6",
+                 id="model-sigma_w -sigma_w row has 7 fields, expected 6"),
 ])
 def test_row_of_wrong_length_names_its_field_counts(tmp_path, kind, start, message):
     """Every float table states a row's length error the same way, as demo rows do."""
