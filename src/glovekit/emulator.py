@@ -32,10 +32,9 @@ class ChannelWaveform(Record):
         super().__init__(offset, amplitude, frequency, phase)
         if not all(map(math.isfinite, (self.offset, self.amplitude, self.frequency, self.phase))):
             raise GlovekitError(f"waveform values must be finite, got {self}")
-        if not (0.0 <= self.offset - self.amplitude and self.offset + self.amplitude <= ADC_MAX):
-            raise GlovekitError(
-                f"waveform range {self.offset}±{self.amplitude} exceeds [0, {ADC_MAX}]"
-            )
+        swing = abs(self.amplitude)
+        if not (0.0 <= self.offset - swing and self.offset + swing <= ADC_MAX):
+            raise GlovekitError(f"waveform range {self.offset}±{swing} exceeds [0, {ADC_MAX}]")
 
 
 class EmulatorConfig(Record):
@@ -80,14 +79,24 @@ def frame_blocks(config: EmulatorConfig, total: int, size: int) -> Iterator[np.n
     for first in range(0, total, size):
         n = min(size, total - first)
         arg = phases(first, n)
-        # math.sin, not np.sin: the two may differ in the last bit, which can
-        # flip a rounding at .5 and change the stream
-        sin = np.fromiter(map(math.sin, arg.ravel().tolist()), float, arg.size)
-        x = offset + amplitude * sin.reshape(n, NUM_CHANNELS)
         if config.noise_std > 0:
-            x = x + rng.normal(0.0, config.noise_std, (n, NUM_CHANNELS))
-        rounded = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-        yield np.clip(rounded, 0, ADC_MAX).astype(np.uint16)
+            noise = rng.normal(0.0, config.noise_std, (n, NUM_CHANNELS))
+        else:
+            noise = np.zeros((n, NUM_CHANNELS))
+        x = offset + amplitude * np.sin(arg) + noise
+        # np.sin may differ from math.sin in its last bits on some hosts. The
+        # waveform range keeps |amplitude| <= 511.5, so that moves x by far
+        # less than 1e-6, and only a value that near a rounding boundary
+        # k + 0.5 can round differently: those take math.sin again, and the
+        # stream is the same on every host
+        with np.errstate(invalid="ignore"):  # an infinite noise value
+            near = np.abs(x - np.floor(x) - 0.5) < 1e-6
+        if near.any():
+            cols = np.nonzero(near)[1]
+            exact = np.fromiter(map(math.sin, arg[near].tolist()), float, cols.size)
+            x[near] = offset[cols] + amplitude[cols] * exact + noise[near]
+        # a value below 0.5 becomes 0 after the clip whichever way it rounds
+        yield np.clip(np.floor(x + 0.5), 0, ADC_MAX).astype(np.uint16)
 
 
 def sample_count(duration: float, rate: float) -> int:

@@ -22,13 +22,22 @@ FRAME_SIZE = 13  # sync + 5 * uint16 + checksum + terminator
 FRAME_DTYPE = np.dtype([("offset", "<i8"), ("channels", "<u2", (NUM_CHANNELS,))])
 
 
+def _checksum(values: np.ndarray) -> np.ndarray:
+    """The checksum byte of each row of an (n, 5) ``<u2`` array: the XOR of
+    its 10 little-endian payload bytes, as the XOR of the five counts with
+    its high byte folded into the low."""
+    v0, v1, v2, v3, v4 = values.T
+    x = v0 ^ v1 ^ v2 ^ v3 ^ v4
+    return ((x & 0xFF) ^ (x >> 8)).astype(np.uint8)
+
+
 def encode_frames(values) -> bytes:
     """Encode an (n, 5) array of channel values as n concatenated wire frames."""
-    payload = np.asarray(values, dtype="<u2").view(np.uint8)
-    frames = np.empty((payload.shape[0], FRAME_SIZE), dtype=np.uint8)
+    values = np.asarray(values, dtype="<u2")
+    frames = np.empty((values.shape[0], FRAME_SIZE), dtype=np.uint8)
     frames[:, 0] = SYNC_BYTE
-    frames[:, 1:11] = payload
-    frames[:, 11] = np.bitwise_xor.reduce(payload, axis=1)
+    frames[:, 1:11] = values.view(np.uint8)
+    frames[:, 11] = _checksum(values)
     frames[:, 12] = TERMINATOR
     return frames.tobytes()
 
@@ -67,11 +76,11 @@ class StreamParser:
         # of them at once
         starts = np.flatnonzero(buf[: max(n - FRAME_SIZE + 1, 0)] == SYNC_BYTE)
         starts = starts[buf[starts + FRAME_SIZE - 1] == TERMINATOR]
-        payload = buf[starts[:, None] + _PAYLOAD_OFFSETS]
-        values = payload.view("<u2")
-        ok = (np.bitwise_xor.reduce(payload, axis=1) == buf[starts + 11]) & np.all(
-            values <= ADC_MAX, axis=1
-        )
+        values = buf[starts[:, None] + _PAYLOAD_OFFSETS].view("<u2")
+        # ADC_MAX + 1 is a power of two, so the OR of the counts is at most
+        # ADC_MAX exactly when every count is
+        v0, v1, v2, v3, v4 = values.T
+        ok = (_checksum(values) == buf[starts + 11]) & ((v0 | v1 | v2 | v3 | v4) <= ADC_MAX)
         starts, values = starts[ok], values[ok]
         if np.any(np.diff(starts) < FRAME_SIZE):
             # a valid frame overlaps an earlier one: keep each that starts at

@@ -817,6 +817,12 @@ RECORD_RULE_CASES = {
                          "sigma_w must be 12 rows of 6 values, mu_w 12 values"),
     "emu-ChannelWaveform": ("emu", _set_line("channel3.amplitude ", "channel3.amplitude 600"),
                             "waveform range 500.0±600.0 exceeds [0, 1023]"),
+    "emu-ChannelWaveform-negative": ("emu", _set_line("channel3.amplitude ",
+                                                      "channel3.amplitude -600"),
+                                     "waveform range 500.0±600.0 exceeds [0, 1023]"),
+    "emu-ChannelWaveform-huge-negative": ("emu", _set_line("channel3.amplitude ",
+                                                           "channel3.amplitude -1e300"),
+                                          "waveform range 500.0±1e+300 exceeds [0, 1023]"),
     "emu-EmulatorConfig": ("emu", _set_line("seed ", "seed -1"),
                            "seed must be nonnegative, got -1"),
 }

@@ -69,6 +69,19 @@ def test_waveform_range_validated():
         EmulatorConfig(rate=0.0)
 
 
+@pytest.mark.parametrize("offset,amplitude", [(0.0, -600.0), (0.0, 600.0), (500.0, -1e300),
+                                              (500.0, 1e300), (1000.0, -100.0), (50.0, -100.0)])
+def test_waveform_range_holds_for_either_sign_of_amplitude(offset, amplitude):
+    with pytest.raises(GlovekitError) as error:
+        ChannelWaveform(offset=offset, amplitude=amplitude)
+    assert str(error.value) == f"waveform range {offset}±{abs(amplitude)} exceeds [0, 1023]"
+
+
+def test_negative_amplitude_inside_the_range_is_accepted():
+    ch = ChannelWaveform(offset=511.5, amplitude=-511.5, frequency=1.0, phase=math.pi / 2)
+    assert first_frames(EmulatorConfig(channels=(ch,) * 5), 1).tolist() == [[0] * 5]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["offset", "amplitude", "frequency", "phase"])
 def test_waveform_values_must_be_finite(field, value):
@@ -144,6 +157,32 @@ def test_blocks_of_any_sizes_continue_one_stream(sizes, seed):
 def test_half_counts_round_away_from_zero():
     offsets = (0.5, 1.5, 2.5, 511.5, 1022.5)
     cfg = EmulatorConfig(channels=tuple(ChannelWaveform(offset=v) for v in offsets))
+    assert first_frames(cfg, 1).tolist() == [[1, 2, 3, 512, 1023]]
+
+
+@pytest.fixture
+def sin_below_by_1e_12(monkeypatch):
+    """np.sin a little below math.sin, as another host's numpy may give it."""
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda a: sin(a) - 1e-12)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 8.0])
+def test_stream_does_not_depend_on_the_last_bits_of_sin(sin_below_by_1e_12, noise_std):
+    cfg = fx.emulator_config(seed=21, noise_std=noise_std)
+    sink = io.BytesIO()
+    run_emulator(cfg, 30.0, sink)
+    frames = scalar_emulator_frames(cfg, math.floor(30.0 * cfg.rate))
+    assert sink.getvalue() == b"".join(scalar_frame_bytes(f) for f in frames)
+
+
+def test_half_counts_round_away_from_zero_whatever_the_last_bits_of_sin(sin_below_by_1e_12):
+    """sin(0) = 0 puts each first value on k + 0.5; the low np.sin moves it
+    just below, where it would round down, so math.sin must decide there."""
+    offsets = (0.5, 1.5, 2.5, 511.5, 1022.5)
+    amplitudes = (0.5, -1.5, 2.5, 511.5, -0.5)
+    cfg = EmulatorConfig(channels=tuple(ChannelWaveform(offset=v, amplitude=a, frequency=1.0)
+                                        for v, a in zip(offsets, amplitudes)))
     assert first_frames(cfg, 1).tolist() == [[1, 2, 3, 512, 1023]]
 
 

@@ -385,7 +385,7 @@ def test_regular_file_is_read_with_read_alone(tmp_path):
     expected = collect(io.BytesIO(PLACEMENT_STREAM), 5.0)
     assert np.array_equal(raw, expected[0]) and np.array_equal(index, expected[1])
     assert stats == expected[2]
-    assert reader.reads == math.ceil(len(PLACEMENT_STREAM) / 16384)
+    assert reader.reads == math.ceil(len(PLACEMENT_STREAM) / pipeline._READ_CHUNK)
 
 
 def traced_peak(run):

@@ -3,16 +3,18 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixture13 as fx
 from glovekit.emulator import run_emulator
 from glovekit.errors import GlovekitError
 from glovekit.wire import (
+    ADC_MAX,
     FRAME_DTYPE,
     FRAME_SIZE,
     StreamParser,
+    _checksum,
     encode_frames,
     encode_pwm_command,
 )
@@ -145,6 +147,20 @@ def _overlapping_pair() -> bytes:
 
 
 OVERLAPPING_PAIR = _overlapping_pair()
+
+
+@given(st.tuples(*[st.integers(0, ADC_MAX) | st.integers(0, 0xFFFF)] * 5))
+@example((ADC_MAX,) * 5)
+@example((ADC_MAX,) * 4 + (ADC_MAX + 1,))
+def test_one_checksum_and_range_rule(counts):
+    """The checksum is the XOR of the payload bytes, and the parser's OR of the
+    counts passes a frame exactly when every count is at most ADC_MAX, which
+    holds because ADC_MAX + 1 is a power of two."""
+    assert ADC_MAX & (ADC_MAX + 1) == 0
+    frame = scalar_frame_bytes(counts)
+    assert _checksum(np.array([counts], dtype="<u2")).tolist() == [frame[11]]
+    decoded = StreamParser().feed(frame)
+    assert len(decoded) == all(v <= ADC_MAX for v in counts)
 
 
 @st.composite
