@@ -59,11 +59,14 @@ def _fmt(x: float) -> str:
 def _table(columns: list[np.ndarray], sep: str = " ") -> Iterator[str]:
     """The lines of the float64 table whose columns are the given (T,) and (T, k)
     arrays side by side, one string per block of rows.
-    Each block is stacked from the arrays on its own; the whole table never is."""
+    Each block is stacked from the arrays on its own; the whole table never is.
+    The block's cells are one ``repr`` each, in row order; ``zip`` of one
+    iterator ``width`` times deals them into rows, so joining runs in C with no
+    Python step per row."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        rows = block.astype(float, copy=False).tolist()
-        yield "".join(sep.join(map(repr, row)) + "\n" for row in rows)
+        cells = map(repr, block.astype(float, copy=False).ravel().tolist())
+        yield "\n".join(map(sep.join, zip(*[cells] * block.shape[1]))) + "\n"
 
 
 def _write(path, header_lines: list[str], table: Iterator[str] = ()) -> None:

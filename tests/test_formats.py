@@ -378,19 +378,33 @@ def _body(path, header_lines):
     return path.read_text().splitlines()[header_lines:]
 
 
+NONFINITE = [np.nan, -np.nan, np.inf, -np.inf]
+
+
+def _with_nonfinite(data, table):
+    """A copy of the table with nan, -nan, inf and -inf each in a drawn cell."""
+    cells = data.draw(st.lists(st.integers(0, table.size - 1), min_size=4, max_size=12,
+                               unique=True))
+    table = table.copy()
+    table.flat[cells] = np.resize(NONFINITE, len(cells))
+    return table
+
+
 @given(rows=ROWS, d=st.integers(1, 13), k=st.integers(1, 6),
        dt=st.sampled_from([0.005, 1 / 350, 0.01, 0.1, 3.0]),
        rate=st.sampled_from([200.0, 350.0, 7.0, 1000.0]), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k, dt, rate, data):
     """Every table writer gives the bytes of the per-cell reference, and every
-    table loader gives the bits of a per-token float() parse."""
+    table loader gives the bits of a per-token float() parse. The result CSVs
+    also hold nan, -nan, inf and -inf cells."""
     values = data.draw(float_tables((rows, 1 + d * 4 + 5)))
-    mean, std, ref, exe = (values[:, 1 + i * d : 1 + (i + 1) * d] for i in range(4))
+    bands = _with_nonfinite(data, values[:, 1 : 1 + 2 * d])
+    tracking = _with_nonfinite(data, values[:, 1 + 2 * d : 1 + 4 * d])
     forces = values[:, -5:]
     path = tmp_path_factory.getbasetemp() / "table.txt"
 
-    demo = Demonstration(mean, dt)
+    demo = Demonstration(values[:, 1 : 1 + d], dt)
     labels = [f"j{j + 1:02d}" for j in range(d)]
     formats.save_demo(demo, path)
     assert path.read_bytes() == oracles.demo_text(demo.values, dt, labels).encode()
@@ -403,10 +417,13 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k
     assert times.tobytes() == parsed[:, 0].tobytes()
     assert loaded_forces.tobytes() == parsed[:, 1:].tobytes()
 
-    with np.errstate(over="ignore"):  # drawn values near the float limit give an inf error
+    # drawn values near the float limit give an inf error, and inf - inf a nan one
+    ref, exe = tracking[:, :d], tracking[:, d:]
+    with np.errstate(over="ignore", invalid="ignore"):
         formats.save_tracking_csv(path, ref, exe, rate)
         assert path.read_bytes() == oracles.tracking_csv_text(ref, exe, rate).encode()
 
+    mean, std = bands[:, :d], bands[:, d:]
     formats.save_bands_csv(path, mean, std, dt)
     assert path.read_bytes() == oracles.bands_csv_text(mean, std, dt).encode()
 
