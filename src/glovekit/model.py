@@ -207,7 +207,10 @@ def marginal_std(model: TrajectoryModel, phi: np.ndarray) -> np.ndarray:
     """(T, D) pointwise standard deviation including observation noise at ``phi``'s phases."""
     std = np.empty((phi.shape[0], model.D))
     for d in range(model.D):
-        var = np.einsum("tk,kl,tl->t", phi, model.sigma_w[d], phi) + model.sigma_y[d]
+        # numpy's own loops, not BLAS: the bits do not depend on the BLAS thread count;
+        # nested, so one joint's (T, K) product is freed before the next is made
+        var = np.einsum("tl,tl->t", np.einsum("tk,kl->tl", phi, model.sigma_w[d]), phi)
+        var += model.sigma_y[d]
         std[:, d] = np.sqrt(np.maximum(var, 0.0))
     return std
 

@@ -97,7 +97,7 @@ def marginal_std_full(sigma_w_full, sigma_y, phi):
     std = np.empty((phi.shape[0], len(sigma_y)))
     for d in range(len(sigma_y)):
         block = sigma_w_full[d * k : (d + 1) * k, d * k : (d + 1) * k]
-        var = np.einsum("tk,kl,tl->t", phi, block, phi) + sigma_y[d]
+        var = np.einsum("tl,tl->t", np.einsum("tk,kl->tl", phi, block), phi) + sigma_y[d]
         std[:, d] = np.sqrt(np.maximum(var, 0.0))
     return std
 

@@ -335,26 +335,55 @@ def _old_bands_csv_text(times, mean, std, demos):
     return "\n".join(lines) + "\n"
 
 
-def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """``train`` writes the same model bytes at one BLAS thread and at two, on
-    13-joint demos of 6000 rows: long enough that OpenBLAS splits a product's
-    T-long sum across its threads."""
+def _long_demos(tmp_path):
+    """Three 13-joint demos of 6000 rows: long enough that OpenBLAS splits a
+    product's T-long sum across its threads."""
     rng = np.random.default_rng(9)
     demos = [str(tmp_path / f"demo{i}.txt") for i in range(3)]
     for path in demos:
         formats.save_demo(Demonstration(np.cumsum(rng.normal(size=(6000, 13)), 0), 0.005), path)
+    return demos
+
+
+def _cli_at_blas_threads(threads, *argv):
+    """stdout of ``python -m glovekit.cli *argv`` with OpenBLAS and OpenMP held
+    to ``threads`` threads; the command must exit 0 and print no error."""
     src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "glovekit.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``train`` writes the same model bytes at one BLAS thread and at two."""
+    demos = _long_demos(tmp_path)
+    output = tmp_path / "model.txt"
     models = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        output = tmp_path / f"model{threads}.txt"
-        result = subprocess.run([sys.executable, "-m", "glovekit.cli", "train", *demos,
-                                 "--output", str(output)], env=env, capture_output=True,
-                                text=True, timeout=300)
-        assert (result.returncode, result.stderr) == (0, "")
+        _cli_at_blas_threads(threads, "train", *demos, "--output", str(output))
         models.append(output.read_bytes())
     assert models[0] == models[1]
+
+
+def test_eval_and_reproduce_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``eval`` (its stdout and bands CSV) and ``reproduce`` (its tracking CSV)
+    give the same bytes at one BLAS thread and at two, for a model of the same
+    long demos; ``reproduce`` runs as many 200 Hz steps as a demo has rows."""
+    demos = _long_demos(tmp_path)
+    model = str(tmp_path / "model.txt")
+    formats.save_model(train_model([formats.load_demo(p) for p in demos], BasisConfig()), model)
+    bands, tracking = tmp_path / "bands.csv", tmp_path / "tracking.csv"
+    runs = []
+    for threads in ("1", "2"):
+        stdout = _cli_at_blas_threads(threads, "eval", *demos, "--model", model,
+                                      "--output", str(bands))
+        _cli_at_blas_threads(threads, "reproduce", "--model", model, "--duration", "30",
+                             "--output", str(tracking))
+        runs.append((stdout, bands.read_bytes(), tracking.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_bands_csv_depends_only_on_the_model_rows_and_dt(workdir):

@@ -292,6 +292,55 @@ class TestModelQueries:
             mc[:, d] = np.sqrt(samples.var(axis=0, ddof=1) + model.sigma_y[d])
         assert np.max(np.abs(mc / std - 1.0)) < 0.02
 
+    @given(t_steps=st.integers(2, 12), k=st.integers(1, 8), d=st.integers(1, 3),
+           eps=st.sampled_from([0.0, 1e-8, 1e-3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_variance_is_within_a_summation_bound_of_its_exact_sum(self, t_steps, k, d, eps,
+                                                                  seed):
+        """Each squared std is the math.fsum of its K^2 products phi_k S_kl phi_l
+        and sigma_y to within 8 K^2 eps times the sum of their magnitudes, for S
+        the sample covariance of fewer demos than weights (rank deficient) plus
+        eps_reg * I. The bound is the textbook one for a K^2-term float sum,
+        with room for the products, the sqrt and the reference's own rounding;
+        the three-operand einsum the two contractions replaced is held to it
+        as well, so it is not fitted to their summation order."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, k + 1))
+        weights = [rng.normal(0, rng.uniform(0.01, 10.0), (k, d)) for _ in range(n)]
+        _, sigma = fit_distribution(weights, eps_reg=eps)
+        sigma_y = rng.uniform(0.0, 1e-3, d)
+        cfg = BasisConfig(K=k, h=rng.uniform(0.02, 1.0))
+        phi = design_matrix(t_steps, cfg)
+        std = marginal_std(TrajectoryModel(cfg, np.zeros((d, k)), sigma, sigma_y), phi)
+        for j in range(d):
+            three_operand = np.einsum("tk,kl,tl->t", phi, sigma[j], phi) + sigma_y[j]
+            for t, row in enumerate(phi):
+                terms = [row[a] * sigma[j, a, b] * row[b] for a in range(k) for b in range(k)]
+                terms.append(sigma_y[j])
+                exact = math.fsum(terms)
+                bound = 8 * k * k * np.finfo(float).eps * math.fsum(map(abs, terms))
+                assert abs(std[t, j] ** 2 - exact) <= bound
+                assert abs(three_operand[t] - exact) <= bound
+
+    def test_std_peak_memory_is_the_result_and_one_product(self):
+        """At T = 6000, D = 13, K = 20 marginal_std peaks below 2.5 MB: its
+        (T, D) result and one joint's (T, K) product are 1.6 MB, while a whole
+        (T, D*K) or (T, K, K) temporary would be 12.5 MB or 19 MB."""
+        rng = np.random.default_rng(12)
+        cfg = BasisConfig(K=20)
+        g = rng.normal(size=(13, 20, 20))
+        model = TrajectoryModel(cfg, np.zeros((13, 20)), g @ g.transpose(0, 2, 1),
+                                np.full(13, 1e-4))
+        phi = design_matrix(6000, cfg)
+        tracemalloc.start()
+        try:
+            std = marginal_std(model, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert std.shape == (6000, 13)
+        assert peak < 2.5e6
+
 
 class TestPerJointBlocks:
     """fit_distribution gives each joint's mean weights and the K x K
