@@ -45,18 +45,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="glovekit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("glove-emulate", help="stream a virtual glove to a transport")
+def _emulate_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_emulate)
     p.add_argument("--config", required=True, help="emu-v1 config file")
     p.add_argument("--duration", type=_finite_float, required=True, help="seconds to stream")
     p.add_argument("--fast", action="store_true", help="write without real-time pacing")
     p.add_argument("--transport", required=True, help="pipe | tcp:PORT | file:PATH")
 
-    p = sub.add_parser("record", help="record a demonstration from a transport")
+
+def _record_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_record)
     p.add_argument("--transport", required=True)
     p.add_argument("--calibration", required=True, help="calib-v1 profile file")
@@ -66,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-rate", type=_finite_float, default=DEFAULT_CONTROL_RATE)
     p.add_argument("--output", required=True, help="demo-v1 output file")
 
-    p = sub.add_parser("calibrate", help="capture per-channel extrema into a profile")
+
+def _calibrate_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_calibrate)
     p.add_argument("--transport", required=True)
     p.add_argument("--duration", type=_finite_float, default=5.0)
@@ -75,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint-max", type=_finite_float, default=DEFAULT_JOINT_MAX)
     p.add_argument("--output", required=True, help="calib-v1 output file")
 
-    p = sub.add_parser("train", help="fit the trajectory model from demo files")
+
+def _train_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_train)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--basis-count", type=int, default=BasisConfig().K)
@@ -84,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-reg", type=_finite_float, default=DEFAULT_EPS_REG)
     p.add_argument("--output", required=True, help="promp-v3 output file")
 
-    p = sub.add_parser("reproduce", help="track the model mean on the simulated plant")
+
+def _reproduce_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_reproduce)
     p.add_argument("--model", required=True, help="promp-v3 file")
     p.add_argument("--duration", type=_finite_float, default=15.0)
@@ -96,17 +96,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--torque-limit", type=_finite_float, default=PlantParams().torque_limit)
     p.add_argument("--output", required=True, help="tracking CSV output")
 
-    p = sub.add_parser("eval", help="likelihood and band-coverage diagnostics")
+
+def _eval_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_eval)
     p.add_argument("demos", nargs="+", help="demo-v1 files")
     p.add_argument("--model", required=True, help="promp-v3 file")
     p.add_argument("--output", required=True, help="plot-ready bands CSV: time, model mean and std")
 
-    p = sub.add_parser("feedback", help="send a scripted tactile profile as PWM commands")
+
+def _feedback_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(run=_cmd_feedback)
     p.add_argument("--tactile", required=True, help="tactile-v1 file")
     p.add_argument("--f-max", type=_finite_float, required=True, help="tactile full-scale")
     p.add_argument("--transport", required=True)
+
+
+# command name: (help line, declaration of its options), in help order
+_COMMANDS = {
+    "glove-emulate": ("stream a virtual glove to a transport", _emulate_options),
+    "record": ("record a demonstration from a transport", _record_options),
+    "calibrate": ("capture per-channel extrema into a profile", _calibrate_options),
+    "train": ("fit the trajectory model from demo files", _train_options),
+    "reproduce": ("track the model mean on the simulated plant", _reproduce_options),
+    "eval": ("likelihood and band-coverage diagnostics", _eval_options),
+    "feedback": ("send a scripted tactile profile as PWM commands", _feedback_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with ``command`` one that declares only that
+    command and its options; both parse that command's argv alike."""
+    parser = argparse.ArgumentParser(prog="glovekit", description=__doc__)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    else:
+        # "unrecognized arguments" prints the top-level usage, which names every
+        # command; on the whole parser the metavar would also rename ``command``
+        # in the "required" and "invalid choice" errors
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = [command]
+    for name in names:
+        help_line, declare = _COMMANDS[name]
+        declare(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -216,7 +249,12 @@ def _cmd_feedback(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a run parses one command, so build only that command's options; help, no
+    # command or an unknown one need the whole parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         # a float overflow, an invalid or divide-by-zero result or a memory shortfall
         # means the input is out of range: one error line, never a warning and a file

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import fixture13 as fx
 import oracles
-from glovekit import formats, pipeline, transports
+from glovekit import cli, formats, pipeline, transports
 from glovekit import model as model_module
 from glovekit.cli import main
 from glovekit.errors import GlovekitError
@@ -345,14 +346,20 @@ def _long_demos(tmp_path):
     return demos
 
 
+def _run_module(argv, **env):
+    """``python -m glovekit.cli *argv`` on this checkout's package, with ``env``
+    added to the environment."""
+    src = str(Path(formats.__file__).parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "glovekit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def _cli_at_blas_threads(threads, *argv):
     """stdout of ``python -m glovekit.cli *argv`` with OpenBLAS and OpenMP held
     to ``threads`` threads; the command must exit 0 and print no error."""
-    src = str(Path(formats.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-m", "glovekit.cli", *argv], env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = _run_module(argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     assert (result.returncode, result.stderr) == (0, "")
     return result.stdout
 
@@ -432,6 +439,7 @@ _REQUIRED = {
     "calibrate": ["--transport", "file:s.bin", "--output", "calib.txt"],
     "train": ["d.txt", "--output", "m.txt"],
     "reproduce": ["--model", "m.txt", "--output", "t.csv"],
+    "eval": ["d.txt", "--model", "m.txt", "--output", "b.csv"],
     "feedback": ["--tactile", "t.txt", "--f-max", "1", "--transport", "file:p.txt"],
 }
 _FLOAT_OPTIONS = [
@@ -456,6 +464,105 @@ def test_non_finite_float_option_is_usage_error(capsys, command, option, value):
     message = f"argument {option}: must be a finite number, got '{value}'"
     assert err.splitlines()[-1].endswith(message)
     assert "Traceback" not in err
+
+
+def _subparsers(parser):
+    """``parser``'s command name -> subparser table."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_float_options_are_every_finite_float_option():
+    """_FLOAT_OPTIONS, which the non-finite test runs on, lists every option the
+    full parser reads with _finite_float, so a new one cannot skip that test."""
+    declared = [(command, action.option_strings[0])
+                for command, sub in _subparsers(cli.build_parser()).items()
+                for action in sub._actions if action.type is cli._finite_float]
+    assert declared == _FLOAT_OPTIONS
+
+
+def _built_subparsers(monkeypatch) -> list:
+    """The names of the subparsers built from here on, in order."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return built
+
+
+def test_a_run_builds_only_its_own_subparser(tmp_path, monkeypatch, capsys):
+    demo = tmp_path / "demo.txt"
+    rng = np.random.default_rng(3)
+    formats.save_demo(Demonstration(np.cumsum(rng.normal(size=(200, 13)), 0), 0.005), demo)
+    built = _built_subparsers(monkeypatch)
+    assert main(["train", str(demo), "--output", str(tmp_path / "model.txt")]) == 0
+    assert built == ["train"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"]])
+def test_help_or_no_known_command_builds_every_subparser(monkeypatch, capsys, argv):
+    built = _built_subparsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == list(_REQUIRED)
+
+
+def _outcome(parse, capsys) -> tuple:
+    """(exit code, stdout, stderr, parsed Namespace or None) of ``parse()``."""
+    try:
+        namespace, code = parse(), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    return (code, *capsys.readouterr(), namespace)
+
+
+def _full_parse(argv, capsys) -> tuple:
+    return _outcome(lambda: cli.build_parser().parse_args(argv), capsys)
+
+
+_PARSE_CASES = [
+    *[[command, "--help"] for command in _REQUIRED],
+    *[[command, *argv] for command, argv in _REQUIRED.items()],
+    *[[command, *argv, "--bogus"] for command, argv in _REQUIRED.items()],
+    # every minimal argv ends in a required option and its value
+    *[[command, *argv[:-2]] for command, argv in _REQUIRED.items()],
+    [], ["--help"], ["nope"], ["--bogus", "train"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_as_the_full_parser(monkeypatch, capsys, argv):
+    """main builds a parser for the named command alone, yet its exit code,
+    output and Namespace are the full parser's; a parsed argv stops before
+    the command runs."""
+    expected = _full_parse(argv, capsys)
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_without_running(self, args=None, namespace=None):
+        parsed.append(parse_args(self, args, namespace))
+        return argparse.Namespace(run=lambda args: cli.EXIT_OK)
+
+    def run_main():
+        assert main(argv) == cli.EXIT_OK
+        return parsed[0]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_without_running)
+    assert _outcome(run_main, capsys) == expected
+
+
+def test_module_entry_parses_its_command_line_as_the_full_parser(monkeypatch, capsys):
+    """``python -m glovekit.cli`` hands main no argv, so main reads sys.argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["train", *_REQUIRED["train"], "--bogus"]
+    result = _run_module(argv)
+    code, out, err, _ = _full_parse(argv, capsys)
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("key,value", [
