@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -671,18 +672,6 @@ def test_zero_joint_model_is_data_error(workdir, monkeypatch, capsys, argv):
     assert not (workdir / "bands.csv").exists()
 
 
-def _as_promp_v2(v3):
-    """A promp-v3 file's lines in the promp-v2 layout, each as (line, index of
-    the promp-v3 line it holds or None, columns its values moved right): the
-    ``normalize`` and ``centers`` lines after the scalars, a ``sigma_w`` key
-    on each row and ``sigma_y`` last."""
-    k = int(v3[1].split(" ")[1])
-    centers = "centers " + " ".join(map(repr, np.linspace(0, 1, k).tolist()))
-    return [("promp-v2", 0, 0), *((v3[i], i, 0) for i in range(1, 6)),
-            ("normalize 1", None, 0), (centers, None, 0), (v3[6], 6, 0),
-            *(("sigma_w " + v3[i], i, 1) for i in range(8, len(v3))), (v3[7], 7, 0)]
-
-
 @pytest.mark.parametrize("argv", [
     ["eval", "demo.txt", "--model", "model.txt", "--output", "bands.csv"],
     ["reproduce", "--model", "model.txt", "--output", "bands.csv"],
@@ -692,15 +681,17 @@ def test_promp_v1_model_is_data_error(workdir, monkeypatch, capsys, argv):
     and a promp-v2 file, with its ``normalize`` and ``centers`` lines and keyed
     ``sigma_w`` rows, are not read: one error line, exit 3, and ``train``
     makes a promp-v3 one."""
-    demo = Demonstration(np.cumsum(np.ones((40, 2)), 0), 0.005)
-    formats.save_demo(demo, workdir / "demo.txt")
-    model = train_model([demo], BasisConfig(K=3))
-    v2 = [line for line, _, _ in _as_promp_v2(oracles.model_text(model).splitlines())]
-    v1 = ["promp-v1", *v2[1:9], *("sigma_w " + " ".join(map(repr, row))
-                                  for row in 1e-08 * np.eye(6)), v2[-1]]
+    formats.save_demo(Demonstration(np.cumsum(np.ones((40, 2)), 0), 0.005), workdir / "demo.txt")
+    head = ("K 2\nD 2\nh 0.5\nlambda 1e-06\neps_reg 1e-08\nnormalize 1\ncenters 0.0 1.0\n"
+            "mu_w 1.0 2.0 3.0 4.0\n")
+    # promp-v1 holds the whole 4 x 4 covariance, promp-v2 each joint's 2 x 2 block
+    v1 = ("promp-v1\n" + head + "sigma_w 1e-08 0.0 0.0 0.0\nsigma_w 0.0 1e-08 0.0 0.0\n"
+          "sigma_w 0.0 0.0 1e-08 0.0\nsigma_w 0.0 0.0 0.0 1e-08\nsigma_y 1e-08 1e-08\n")
+    v2 = ("promp-v2\n" + head + "sigma_w 1e-08 0.0\nsigma_w 0.0 1e-08\n"
+          "sigma_w 1e-08 0.0\nsigma_w 0.0 1e-08\nsigma_y 1e-08 1e-08\n")
     monkeypatch.chdir(workdir)
     for old in (v1, v2):
-        (workdir / "model.txt").write_text("\n".join(old) + "\n")
+        (workdir / "model.txt").write_text(old)
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -826,52 +817,70 @@ def test_any_input_file_ends_in_a_documented_exit_code(inputs_dir, case):
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "1e308", "-1e308", "-1", "0", "1e-300"]
 
 
-MODEL_V2 = _as_promp_v2(SAMPLES["model"].splitlines())
+def _is_float(token) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
-def _numeric_tokens():
-    """(format, line, column) of every token of a valid sample that parses as a
-    float, a model's in the promp-v2 layout of its sample."""
-    texts = {**SAMPLES, "model": "\n".join(line for line, _, _ in MODEL_V2)}
-    for kind, text in texts.items():
-        for i, line in enumerate(text.splitlines()):
-            for j, token in enumerate(line.split(" ")):
-                try:
-                    float(token)
-                except ValueError:
-                    continue
-                yield kind, i, j
+def _fields(text):
+    """(field, index, line, column) of every token of ``text`` that parses as
+    a float. A keyed line's field is its key, numbered by occurrence from 0
+    when the key repeats, and its index counts the values after the key. A
+    bare table row's field is ``row<n>``, counted from the table's first row,
+    and its index counts the row's values."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    repeated = {key for key, n in Counter(tokens[0] for tokens in lines).items() if n > 1}
+    seen = Counter()
+    for i, tokens in enumerate(lines):
+        bare = _is_float(tokens[0])
+        key = "row" if bare else tokens[0]
+        field = f"{key}{seen[key]}" if bare or key in repeated else key
+        seen[key] += 1
+        start = 0 if bare else 1
+        for j, token in enumerate(tokens[start:]):
+            if _is_float(token):
+                yield field, j, i, start + j
+
+
+# (format, field, index, line, column) of every numeric token of every sample
+SWEPT_FIELDS = [(kind, *at) for kind, text in SAMPLES.items() for at in _fields(text)]
 
 
 @pytest.mark.parametrize("value", BAD_NUMBERS)
-@pytest.mark.parametrize("kind,line,col", list(_numeric_tokens()))
-def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_path,
-                                                                 kind, line, col, value):
+@pytest.mark.parametrize("kind,field,line,col", [
+    pytest.param(kind, field, line, col, id=f"{kind}-{field}-{index}")
+    for kind, field, index, line, col in SWEPT_FIELDS])
+def test_bad_number_in_any_field_exits_0_3_or_4(inputs_dir, tmp_path, kind, field, line, col,
+                                                value):
     """Each numeric token of each format, replaced by an edge value, through
-    every subcommand that reads the format: the contract of the property
-    above, key by key and not by random draw. A model's field, named by its
-    place in the promp-v2 layout, leaves that layout failing on its header,
-    then is swept in the promp-v3 sample if promp-v3 kept it."""
-    bad = tmp_path / "bad"
-    if kind == "model":
-        old = [row.split(" ") for row, _, _ in MODEL_V2]
-        old[line][col] = value
-        bad.write_text("\n".join(" ".join(row) for row in old) + "\n")
-        for argv in _readers(inputs_dir, bad)[kind]:
-            assert assert_documented_exit(argv) == f"error: {bad}: missing 'promp-v3' header\n"
-        _, line, shift = MODEL_V2[line]
-        if line is None:
-            return
-        col -= shift
+    every subcommand that reads the format, ends in a documented exit code:
+    the contract of the property above, key by key and not by random draw."""
     lines = [row.split(" ") for row in SAMPLES[kind].splitlines()]
     lines[line][col] = value
+    bad = tmp_path / "bad"
     bad.write_text("\n".join(" ".join(row) for row in lines) + "\n")
     # a model's D below 1 must be named, not the sigma_w row count it implies
-    names_d = kind == "model" and lines[line][0] == "D" and value in ("0", "-1")
+    names_d = kind == "model" and field == "D" and value in ("0", "-1")
     for argv in _readers(inputs_dir, bad)[kind]:
         err = assert_documented_exit(argv)
         if names_d:
             assert err == f"error: {bad}: model needs D >= 1 joints, got {value}\n", argv[0]
+
+
+def test_numeric_field_sweep_names_each_float_token_once():
+    """The sweep holds each float token of each sample exactly once, under a
+    (format, field, index) name that no other token shares, so no case id
+    repeats."""
+    tokens = [(kind, i, j) for kind, text in SAMPLES.items()
+              for i, line in enumerate(text.splitlines())
+              for j, token in enumerate(line.split(" ")) if _is_float(token)]
+    assert [(kind, line, col) for kind, _, _, line, col in SWEPT_FIELDS] == tokens
+    ids = [f"{kind}-{field}-{index}-{value}" for kind, field, index, _, _ in SWEPT_FIELDS
+           for value in BAD_NUMBERS]
+    assert len(set(ids)) == len(ids)
 
 
 def _copy_line(start):
@@ -906,22 +915,29 @@ KEY_RULE_CASES = {
 }
 
 
+@pytest.fixture
+def samples_dir(inputs_dir, tmp_path):
+    """A fresh copy of every valid sample and of the stream, so that no other
+    test's output is found where a failing command must write none."""
+    for name, text in SAMPLES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "stream.bin").write_bytes((inputs_dir / "stream.bin").read_bytes())
+    return tmp_path
+
+
 @pytest.mark.parametrize("case", KEY_RULE_CASES)
-def test_key_rule_violation_is_data_error(inputs_dir, tmp_path, capsys, case):
+def test_key_rule_violation_is_data_error(samples_dir, capsys, case):
     """A repeated key, a scalar key with other than one value, an unknown key
     and a missing model key end in exit 3 with one line naming the key,
     through every subcommand that reads the format, and write no output."""
     kind, edit, message = KEY_RULE_CASES[case]
-    for name, text in SAMPLES.items():
-        (tmp_path / name).write_text(text)
-    (tmp_path / "stream.bin").write_bytes((inputs_dir / "stream.bin").read_bytes())
-    bad = tmp_path / "bad"
+    bad = samples_dir / "bad"
     bad.write_text("\n".join(edit(SAMPLES[kind].splitlines())) + "\n")
-    for argv in _readers(tmp_path, bad)[kind]:
+    for argv in _readers(samples_dir, bad)[kind]:
         assert main(argv) == 3, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
-        assert not (tmp_path / "out.txt").exists()
+        assert not (samples_dir / "out.txt").exists()
 
 
 def _set_line(start, text):
@@ -965,21 +981,18 @@ RECORD_RULE_CASES = {
 
 
 @pytest.mark.parametrize("case", RECORD_RULE_CASES)
-def test_record_rule_violation_names_the_file(inputs_dir, tmp_path, capsys, case):
+def test_record_rule_violation_names_the_file(samples_dir, capsys, case):
     """A value that a record class rejects, that load_model checks itself, or
     whose float arithmetic overflows while loading ends every subcommand that
     reads the file in exit 3 with one line that names the file first, and
     writes no output."""
     kind, edit, message = RECORD_RULE_CASES[case]
-    for name, text in SAMPLES.items():
-        (tmp_path / name).write_text(text)
-    (tmp_path / "stream.bin").write_bytes((inputs_dir / "stream.bin").read_bytes())
-    bad = tmp_path / "bad"
+    bad = samples_dir / "bad"
     bad.write_text("\n".join(edit(SAMPLES[kind].splitlines())) + "\n")
-    for argv in _readers(tmp_path, bad)[kind]:
+    for argv in _readers(samples_dir, bad)[kind]:
         assert main(argv) == 3, argv[0]
         assert capsys.readouterr().err == f"error: {bad}: {message}\n", argv[0]
-        assert not (tmp_path / "out.txt").exists()
+        assert not (samples_dir / "out.txt").exists()
 
 
 _HUGE = [
