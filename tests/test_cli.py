@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import warnings
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -825,62 +824,82 @@ def _is_float(token) -> bool:
     return True
 
 
-def _fields(text):
-    """(field, index, line, column) of every token of ``text`` that parses as
-    a float. A keyed line's field is its key, numbered by occurrence from 0
-    when the key repeats, and its index counts the values after the key. A
-    bare table row's field is ``row<n>``, counted from the table's first row,
-    and its index counts the row's values."""
-    lines = [line.split(" ") for line in text.splitlines()]
-    repeated = {key for key, n in Counter(tokens[0] for tokens in lines).items() if n > 1}
-    seen = Counter()
-    for i, tokens in enumerate(lines):
-        bare = _is_float(tokens[0])
-        key = "row" if bare else tokens[0]
-        field = f"{key}{seen[key]}" if bare or key in repeated else key
-        seen[key] += 1
-        start = 0 if bare else 1
-        for j, token in enumerate(tokens[start:]):
-            if _is_float(token):
-                yield field, j, i, start + j
+def _as_promp_v2(v3):
+    """A promp-v3 file's lines in the promp-v2 layout, each as (line, index of
+    the promp-v3 line it holds or None, columns its values moved right): the
+    ``normalize`` and ``centers`` lines after the scalars, a ``sigma_w`` key
+    on each row and ``sigma_y`` last."""
+    k = int(v3[1].split(" ")[1])
+    centers = "centers " + " ".join(map(repr, np.linspace(0, 1, k).tolist()))
+    return [("promp-v2", 0, 0), *((v3[i], i, 0) for i in range(1, 6)),
+            ("normalize 1", None, 0), (centers, None, 0), (v3[6], 6, 0),
+            *(("sigma_w " + v3[i], i, 1) for i in range(8, len(v3))), (v3[7], 7, 0)]
 
 
-# (format, field, index, line, column) of every numeric token of every sample
-SWEPT_FIELDS = [(kind, *at) for kind, text in SAMPLES.items() for at in _fields(text)]
+MODEL_V2 = _as_promp_v2(SAMPLES["model"].splitlines())
+
+
+def _numeric_tokens():
+    """(format, line, column) of every token of a valid sample that parses as a
+    float, a model's in the promp-v2 layout of its sample."""
+    texts = {**SAMPLES, "model": "\n".join(line for line, _, _ in MODEL_V2)}
+    for kind, text in texts.items():
+        for i, line in enumerate(text.splitlines()):
+            for j, token in enumerate(line.split(" ")):
+                if _is_float(token):
+                    yield kind, i, j
 
 
 @pytest.mark.parametrize("value", BAD_NUMBERS)
-@pytest.mark.parametrize("kind,field,line,col", [
-    pytest.param(kind, field, line, col, id=f"{kind}-{field}-{index}")
-    for kind, field, index, line, col in SWEPT_FIELDS])
-def test_bad_number_in_any_field_exits_0_3_or_4(inputs_dir, tmp_path, kind, field, line, col,
-                                                value):
+@pytest.mark.parametrize("kind,line,col", list(_numeric_tokens()))
+def test_bad_number_in_any_field_ends_in_a_documented_exit_code(inputs_dir, tmp_path,
+                                                                 kind, line, col, value):
     """Each numeric token of each format, replaced by an edge value, through
-    every subcommand that reads the format, ends in a documented exit code:
-    the contract of the property above, key by key and not by random draw."""
+    every subcommand that reads the format: the contract of the property
+    above, key by key and not by random draw. A model's field, named by its
+    place in the promp-v2 layout, leaves that layout failing on its header,
+    then is swept in the promp-v3 sample if promp-v3 kept it."""
+    bad = tmp_path / "bad"
+    if kind == "model":
+        old = [row.split(" ") for row, _, _ in MODEL_V2]
+        old[line][col] = value
+        bad.write_text("\n".join(" ".join(row) for row in old) + "\n")
+        for argv in _readers(inputs_dir, bad)[kind]:
+            assert assert_documented_exit(argv) == f"error: {bad}: missing 'promp-v3' header\n"
+        _, line, shift = MODEL_V2[line]
+        if line is None:
+            return
+        col -= shift
     lines = [row.split(" ") for row in SAMPLES[kind].splitlines()]
     lines[line][col] = value
-    bad = tmp_path / "bad"
     bad.write_text("\n".join(" ".join(row) for row in lines) + "\n")
     # a model's D below 1 must be named, not the sigma_w row count it implies
-    names_d = kind == "model" and field == "D" and value in ("0", "-1")
+    names_d = kind == "model" and lines[line][0] == "D" and value in ("0", "-1")
     for argv in _readers(inputs_dir, bad)[kind]:
         err = assert_documented_exit(argv)
         if names_d:
             assert err == f"error: {bad}: model needs D >= 1 joints, got {value}\n", argv[0]
 
 
-def test_numeric_field_sweep_names_each_float_token_once():
-    """The sweep holds each float token of each sample exactly once, under a
-    (format, field, index) name that no other token shares, so no case id
-    repeats."""
+def test_bad_number_sweep_holds_each_float_token_once():
+    """The sweep reaches each float token of each sample exactly once: a
+    model's through its promp-v2 place, mapped back to promp-v3, and every
+    other format's where it stands. Its (format, line, column) cases, and so
+    its ids, are unique."""
     tokens = [(kind, i, j) for kind, text in SAMPLES.items()
               for i, line in enumerate(text.splitlines())
               for j, token in enumerate(line.split(" ")) if _is_float(token)]
-    assert [(kind, line, col) for kind, _, _, line, col in SWEPT_FIELDS] == tokens
-    ids = [f"{kind}-{field}-{index}-{value}" for kind, field, index, _, _ in SWEPT_FIELDS
-           for value in BAD_NUMBERS]
-    assert len(set(ids)) == len(ids)
+    cases = list(_numeric_tokens())
+    assert len(set(cases)) == len(cases)
+    swept = []
+    for kind, line, col in cases:
+        if kind == "model":
+            _, line, shift = MODEL_V2[line]
+            if line is None:
+                continue
+            col -= shift
+        swept.append((kind, line, col))
+    assert sorted(swept) == sorted(tokens)
 
 
 def _copy_line(start):
