@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -188,25 +189,26 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _load_demos(paths) -> list[Demonstration]:
-    """The demo files, which must share the first one's dt."""
-    demos = [formats.load_demo(path) for path in paths]
-    for path, demo in zip(paths, demos):
-        if demo.dt != demos[0].dt:
-            raise GlovekitError(
-                f"{path}: dt {demo.dt} differs from the first demo's {demos[0].dt}")
-    return demos
+def _load_demos(paths, dts: list[float]) -> Iterator[Demonstration]:
+    """Each demo file, loaded when it is requested, after the one before it
+    is released; its dt, which must equal the first file's, goes to ``dts``."""
+    for path in paths:
+        demo = formats.load_demo(path)
+        if dts and demo.dt != dts[0]:
+            raise GlovekitError(f"{path}: dt {demo.dt} differs from the first demo's {dts[0]}")
+        dts.append(demo.dt)
+        yield demo
+        del demo  # not held while the next file loads
 
 
 def _cmd_train(args) -> int:
-    demos = _load_demos(args.demos)
     config = BasisConfig(K=args.basis_count, h=args.basis_width, lam=args.ridge)
-    model = train_model(demos, config, args.eps_reg)
+    model = train_model(_load_demos(args.demos, []), config, args.eps_reg)
     formats.save_model(model, args.output)
-    if len(demos) == 1:
+    if len(args.demos) == 1:
         print("warning: single demonstration, weight covariance is the regularizer only",
               file=sys.stderr)
-    print(f"K={config.K} D={model.D} N={len(demos)}")
+    print(f"K={config.K} D={model.D} N={len(args.demos)}")
     print("per-joint RMS residual (rad): "
           + " ".join(f"{r:.6f}" for r in np.sqrt(model.sigma_y)))
     return EXIT_OK
@@ -228,9 +230,9 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = formats.load_model(args.model)
-    demos = _load_demos(args.demos)
-    report = evaluate(model, demos)
-    formats.save_bands_csv(args.output, report.mean, report.std, demos[0].dt)
+    dts: list[float] = []
+    report = evaluate(model, _load_demos(args.demos, dts))
+    formats.save_bands_csv(args.output, report.mean, report.std, dts[0])
     for i, per_joint in enumerate(report.per_joint_log_likelihoods, start=1):
         print(f"demo {i}: log-likelihood {float(per_joint.sum()):.3f} (nats)")
         print("  per-joint: " + " ".join(f"{v:.3f}" for v in per_joint))

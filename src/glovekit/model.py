@@ -141,6 +141,7 @@ def estimate_noise(
     for residual in residuals:
         sq_sum += (residual**2).sum(axis=0)
         total += residual.shape[0]
+        del residual  # not held while the next one is made
     return np.maximum(sq_sum / max(total - 1, 1), eps_reg)
 
 
@@ -180,21 +181,33 @@ class TrajectoryModel(Record):
 
 
 def train_model(
-    demos: list[Demonstration],
+    demos: Iterable[Demonstration],
     config: BasisConfig,
     eps_reg: float = DEFAULT_EPS_REG,
 ) -> TrajectoryModel:
-    """Fit per-demo weights, the per-joint weight distribution, and the noise model."""
-    if not demos:
+    """Fit per-demo weights, the per-joint weight distribution, and the noise model.
+
+    ``demos`` is taken one at a time: each demo is fitted and its residual
+    pooled before the next is requested, so only one basis matrix per length
+    and the (K, D) weights of each demo are kept."""
+    phis: dict[int, np.ndarray] = {}
+    weights: list[np.ndarray] = []
+
+    def residual(demo: Demonstration) -> np.ndarray:
+        if weights and demo.D != weights[0].shape[1]:
+            dims = sorted({weights[0].shape[1], demo.D})
+            raise GlovekitError(f"demonstrations disagree in dimension: {dims}")
+        phi = phis.get(demo.T)
+        if phi is None:
+            phi = phis[demo.T] = design_matrix(demo.T, config)
+        weights.append(fit_weights(demo, config, phi))
+        return demo.values - phi @ weights[-1]
+
+    # map holds no demo between calls, as a for loop's variable would
+    sigma_y = estimate_noise(map(residual, demos), eps_reg)
+    if not weights:
         raise GlovekitError("at least one demonstration is required")
-    dims = {demo.D for demo in demos}
-    if len(dims) != 1:
-        raise GlovekitError(f"demonstrations disagree in dimension: {sorted(dims)}")
-    phis = {T: design_matrix(T, config) for T in {demo.T for demo in demos}}
-    weights = [fit_weights(demo, config, phis[demo.T]) for demo in demos]
     mu_w, sigma_w = fit_distribution(weights, eps_reg)
-    residuals = (demo.values - phis[demo.T] @ w for demo, w in zip(demos, weights))
-    sigma_y = estimate_noise(residuals, eps_reg)
     return TrajectoryModel(config, mu_w, sigma_w, sigma_y, eps_reg)
 
 

@@ -6,7 +6,7 @@ paths and exit codes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -176,22 +176,33 @@ class EvalReport(NamedTuple):
     std: np.ndarray  # (T, D) marginal std at the demos' length
 
 
-def evaluate(model: TrajectoryModel, demos: list[Demonstration]) -> EvalReport:
+def evaluate(model: TrajectoryModel, demos: Iterable[Demonstration]) -> EvalReport:
     """Likelihood and +/-2-sigma band-coverage diagnostics for a demo set.
 
-    All demos must match the model's dimension and share one length.
+    All demos must match the model's dimension and share one length. They are
+    taken one at a time: the first fixes the length of the model's mean and
+    std, and each is reduced to its log-likelihood and its count of in-band
+    samples before the next is requested.
     """
-    if not demos:
-        raise GlovekitError("at least one demonstration is required")
-    t_ref = demos[0].T
-    for i, demo in enumerate(demos, start=1):
+    per_joint: list[np.ndarray] = []
+    inside = 0
+    for demo in demos:  # not enumerate, whose result tuple would hold the demo
+        i = len(per_joint) + 1
         if demo.D != model.D:
             raise GlovekitError(f"demo {i} dimension {demo.D} != model dimension {model.D}")
-        if demo.T != t_ref:
+        if i == 1:
+            t_ref = demo.T
+            phi = design_matrix(t_ref, model.basis)
+            mean, std = mean_trajectory(model, phi), marginal_std(model, phi)
+            del phi
+            std *= 2.0  # in place, the band's half-width: no second (T, D) array is held
+        elif demo.T != t_ref:
             raise GlovekitError(f"demo {i} has {demo.T} rows, demo 1 has {t_ref}")
-    phi = design_matrix(t_ref, model.basis)
-    mean = mean_trajectory(model, phi)
-    std = marginal_std(model, phi)
-    per_joint = [log_likelihood_per_joint(model, demo, mean) for demo in demos]
-    inside = sum((np.abs(demo.values - mean) <= 2.0 * std).sum(axis=0) for demo in demos)
-    return EvalReport(per_joint, inside / (t_ref * len(demos)), mean, std)
+        per_joint.append(log_likelihood_per_joint(model, demo, mean))
+        inside += (np.abs(demo.values - mean) <= std).sum(axis=0)
+        del demo  # not held while the next one is loaded
+    if not per_joint:
+        raise GlovekitError("at least one demonstration is required")
+    # std's bits again: std <= sqrt(float max), so doubling it neither rounded nor overflowed
+    std *= 0.5
+    return EvalReport(per_joint, inside / (t_ref * len(per_joint)), mean, std)

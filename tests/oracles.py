@@ -14,11 +14,13 @@ one read at a time; the range check of each scalar parameter
 as its site wrote it, where the package states one rule in ``errors``; the
 marginal std read from the whole weight covariance, where the package keeps
 only its per-joint blocks; and one row of the package's basis at any phase,
-where ``design_matrix`` gives only the rows of its grid.
+where ``design_matrix`` gives only the rows of its grid. ``traced_peak`` is
+the one memory probe that the tests' memory bounds share.
 """
 
 import math
 import struct
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,3 +425,12 @@ def basis_row(t, config):
     if not (0.0 <= t <= 1.0):
         raise GlovekitError(f"phase {t} outside [0, 1]")
     return _basis(np.asarray(t, dtype=float), config)
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,6 +316,83 @@ def test_demos_that_disagree_on_dt_are_data_error(workdir, capsys, command):
     assert capsys.readouterr().err == (
         f"error: {demos[1]}: dt 0.01 differs from the first demo's 0.005\n")
     assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_demo_files_are_checked_one_at_a_time_in_order(workdir, capsys, command):
+    """Each demo file is loaded and checked when the one before it has been
+    used, so of two faulty files the earlier one is reported: file 2's dt,
+    not file 3's bad token, which on its own is an error too."""
+    demos = [workdir / "a.txt", workdir / "b.txt", workdir / "c.txt"]
+    for path, dt in zip(demos, [0.005, 0.01, 0.005]):
+        formats.save_demo(Demonstration(np.zeros((40, 2)), dt), path)
+    demos[2].write_text(demos[2].read_text().replace("0.015 0.0 0.0", "0.015 zero 0.0"))
+    formats.save_model(train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4)),
+                       workdir / "model.txt")
+    output = workdir / "out.csv"
+    model = ["--model", str(workdir / "model.txt")] if command == "eval" else []
+    assert main([command, str(demos[0]), str(demos[2]), *model, "--output", str(output)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {demos[2]}: ")
+    assert main([command, *map(str, demos), *model, "--output", str(output)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {demos[1]}: dt 0.01 differs from the first demo's 0.005\n")
+    assert not output.exists()
+
+
+def test_train_checks_its_basis_options_before_the_first_demo(workdir, capsys):
+    """The basis comes from the options alone, so a bad --basis-count is
+    reported before a demo file is read, even one that is not a demo."""
+    (workdir / "bad.txt").write_text("not a demo\n")
+    assert main(["train", str(workdir / "bad.txt"), "--basis-count", "0",
+                 "--output", str(workdir / "out.txt")]) == 3
+    assert capsys.readouterr() == ("", "error: K must be >= 1, got 0\n")
+    assert not (workdir / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_memory_does_not_grow_with_the_demo_count(workdir, capsys, command):
+    """Both commands hold one demo at a time: on 10 copies of a demo file
+    they peak less than one demo's (T, D + 1) table above their peak on 2."""
+    t_steps, d = 3000, 13
+    rng = np.random.default_rng(5)
+    demo = Demonstration(np.cumsum(rng.normal(size=(t_steps, d)), axis=0) * 0.01, 0.005)
+    formats.save_demo(demo, workdir / "demo.txt")
+    formats.save_model(train_model([demo], BasisConfig()), workdir / "model.txt")
+    del demo
+    model = ["--model", str(workdir / "model.txt")] if command == "eval" else []
+    peaks = {}
+    for copies in (2, 10):
+        argv = [command, *[str(workdir / "demo.txt")] * copies, *model,
+                "--output", str(workdir / "out.txt")]
+        rc, peaks[copies] = oracles.traced_peak(lambda: main(argv))
+        assert rc == 0
+    capsys.readouterr()
+    assert abs(peaks[10] - peaks[2]) < t_steps * (d + 1) * 8
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_release_each_demo_before_the_next_file_loads(workdir, monkeypatch,
+                                                                    capsys, command):
+    """No demo that train or eval loaded, nor its values, is alive while
+    they load the next file."""
+    demo = Demonstration(np.cumsum(np.ones((40, 2)), axis=0), 0.005)
+    formats.save_demo(demo, workdir / "demo.txt")
+    formats.save_model(train_model([demo], BasisConfig(K=4)), workdir / "model.txt")
+    del demo
+    refs, dead = [], []
+
+    def load_demo(path, _load=formats.load_demo):
+        dead.extend(ref() is None for ref in refs)
+        loaded = _load(path)
+        refs.append(weakref.ref(loaded.values))
+        return loaded
+
+    monkeypatch.setattr(formats, "load_demo", load_demo)
+    model = ["--model", str(workdir / "model.txt")] if command == "eval" else []
+    assert main([command, *[str(workdir / "demo.txt")] * 3, *model,
+                 "--output", str(workdir / "out.txt")]) == 0
+    capsys.readouterr()
+    assert len(dead) == 3 and all(dead)
 
 
 def _old_bands_csv_text(times, mean, std, demos):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,15 +470,6 @@ def test_load_demo_across_parse_blocks(tmp_path, monkeypatch, extra):
     assert loaded.values.tobytes() == values.tobytes()
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_bands_csv_memory_stays_near_file_size(tmp_path):
     """Writing the eval CSV of a 13-joint 30 s model holds one block of rows
     at a time: neither the whole table (0.42x the file) nor its text."""
@@ -488,7 +478,7 @@ def test_bands_csv_memory_stays_near_file_size(tmp_path):
     mean = rng.normal(size=(t_steps, d))
     std = rng.random((t_steps, d))
     path = tmp_path / "bands.csv"
-    peak = _traced_peak(lambda: formats.save_bands_csv(path, mean, std, 0.005))
+    _, peak = oracles.traced_peak(lambda: formats.save_bands_csv(path, mean, std, 0.005))
     assert peak < 0.25 * path.stat().st_size
 
 
@@ -498,7 +488,7 @@ def test_load_demo_memory_stays_near_file_size(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "demo.txt"
     formats.save_demo(Demonstration(rng.normal(size=(6000, 13)), 0.005), path)
-    peak = _traced_peak(lambda: formats.load_demo(path))
+    _, peak = oracles.traced_peak(lambda: formats.load_demo(path))
     assert peak < 3.0 * path.stat().st_size
 
 
@@ -509,5 +499,5 @@ def test_float_path_memory_stays_near_file_size(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "demo.txt"
     _save_demo_with_float_only_token(rng.normal(size=(6000, 13)), path)
-    peak = _traced_peak(lambda: formats.load_demo(path))
+    _, peak = oracles.traced_peak(lambda: formats.load_demo(path))
     assert peak < 3.0 * path.stat().st_size

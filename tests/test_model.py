@@ -1,5 +1,5 @@
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from oracles import (
     gaussian_logpdf_sum,
     marginal_std_full,
     ridge_weights_oracle,
+    traced_peak,
 )
 
 
@@ -206,6 +207,26 @@ class TestEstimateNoise:
         sigma_y = estimate_noise([demo.values - phi @ w])
         assert np.all(np.abs(sigma_y - sigma**2) < 0.2 * sigma**2)
 
+    def test_releases_each_residual_before_requesting_the_next(self):
+        """train_model makes each residual in the iterable it gives estimate_noise,
+        so no residual may be alive while the next one is made."""
+        rng = np.random.default_rng(4)
+        refs, dead = [], []
+
+        def fresh():
+            residual = rng.normal(size=(100, 3))
+            refs.append(weakref.ref(residual))
+            return residual
+
+        def residuals():
+            for _ in range(3):
+                dead.extend(ref() is None for ref in refs)
+                yield fresh()
+            dead.extend(ref() is None for ref in refs)
+
+        estimate_noise(residuals())
+        assert len(dead) == 6 and all(dead)
+
 
 class TestModelQueries:
     def test_mean_reproduces_single_demo_fit(self):
@@ -332,12 +353,7 @@ class TestModelQueries:
         model = TrajectoryModel(cfg, np.zeros((13, 20)), g @ g.transpose(0, 2, 1),
                                 np.full(13, 1e-4))
         phi = design_matrix(6000, cfg)
-        tracemalloc.start()
-        try:
-            std = marginal_std(model, phi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        std, peak = traced_peak(lambda: marginal_std(model, phi))
         assert std.shape == (6000, 13)
         assert peak < 2.5e6
 
@@ -394,12 +410,7 @@ class TestPerJointBlocks:
         one demo's residual; the whole (4000, 4000) covariance alone is 128 MB."""
         rng = np.random.default_rng(6)
         demos = [Demonstration(rng.normal(size=(3000, 200)), 0.005) for _ in range(2)]
-        tracemalloc.start()
-        try:
-            model = train_model(demos, BasisConfig(K=20))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        model, peak = traced_peak(lambda: train_model(demos, BasisConfig(K=20)))
         assert model.sigma_w.shape == (200, 20, 20)
         assert peak < 24e6
 
@@ -488,6 +499,18 @@ class TestDemonstration:
     def test_train_requires_matching_dims(self):
         with pytest.raises(GlovekitError, match="demonstrations disagree in dimension"):
             train_model([sine_demo(D=2), sine_demo(D=3)], BasisConfig(K=5))
+
+    def test_dimension_error_lists_the_first_two_dimensions_that_differ(self):
+        """Demos are checked as they come: the first one's dimension and the
+        first that differs from it are named, and no later demo is read."""
+        def demos():
+            yield sine_demo(D=4)
+            yield sine_demo(D=2)
+            raise AssertionError("a demo after the mismatch was requested")
+
+        with pytest.raises(GlovekitError) as raised:
+            train_model(demos(), BasisConfig(K=5))
+        assert str(raised.value) == "demonstrations disagree in dimension: [2, 4]"
 
 
 # each value class with its fields in order, one field to change and a new value for it

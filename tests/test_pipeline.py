@@ -5,7 +5,7 @@ import math
 import os
 import threading
 import time
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -388,15 +388,6 @@ def test_regular_file_is_read_with_read_alone(tmp_path):
     assert reader.reads == math.ceil(len(PLACEMENT_STREAM) / pipeline._READ_CHUNK)
 
 
-def traced_peak(run):
-    """``run()``'s result and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        return run(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_record_and_calibrate_hold_one_read_besides_the_output():
     """Neither step builds an array of the whole stream: besides the demo,
     what they hold stays under a fixed bound, and from 60 s to 300 s it grows
@@ -405,10 +396,10 @@ def test_record_and_calibrate_hold_one_read_besides_the_output():
     record_extra, mask_bytes, calibrate_peak = {}, {}, {}
     for seconds in (60.0, 300.0):
         data = fx.emulate_stream(11, seconds)
-        (demo, _), peak = traced_peak(lambda: recorded_demo(duration=seconds, data=data))
+        (demo, _), peak = oracles.traced_peak(lambda: recorded_demo(duration=seconds, data=data))
         record_extra[seconds], mask_bytes[seconds] = peak - demo.values.nbytes, demo.values.size
         builder, reader = ExtremaBuilder(), io.BytesIO(data)
-        stats, calibrate_peak[seconds] = traced_peak(lambda: read_raw_frames(
+        stats, calibrate_peak[seconds] = oracles.traced_peak(lambda: read_raw_frames(
             reader, seconds, fx.STREAM_RATE, lambda raw, index: builder.observe(raw)))
         assert stats.frames_received == sample_count(seconds, fx.STREAM_RATE)
     assert record_extra[300.0] < 1.5e6
@@ -508,6 +499,54 @@ class TestTrainReproduceEval:
         base = evaluate(model, demos).band_coverage
         inflated = evaluate(wide, demos).band_coverage
         assert np.all(inflated >= base)
+
+
+def _train_and_eval(demos):
+    """The model trained on ``demos`` and its report on them, as bytes."""
+    model = train_model(demos(), BasisConfig(K=8))
+    report = evaluate(model, demos())
+    return ([a.tobytes() for a in (model.mu_w, model.sigma_w, model.sigma_y)]
+            + [a.tobytes() for a in report.per_joint_log_likelihoods]
+            + [a.tobytes() for a in report[1:]])
+
+
+def test_train_and_evaluate_give_the_same_bytes_from_a_generator_as_from_a_list():
+    rng = np.random.default_rng(8)
+    demos = [Demonstration(np.cumsum(rng.normal(size=(150, 4)), axis=0), 0.005)
+             for _ in range(5)]
+    assert _train_and_eval(lambda: (demo for demo in demos)) == _train_and_eval(lambda: demos)
+
+
+def test_train_and_evaluate_release_each_demo_before_requesting_the_next():
+    """Of the demos train_model and evaluate take, none is alive, nor its
+    values, by the time the next one is requested or the iterable ends."""
+    rng = np.random.default_rng(9)
+    values = [np.cumsum(rng.normal(size=(150, 4)), axis=0) for _ in range(4)]
+    dead = []
+
+    def fresh(v, refs):
+        demo = Demonstration(v.copy(), 0.005)
+        refs.append(weakref.ref(demo.values))
+        return demo
+
+    def demos():
+        refs = []
+        for v in values:
+            dead.extend(ref() is None for ref in refs)
+            yield fresh(v, refs)
+        dead.extend(ref() is None for ref in refs)
+
+    _train_and_eval(demos)
+    assert len(dead) == 2 * (0 + 1 + 2 + 3 + 4) and all(dead)
+
+
+@pytest.mark.parametrize("empty", [list, lambda: iter(())], ids=["list", "iterator"])
+def test_train_and_evaluate_need_one_demonstration(empty):
+    with pytest.raises(GlovekitError, match="at least one demonstration is required"):
+        train_model(empty(), BasisConfig(K=8))
+    model = train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=8))
+    with pytest.raises(GlovekitError, match="at least one demonstration is required"):
+        evaluate(model, empty())
 
 
 def test_one_basis_matrix_per_distinct_length(monkeypatch):
