@@ -3,15 +3,20 @@
 All formats are line-oriented, space-separated, and diff-able: a version
 header line, then the file's non-blank lines. glovekit writes calib-v1,
 demo-v1, promp-v3 and the result CSVs; it reads coupling-v1, tactile-v1 and
-emu-v1, inputs the user writes, and never writes them. Floats are written with
-``repr`` (shortest exact decimal), so write -> read -> write of calib-v1,
-demo-v1 and promp-v3 is byte-identical. Float tables (demo, ``sigma_w`` and
+emu-v1, inputs the user writes, and never writes them. Keyed values (calib-v1,
+``dt``, ``h``, ``lambda``, ``eps_reg``, ``mu_w``, ``sigma_y``) are written with
+``repr``, the shortest exact decimal. Float tables (demo, ``sigma_w`` and
 result CSV rows) are written one block of rows at a time, so the memory a
-file costs stays small and does not grow with its length; the bytes are those
-of one ``repr`` per cell. numpy's C reader parses demo, tactile and
-``sigma_w`` rows; any table it does not give exactly goes to the ``float``
-path, which parses it in the writers' blocks of rows, so rows are read back
-with ``float`` semantics, token for token.
+file costs stays small and does not grow with its length. A table's leading
+time column is ``repr`` too; every other cell is ``%.17g``, 17 significant
+digits, which also reads back to its exact float64 but is often longer (0.1
+is ``0.10000000000000001``, -0.0 is ``-0``), so a table file is about 2-4 %
+larger than with ``repr`` cells and is formatted faster. Either way write ->
+read -> write of calib-v1, demo-v1 and promp-v3 is byte-identical, and files
+written with ``repr`` cells load unchanged, under the same version headers.
+numpy's C reader parses demo, tactile and ``sigma_w`` rows; any table it does
+not give exactly goes to the ``float`` path, which parses it in the writers'
+blocks of rows, so rows are read back with ``float`` semantics, token for token.
 
 Keyed lines (emu-v1, the demo-v1 and promp-v3 headers) are ``key value...``:
 each key once, one value per scalar key, no unknown key. A header is its keys in
@@ -56,17 +61,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _table(columns: list[np.ndarray], sep: str = " ") -> Iterator[str]:
+def _table(columns: list[np.ndarray], sep: str = " ", timed: bool = True) -> Iterator[str]:
     """The lines of the float64 table whose columns are the given (T,) and (T, k)
     arrays side by side, one string per block of rows.
     Each block is stacked from the arrays on its own; the whole table never is.
-    The block's cells are one ``repr`` each, in row order; ``zip`` of one
-    iterator ``width`` times deals them into rows, so joining runs in C with no
-    Python step per row."""
+    A ``timed`` table's first column is ``%r`` (``repr``), so a time such as
+    0.015 keeps its short spelling; every other cell is ``%.17g``, which reads
+    back to its exact float64 as ``repr`` does but skips ``repr``'s search for
+    the shortest digits; CPython's own correctly rounded conversion does both
+    on every host. One row template, repeated for the block's rows, takes all
+    of the block's cells in a single ``%``, so formatting runs in C with no
+    Python step per row or cell."""
+    first = "%r" if timed else "%.17g"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        cells = map(repr, block.astype(float, copy=False).ravel().tolist())
-        yield "\n".join(map(sep.join, zip(*[cells] * block.shape[1]))) + "\n"
+        row = sep.join([first] + ["%.17g"] * (block.shape[1] - 1)) + "\n"
+        yield (row * len(block)) % tuple(block.astype(float, copy=False).ravel().tolist())
 
 
 def _write(path, header_lines: list[str], table: Iterator[str] = ()) -> None:
@@ -236,7 +246,7 @@ def save_model(model: TrajectoryModel, path) -> None:
               f"lambda {_fmt(basis.lam)}", f"eps_reg {_fmt(model.eps_reg)}",
               "mu_w " + " ".join(map(_fmt, model.mu_w.reshape(-1))),
               "sigma_y " + " ".join(map(_fmt, model.sigma_y))]
-    _write(path, header, _table([model.sigma_w.reshape(-1, basis.K)]))
+    _write(path, header, _table([model.sigma_w.reshape(-1, basis.K)], timed=False))
 
 
 @_loader("promp-v3")

@@ -15,13 +15,15 @@ as its site wrote it, where the package states one rule in ``errors``; the
 marginal std read from the whole weight covariance, where the package keeps
 only its per-joint blocks; and one row of the package's basis at any phase,
 where ``design_matrix`` gives only the rows of its grid. ``traced_peak`` is
-the one memory probe that the tests' memory bounds share.
+the one memory probe that the tests' memory bounds share, and ``edit_token``
+the one edit of a written file's token.
 """
 
 import math
 import struct
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -298,11 +300,18 @@ def _cells(values):
     return " ".join(_cell(v) for v in values)
 
 
+def table_cell(x):
+    """A float table cell other than a time: 17 significant digits, which read
+    back to the exact float64 (0.1 is ``0.10000000000000001``, -0.0 ``-0``)."""
+    return "%.17g" % float(x)
+
+
 def demo_text(values, dt, labels):
-    """demo-v1 file text, one ``repr`` per cell, time ``i * dt`` per row."""
+    """demo-v1 file text: time ``i * dt`` as ``repr``, then one ``table_cell``
+    per value."""
     lines = ["demo-v1", f"D {len(labels)}", f"dt {_cell(dt)}", "joints " + " ".join(labels)]
     for i, row in enumerate(values):
-        lines.append(_cell(i * dt) + " " + _cells(row))
+        lines.append(" ".join([_cell(i * dt), *map(table_cell, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -335,7 +344,8 @@ def emu_text(config):
 def model_text(model):
     """promp-v3 file text of a trajectory model, cell by cell: the header keys
     in order, ``mu_w`` being joint 1's K weights, then joint 2's, and so on;
-    then the bare sigma_w table, joint d's block being rows d*K .. (d+1)*K - 1."""
+    then the bare sigma_w table, joint d's block being rows d*K .. (d+1)*K - 1.
+    Header values are ``repr``, sigma_w cells ``table_cell``."""
     basis = model.basis
     lines = [
         "promp-v3",
@@ -349,12 +359,13 @@ def model_text(model):
     ]
     for block in model.sigma_w:
         for row in block:
-            lines.append(_cells(row))
+            lines.append(" ".join(map(table_cell, row)))
     return "\n".join(lines) + "\n"
 
 
 def tracking_csv_text(reference, executed, rate):
-    """Tracking CSV text: time ``i / rate``, then ref, exec, exec - ref per joint."""
+    """Tracking CSV text: time ``i / rate`` as ``repr``, then ref, exec,
+    exec - ref per joint, each a ``table_cell``."""
     d = reference.shape[1]
     header = ["time"]
     for j in range(d):
@@ -366,13 +377,14 @@ def tracking_csv_text(reference, executed, rate):
         for j in range(d):
             ref = reference[i, j]
             exe = executed[i, j]
-            cells += [_cell(ref), _cell(exe), _cell(exe - ref)]
+            cells += [table_cell(ref), table_cell(exe), table_cell(exe - ref)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def bands_csv_text(mean, std, dt):
-    """Bands CSV text: time ``i * dt``, then mean and std per joint."""
+    """Bands CSV text: time ``i * dt`` as ``repr``, then mean and std per
+    joint, each a ``table_cell``."""
     d = mean.shape[1]
     header = ["time"]
     for j in range(d):
@@ -382,7 +394,7 @@ def bands_csv_text(mean, std, dt):
     for i in range(mean.shape[0]):
         cells = [_cell(i * dt)]
         for j in range(d):
-            cells += [_cell(mean[i, j]), _cell(std[i, j])]
+            cells += [table_cell(mean[i, j]), table_cell(std[i, j])]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -425,6 +437,16 @@ def basis_row(t, config):
     if not (0.0 <= t <= 1.0):
         raise GlovekitError(f"phase {t} outside [0, 1]")
     return _basis(np.asarray(t, dtype=float), config)
+
+
+def edit_token(path, line, column, edit):
+    """Replace the space-separated token at (line, column) of a text file by
+    ``edit(token)``, so an edit takes the token as the file spells it."""
+    lines = Path(path).read_text().splitlines()
+    tokens = lines[line].split(" ")
+    tokens[column] = edit(tokens[column])
+    lines[line] = " ".join(tokens)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def traced_peak(run):

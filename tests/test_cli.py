@@ -326,7 +326,7 @@ def test_demo_files_are_checked_one_at_a_time_in_order(workdir, capsys, command)
     demos = [workdir / "a.txt", workdir / "b.txt", workdir / "c.txt"]
     for path, dt in zip(demos, [0.005, 0.01, 0.005]):
         formats.save_demo(Demonstration(np.zeros((40, 2)), dt), path)
-    demos[2].write_text(demos[2].read_text().replace("0.015 0.0 0.0", "0.015 zero 0.0"))
+    oracles.edit_token(demos[2], 7, 1, lambda token: "zero")  # row 3's first value
     formats.save_model(train_model([Demonstration(np.zeros((40, 2)), 0.005)], BasisConfig(K=4)),
                        workdir / "model.txt")
     output = workdir / "out.csv"
@@ -397,7 +397,7 @@ def test_train_and_eval_release_each_demo_before_the_next_file_loads(workdir, mo
 
 def _old_bands_csv_text(times, mean, std, demos):
     """The bands CSV as it was when it also copied each demo: time, then per
-    joint mean, std and each demo's value."""
+    joint mean, std and each demo's value, in today's cell spelling."""
     d = mean.shape[1]
     header = ["time"]
     for j in range(d):
@@ -408,8 +408,8 @@ def _old_bands_csv_text(times, mean, std, demos):
     for i, t in enumerate(times):
         cells = [repr(float(t))]
         for j in range(d):
-            cells += [repr(float(mean[i, j])), repr(float(std[i, j]))]
-            cells += [repr(float(demo[i, j])) for demo in demos]
+            cells += [oracles.table_cell(mean[i, j]), oracles.table_cell(std[i, j])]
+            cells += [oracles.table_cell(demo[i, j]) for demo in demos]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -256,7 +256,8 @@ class TestResultCsvs:
         formats.save_bands_csv(path, mean, std, 0.01)
         lines = path.read_text().splitlines()
         assert lines[0] == "time,j01_mean,j01_std"
-        assert lines[2] == "0.01,0.6,0.1"
+        # the time keeps repr's shortest digits; the other cells have 17
+        assert lines[2] == "0.01,0.59999999999999998,0.10000000000000001"
         assert len(lines) == 3
 
 
@@ -436,19 +437,102 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k
     assert formats.load_model(path).sigma_w.tobytes() == sigma_w.tobytes()
 
 
+# cells at an edge of the 17-digit spelling, each with both signs: zero (-0.0
+# is ``-0``), the least subnormal and normal, where plain digits end (1e16) and
+# exponents start (1e17), a short decimal that 17 digits lengthen (1e-5), and
+# the largest double
+EDGE_CELLS = [0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e-5, np.finfo(float).max]
+EDGE_CELLS += [-x for x in EDGE_CELLS]
+# enough rows to hold every edge cell and nonfinite cell in one column
+BIT_ROWS = st.one_of(st.integers(len(EDGE_CELLS) + len(NONFINITE), 40),
+                     st.sampled_from([BLOCK, 2 * BLOCK + 1]))
+
+
+@st.composite
+def bit_tables(draw, shape, finite=True):
+    """float64 tables of uniformly drawn bit patterns holding every edge cell,
+    and unless ``finite`` nan, -nan, inf and -inf, in drawn places; a finite
+    table's nan and inf patterns become 0.5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.frombuffer(rng.bytes(8 * math.prod(shape)), dtype=float).reshape(shape)
+    table = np.where(np.isfinite(table), table, 0.5)
+    cells = EDGE_CELLS + ([] if finite else NONFINITE)
+    table.flat[rng.choice(table.size, len(cells), replace=False)] = cells
+    return table
+
+
+def _written_cells(lines, sep):
+    """Each line's first token, as written, and the rest as float64 bits, nan
+    being numpy's one quiet nan (text keeps no nan sign)."""
+    rows = [line.split(sep) for line in lines]
+    cells = np.array([[float(token) for token in row[1:]] for row in rows])
+    return [row[0] for row in rows], cells.tobytes()
+
+
+def _nan_as_read(table):
+    return np.where(np.isnan(table), np.nan, table).tobytes()
+
+
+@given(rows=BIT_ROWS, d=st.integers(1, 4), k=st.integers(4, 6),
+       dt=st.floats(1e-6, 10.0), rate=st.floats(1.0, 1e4), h=st.floats(1e-3, 10.0),
+       lam=st.floats(0.0, 1.0), eps_reg=st.floats(0.0, 1.0), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_no_writer_loses_a_bit(tmp_path_factory, rows, d, k, dt, rate, h, lam, eps_reg, data):
+    """Every table cell that save_demo, save_model, save_tracking_csv and
+    save_bands_csv write reads back as its exact float64, under float() and
+    under the package's loaders, and write -> read -> write keeps the bytes; the
+    time column and the keyed values keep their ``repr`` bytes."""
+    path, again = (tmp_path_factory.getbasetemp() / name for name in ("a.txt", "b.txt"))
+
+    values = data.draw(bit_tables((rows, d)))
+    formats.save_demo(Demonstration(values, dt), path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == f"dt {dt!r}"
+    times, cells = _written_cells(lines[4:], " ")
+    assert times == [repr(i * dt) for i in range(rows)]
+    assert cells == values.tobytes()
+    assert formats.load_demo(path).values.tobytes() == values.tobytes()
+    formats.save_demo(formats.load_demo(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+    weights = data.draw(bit_tables((d + k * d, k)))
+    model = TrajectoryModel(BasisConfig(k, h, lam), weights[:d], weights[d:].reshape(d, k, k),
+                            np.abs(weights[:d, 0]), eps_reg)
+    formats.save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[3:8] == [f"h {h!r}", f"lambda {lam!r}", f"eps_reg {eps_reg!r}",
+                          " ".join(["mu_w", *map(repr, model.mu_w.ravel().tolist())]),
+                          " ".join(["sigma_y", *map(repr, model.sigma_y.tolist())])]
+    assert oracles.float_rows(lines[8:]).tobytes() == model.sigma_w.tobytes()
+    loaded = formats.load_model(path)
+    for name in ("mu_w", "sigma_w", "sigma_y"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+    formats.save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+    ref, exe = data.draw(bit_tables((rows, d), finite=False)), data.draw(bit_tables((rows, d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        formats.save_tracking_csv(path, ref, exe, rate)
+        columns = np.stack([ref, exe, exe - ref], axis=2).reshape(rows, 3 * d)
+    times, cells = _written_cells(path.read_text().splitlines()[1:], ",")
+    assert times == [repr(i / rate) for i in range(rows)]
+    assert cells == _nan_as_read(columns)
+
+    mean, std = (data.draw(bit_tables((rows, d), finite=False)) for _ in range(2))
+    formats.save_bands_csv(path, mean, std, dt)
+    times, cells = _written_cells(path.read_text().splitlines()[1:], ",")
+    assert times == [repr(i * dt) for i in range(rows)]
+    assert cells == _nan_as_read(np.stack([mean, std], axis=2).reshape(rows, 2 * d))
+
+
 def _save_demo_with_float_only_token(values, path):
-    """Save a demo whose middle row's first joint, 10.0, is written ``1_0.0``:
-    ``float`` takes it and numpy's reader does not, so the float path parses
-    the whole table."""
+    """Save a demo whose middle row's first joint, 10.0, is written with a
+    ``_`` after its first digit (``1_0``): ``float`` takes it and numpy's
+    reader does not, so the float path parses the whole table."""
     row = values.shape[0] // 2
     values[row, 0] = 10.0
     formats.save_demo(Demonstration(values, 0.005), path)
-    lines = path.read_text().splitlines()
-    tokens = lines[4 + row].split(" ")
-    assert tokens[1] == "10.0"
-    tokens[1] = "1_0.0"
-    lines[4 + row] = " ".join(tokens)
-    path.write_text("\n".join(lines) + "\n")
+    oracles.edit_token(path, 4 + row, 1, lambda token: token[0] + "_" + token[1:])
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
