@@ -6,17 +6,19 @@ demo-v1, promp-v3 and the result CSVs; it reads coupling-v1, tactile-v1 and
 emu-v1, inputs the user writes, and never writes them. Keyed values (calib-v1,
 ``dt``, ``h``, ``lambda``, ``eps_reg``, ``mu_w``, ``sigma_y``) are written with
 ``repr``, the shortest exact decimal. Float tables (demo, ``sigma_w`` and
-result CSV rows) are written one block of rows at a time, so the memory a
-file costs stays small and does not grow with its length. A table's leading
-time column is ``repr`` too; every other cell is ``%.17g``, 17 significant
-digits, which also reads back to its exact float64 but is often longer (0.1
-is ``0.10000000000000001``, -0.0 is ``-0``), so a table file is about 2-4 %
-larger than with ``repr`` cells and is formatted faster. Either way write ->
-read -> write of calib-v1, demo-v1 and promp-v3 is byte-identical, and files
-written with ``repr`` cells load unchanged, under the same version headers.
-numpy's C reader parses demo, tactile and ``sigma_w`` rows; any table it does
-not give exactly goes to the ``float`` path, which parses it in the writers'
-blocks of rows, so rows are read back with ``float`` semantics, token for token.
+result CSV rows) are written one block of about 2048 cells at a time, so the
+memory a file costs stays small and does not grow with its length. A table's
+leading time column is ``repr`` too; every other cell is ``%.17g``, 17
+significant digits, which also reads back to its exact float64 but is often
+longer (0.1 is ``0.10000000000000001``, -0.0 is ``-0``), so a table file is
+about 2-4 % larger than with ``repr`` cells and is formatted faster. numpy
+builds the bytes ``%`` gives for every cell in fixed notation, and one ``%``
+per block formats the rest (see ``glovekit.cells``). Either way write -> read ->
+write of calib-v1, demo-v1 and promp-v3 is byte-identical, and files written
+with ``repr`` cells load unchanged, under the same version headers. numpy's C
+reader parses demo, tactile and ``sigma_w`` rows; any table it does not give
+exactly goes to the ``float`` path, which parses it in blocks of rows, so rows
+are read back with ``float`` semantics, token for token.
 
 Keyed lines (emu-v1, the demo-v1 and promp-v3 headers) are ``key value...``:
 each key once, one value per scalar key, no unknown key. A header is its keys in
@@ -44,17 +46,26 @@ from typing import Iterator
 import numpy as np
 
 from .calibration import CalibrationProfile, CouplingMap
+from .cells import block_text, row_template
 from .emulator import ChannelWaveform, EmulatorConfig
 from .errors import GlovekitError
 from .model import BasisConfig, Demonstration, TrajectoryModel
 from .wire import NUM_CHANNELS
 
 
-# rows per block, both where the writers format a table and where the float
-# path parses one: enough to amortise stacking one slice per column, few enough
-# that a block's Python floats, tokens and text stay well under 1 MB even for
-# the widest table, the 40 columns of a 13-joint tracking CSV
+# rows per block where the float path parses a table, the one place that still
+# blocks by rows: few enough that a block's Python floats and tokens stay well
+# under 1 MB even for the widest table, the 40 columns of a 13-joint tracking
+# CSV. The writers block by cells, _BLOCK_CELLS.
 _BLOCK_ROWS = 128
+# cells per block where the writers format a table: enough that numpy's cost
+# per call is small against a block's work, few enough that a block's arrays
+# and text stay well under 1 MB
+_BLOCK_CELLS = 2048
+
+def _block_rows(ncols: int) -> int:
+    """Rows per block of a table ``ncols`` cells wide where the writers format it."""
+    return max(1, _BLOCK_CELLS // ncols)
 
 
 def _fmt(x: float) -> str:
@@ -63,20 +74,20 @@ def _fmt(x: float) -> str:
 
 def _table(columns: list[np.ndarray], sep: str = " ", timed: bool = True) -> Iterator[str]:
     """The lines of the float64 table whose columns are the given (T,) and (T, k)
-    arrays side by side, one string per block of rows.
+    arrays side by side, one string per block of about ``_BLOCK_CELLS`` cells.
     Each block is stacked from the arrays on its own; the whole table never is.
     A ``timed`` table's first column is ``%r`` (``repr``), so a time such as
     0.015 keeps its short spelling; every other cell is ``%.17g``, which reads
     back to its exact float64 as ``repr`` does but skips ``repr``'s search for
-    the shortest digits; CPython's own correctly rounded conversion does both
-    on every host. One row template, repeated for the block's rows, takes all
-    of the block's cells in a single ``%``, so formatting runs in C with no
-    Python step per row or cell."""
-    first = "%r" if timed else "%.17g"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        row = sep.join([first] + ["%.17g"] * (block.shape[1] - 1)) + "\n"
-        yield (row * len(block)) % tuple(block.astype(float, copy=False).ravel().tolist())
+    the shortest digits. ``cells.block_text`` writes the bytes ``%`` would: numpy
+    builds the fixed-notation cells, and CPython's own correctly rounded
+    conversion the rest, so no byte depends on the host."""
+    ncols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    step = _block_rows(ncols)
+    template = row_template(ncols, sep)
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([c[start : start + step] for c in columns])
+        yield block_text(block.astype(float, copy=False), template, timed)
 
 
 def _write(path, header_lines: list[str], table: Iterator[str] = ()) -> None:

@@ -89,6 +89,24 @@ def test_cli_import_leaves_socket_unloaded():
     assert (result.returncode, result.stdout, result.stderr) == (0, "False False False\n", "")
 
 
+def test_first_table_writes_load_no_module(tmp_path):
+    """A fresh interpreter's first save_tracking_csv and save_demo load no
+    module that importing the CLI left unloaded: a numpy function that imports
+    a submodule on first use (``np.unique`` loads ``numpy.ma``) would add its
+    import time and memory to the first command that writes a table."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import glovekit.cli; "
+             "before = set(sys.modules); "
+             "import numpy as np; from pathlib import Path; "
+             "from glovekit import formats; from glovekit.model import Demonstration; "
+             "v = np.linspace(-3.0, 3.0, 600).reshape(200, 3) ** 3; "
+             "formats.save_tracking_csv(Path(sys.argv[2]) / 't.csv', v, v * 1.5, 200.0); "
+             "formats.save_demo(Demonstration(v, 0.005), Path(sys.argv[2]) / 'd.txt'); "
+             "print(sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent), str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def infinity_comparisons(node, function="<module>"):
     """The enclosing function of every comparison with ``np.inf`` or ``math.inf``."""
     for child in ast.iter_child_nodes(node):

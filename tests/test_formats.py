@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -353,11 +353,14 @@ def test_float_table_is_the_float_path(case):
             == _table_or_error(lambda: formats._parse_rows(lines, cols, "row")))
 
 
-BLOCK = formats._BLOCK_ROWS
-# table lengths below, at and above the writers' block size and its multiples
-ROWS = st.one_of(
-    st.integers(2, 9), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
-)
+def writer_rows(width):
+    """Table lengths below, at and above the writers' block of a table
+    ``width`` cells wide, and its multiples, or a few rows."""
+    block = formats._block_rows(width)
+    return st.one_of(st.integers(2, 9), st.sampled_from(
+        [block - 1, block, block + 1, 2 * block, 2 * block + 1]))
+
+
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 0.1,
            -0.1, 1.0, -3.0, 1024.0, 12345678.0, 1e22, 1e300]
 
@@ -390,14 +393,16 @@ def _with_nonfinite(data, table):
     return table
 
 
-@given(rows=ROWS, d=st.integers(1, 13), k=st.integers(1, 6),
+@given(d=st.integers(1, 13), k=st.integers(1, 6),
        dt=st.sampled_from([0.005, 1 / 350, 0.01, 0.1, 3.0]),
        rate=st.sampled_from([200.0, 350.0, 7.0, 1000.0]), data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k, dt, rate, data):
+def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, d, k, dt, rate, data):
     """Every table writer gives the bytes of the per-cell reference, and every
     table loader gives the bits of a per-token float() parse. The result CSVs
-    also hold nan, -nan, inf and -inf cells."""
+    also hold nan, -nan, inf and -inf cells. The table length is drawn around
+    the blocks of the demo, the bands CSV or the tracking CSV."""
+    rows = data.draw(writer_rows(data.draw(st.sampled_from([d + 1, 2 * d + 1, 3 * d + 1]))))
     values = data.draw(float_tables((rows, 1 + d * 4 + 5)))
     bands = _with_nonfinite(data, values[:, 1 : 1 + 2 * d])
     tracking = _with_nonfinite(data, values[:, 1 + 2 * d : 1 + 4 * d])
@@ -437,15 +442,47 @@ def test_table_writers_match_cell_by_cell_reference(tmp_path_factory, rows, d, k
     assert formats.load_model(path).sigma_w.tobytes() == sigma_w.tobytes()
 
 
+POWERS_OF_TEN = [10.0**k for k in range(-5, 18)]
+
+
+@given(cells=st.lists(st.floats(), min_size=1, max_size=60), timed=st.booleans())
+# exact ties of the 17th digit, which round half to even
+@example(cells=[1 + 2**-17, 1 + 3 * 2**-17, 3 + 2**-17, 10 + 2**-16, 0.5 + 2**-18,
+                1e15 + 0.25, 1e15 + 0.75, -1 - 2**-17, -1e15 - 0.75], timed=False)
+# each power of ten from 1e-5 to 1e17 and both its neighbours, where the
+# exponent guess and the fixed/exponent notation switch
+@example(cells=[x for p in POWERS_OF_TEN for x in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))],
+         timed=False)
+@example(cells=[-x for p in POWERS_OF_TEN for x in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))],
+         timed=False)
+# the largest double below 1e17, whose log10 rounds to 17
+@example(cells=[99999999999999984.0, -99999999999999984.0], timed=False)
+@settings(max_examples=300, deadline=None)
+def test_table_cells_are_percent_17g(cells, timed):
+    """A table's cells are byte for byte ``"%.17g" % x`` (a ``timed`` table's
+    first cell ``"%r" % x``) for every float64: subnormals, zeros of both signs,
+    nan, inf, and the cells numpy formats, all under the error state every
+    command runs in."""
+    with np.errstate(all="raise"):
+        text = "".join(formats._table([np.array([cells], dtype=float)], timed=timed))
+    first = "%r" if timed else "%.17g"
+    assert text == " ".join([first % cells[0]] + ["%.17g" % x for x in cells[1:]]) + "\n"
+
+
 # cells at an edge of the 17-digit spelling, each with both signs: zero (-0.0
 # is ``-0``), the least subnormal and normal, where plain digits end (1e16) and
 # exponents start (1e17), a short decimal that 17 digits lengthen (1e-5), and
 # the largest double
 EDGE_CELLS = [0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e-5, np.finfo(float).max]
 EDGE_CELLS += [-x for x in EDGE_CELLS]
-# enough rows to hold every edge cell and nonfinite cell in one column
-BIT_ROWS = st.one_of(st.integers(len(EDGE_CELLS) + len(NONFINITE), 40),
-                     st.sampled_from([BLOCK, 2 * BLOCK + 1]))
+
+
+def bit_rows(width):
+    """Enough rows to hold every edge cell and nonfinite cell in one column,
+    or one and two writer blocks of a table ``width`` cells wide and a row."""
+    block = formats._block_rows(width)
+    return st.one_of(st.integers(len(EDGE_CELLS) + len(NONFINITE), 40),
+                     st.sampled_from([block, 2 * block + 1]))
 
 
 @st.composite
@@ -473,16 +510,18 @@ def _nan_as_read(table):
     return np.where(np.isnan(table), np.nan, table).tobytes()
 
 
-@given(rows=BIT_ROWS, d=st.integers(1, 4), k=st.integers(4, 6),
+@given(d=st.integers(1, 4), k=st.integers(4, 6),
        dt=st.floats(1e-6, 10.0), rate=st.floats(1.0, 1e4), h=st.floats(1e-3, 10.0),
        lam=st.floats(0.0, 1.0), eps_reg=st.floats(0.0, 1.0), data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_no_writer_loses_a_bit(tmp_path_factory, rows, d, k, dt, rate, h, lam, eps_reg, data):
+def test_no_writer_loses_a_bit(tmp_path_factory, d, k, dt, rate, h, lam, eps_reg, data):
     """Every table cell that save_demo, save_model, save_tracking_csv and
     save_bands_csv write reads back as its exact float64, under float() and
     under the package's loaders, and write -> read -> write keeps the bytes; the
-    time column and the keyed values keep their ``repr`` bytes."""
+    time column and the keyed values keep their ``repr`` bytes. The table length
+    is drawn around the blocks of the demo, the bands CSV or the tracking CSV."""
     path, again = (tmp_path_factory.getbasetemp() / name for name in ("a.txt", "b.txt"))
+    rows = data.draw(bit_rows(data.draw(st.sampled_from([d + 1, 2 * d + 1, 3 * d + 1]))))
 
     values = data.draw(bit_tables((rows, d)))
     formats.save_demo(Demonstration(values, dt), path)
